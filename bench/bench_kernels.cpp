@@ -2,7 +2,7 @@
 /// \brief EXP-B1 -- google-benchmark microbenchmarks of the hot kernels:
 /// eigensolver, Householder reduction, GEMM, Hamiltonian assembly,
 /// neighbor-list build, bond-table build, Hellmann-Feynman forces,
-/// density matrix, Tersoff step, sparse multiply, Slater-Koster block
+/// density matrix, Tersoff step, blocked-sparse multiply, Slater-Koster block
 /// evaluation.
 
 #include <benchmark/benchmark.h>
@@ -15,7 +15,6 @@
 #include "src/linalg/eigen_sym.hpp"
 #include "src/neighbor/neighbor_list.hpp"
 #include "src/onx/on_calculator.hpp"
-#include "src/onx/sparse.hpp"
 #include "src/potentials/tersoff.hpp"
 #include "src/structures/builders.hpp"
 #include "src/tb/bond_table.hpp"
@@ -210,48 +209,10 @@ void BM_TersoffForceCall(benchmark::State& state) {
 BENCHMARK(BM_TersoffForceCall)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-void BM_SparseMultiply(benchmark::State& state) {
-  const int nx = state.range(0);
-  System s = structures::diamond(Element::C, 3.567, nx, nx, nx);
-  const tb::TbModel m = tb::xwch_carbon();
-  NeighborList list;
-  list.build(s.positions(), s.cell(), {m.cutoff(), 0.3});
-  const auto h = onx::build_sparse_hamiltonian(m, s, list);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(h.multiply(h, 1e-8).nnz());
-  }
-}
-BENCHMARK(BM_SparseMultiply)->Arg(2)->Arg(3)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_BsrSpMM(benchmark::State& state) {
-  // Full-pattern blocked-sparse H * H on the 4x4-tiled Hamiltonian.
-  // Compare with BM_SparseMultiply/3 (the same 216-atom product on scalar
-  // CSR) and BM_BsrSpMMSym (the symmetric-half production kernel).
-  // Arg = atom count.
-  System s = diamond_with_atoms(Element::C, 3.567, state.range(0));
-  const tb::TbModel m = tb::xwch_carbon();
-  NeighborList list;
-  list.build(s.positions(), s.cell(), {m.cutoff(), 0.3});
-  tb::BondTable table;
-  table.build(m, s, list, tb::BondTable::Mode::kBlocks);
-  const onx::BlockSparseMatrix h =
-      onx::build_block_hamiltonian(m, s, table).to_full();
-  onx::BlockSparseMatrix out;
-  onx::BsrWorkspace ws;
-  for (auto _ : state) {
-    h.multiply_into(h, 1e-8, out, ws);
-    benchmark::DoNotOptimize(out.nnz());
-  }
-  state.counters["blocks"] = static_cast<double>(h.block_count());
-}
-BENCHMARK(BM_BsrSpMM)->Arg(64)->Arg(216)->Unit(benchmark::kMillisecond);
-
 void BM_BsrSpMMSym(benchmark::State& state) {
   // Symmetric-half H * H with a warm frozen pattern -- the steady-state
-  // SpMM of the purification loop: upper-triangle tiles only (half the
-  // tile products of BM_BsrSpMM) and zero symbolic-phase work after the
-  // first iteration.  Arg = atom count.
+  // SpMM of the purification loop: upper-triangle tiles only and zero
+  // symbolic-phase work after the first iteration.  Arg = atom count.
   System s = diamond_with_atoms(Element::C, 3.567, state.range(0));
   const tb::TbModel m = tb::xwch_carbon();
   NeighborList list;

@@ -8,9 +8,9 @@ Usage:
 
 The default gated set covers the step-pipeline hot kernels: the
 eigensolvers, the bond-table build, the density-matrix rank-k update, the
-blocked-sparse SpMMs (full-pattern BM_BsrSpMM/216, the symmetric-half
-warm-pattern production kernel BM_BsrSpMMSym/216 and its fp32 twin
-BM_BsrSpMMSym_f32/216 -- the mixed-precision loose-phase kernel) and the
+blocked-sparse SpMMs (the symmetric-half warm-pattern production kernel
+BM_BsrSpMMSym/216 and its fp32 twin BM_BsrSpMMSym_f32/216 -- the
+mixed-precision loose-phase kernel) and the
 full O(N) purification step (BM_TbOnStep/216).  (BM_BandForces/216 is
 recorded but not gated: a ~40 us kernel has a process-level noise floor
 wider than any regression worth gating on.)
@@ -27,8 +27,8 @@ both files: a uniform machine-speed difference between the baseline host
 and the CI runner shifts all ratios equally and cancels exactly, while a
 genuine regression in one kernel barely moves the median of many.  The
 smoke set therefore includes kernels with no shared code (neighbor list,
-Tersoff, sparse multiply) so that even a regression correlated across all
-of the gated linalg kernels cannot drag the median with it.  This is
+Tersoff, blocked-sparse multiply) so that even a regression correlated
+across all of the gated linalg kernels cannot drag the median with it.  This is
 far more robust than designating one calibration kernel (a single kernel
 -- e.g. a cache-boundary-sized GEMM -- can be bimodal across processes on
 shared hosts, poisoning every normalized ratio).  Passing a kernel name
@@ -107,7 +107,7 @@ def main():
     # kernels'.
     specs = args.kernel or ["BM_Eigh/256", "BM_EighPartial/256",
                             "BM_BondTable/216", "BM_DensityMatrix/256",
-                            "BM_BsrSpMM/216", "BM_BsrSpMMSym/216=0.05",
+                            "BM_BsrSpMMSym/216=0.05",
                             "BM_BsrSpMMSym_f32/216", "BM_TbOnStep/216"]
     kernels = []
     for spec in specs:  # NAME or NAME=FRAC (per-kernel limit override)

@@ -18,6 +18,7 @@
 #include "src/onx/on_calculator.hpp"
 #include "src/onx/purification.hpp"
 #include "src/structures/builders.hpp"
+#include "src/tb/bond_table.hpp"
 #include "src/tb/hamiltonian.hpp"
 #include "src/tb/occupations.hpp"
 #include "src/util/timer.hpp"
@@ -36,7 +37,10 @@ int main() {
     NeighborList list;
     list.build(s.positions(), s.cell(), {model.cutoff(), 0.3});
     const linalg::Matrix hd = tb::build_hamiltonian(model, s, list);
-    const onx::SparseMatrix hs = onx::SparseMatrix::from_dense(hd);
+    tb::BondTable bonds;
+    bonds.build(model, s, list, tb::BondTable::Mode::kBlocks);
+    const onx::BlockSparseMatrix hs =
+        onx::build_block_hamiltonian(model, s, bonds);
     const int nocc = s.total_valence_electrons() / 2;
 
     WallTimer diag_timer;

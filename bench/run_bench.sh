@@ -20,7 +20,7 @@ BUILD_DIR="${1:-${REPO_ROOT}/build}"
 mkdir -p "${BUILD_DIR}"
 BUILD_DIR="$(cd "${BUILD_DIR}" && pwd)"
 THREADS="${THREADS:-$(nproc)}"
-FILTER="${FILTER:-BM_Eigh/128|BM_Eigh/256|BM_EighPartial/128|BM_EighPartial/256|BM_BlockedTridiag/256|BM_Gemm/256|BM_BuildHamiltonian/3|BM_NeighborBuild/2000|BM_BondTable/216|BM_BandForces/216|BM_DensityMatrix/256|BM_SparseMultiply/3|BM_BsrSpMM/216|BM_BsrSpMMSym/216|BM_BsrSpMMSym_f32/216|BM_BsrSpMMSym_spd/4|BM_TbOnStep/216|BM_TersoffForceCall/2|BM_TbStepPartialSpectrum/3}"
+FILTER="${FILTER:-BM_Eigh/128|BM_Eigh/256|BM_EighPartial/128|BM_EighPartial/256|BM_BlockedTridiag/256|BM_Gemm/256|BM_BuildHamiltonian/3|BM_NeighborBuild/2000|BM_BondTable/216|BM_BandForces/216|BM_DensityMatrix/256|BM_BsrSpMMSym/216|BM_BsrSpMMSym_f32/216|BM_BsrSpMMSym_spd/4|BM_TbOnStep/216|BM_TersoffForceCall/2|BM_TbStepPartialSpectrum/3}"
 OUT="${REPO_ROOT}/BENCH_baseline.json"
 
 if [[ ! -x "${BUILD_DIR}/bench_kernels" || ! -x "${BUILD_DIR}/exp_f1_step_scaling" ]]; then
@@ -54,7 +54,7 @@ OMP_NUM_THREADS=1 "${BUILD_DIR}/bench_kernels" \
 # (neighbor list, Tersoff, sparse multiply) so the checker's median
 # calibration cannot be dragged by a regression correlated across the
 # gated linalg kernels.
-GATE_FILTER='BM_Eigh/256|BM_EighPartial/256|BM_Gemm/256|BM_BondTable/216|BM_BandForces/216|BM_DensityMatrix/256|BM_NeighborBuild/2000|BM_TersoffForceCall/2|BM_SparseMultiply/3|BM_BsrSpMM/216|BM_BsrSpMMSym/216|BM_BsrSpMMSym_f32/216|BM_BsrSpMMSym_spd/4|BM_TbOnStep/216'
+GATE_FILTER='BM_Eigh/256|BM_EighPartial/256|BM_Gemm/256|BM_BondTable/216|BM_BandForces/216|BM_DensityMatrix/256|BM_NeighborBuild/2000|BM_TersoffForceCall/2|BM_BsrSpMMSym/216|BM_BsrSpMMSym_f32/216|BM_BsrSpMMSym_spd/4|BM_TbOnStep/216'
 echo "== bench_kernels: gate pass (OMP_NUM_THREADS=1, median of 3 reps)"
 OMP_NUM_THREADS=1 "${BUILD_DIR}/bench_kernels" \
   --benchmark_filter="${GATE_FILTER}" --benchmark_min_time=0.5 \

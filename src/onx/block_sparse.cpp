@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "src/linalg/blas.hpp"
-#include "src/onx/sparse.hpp"
 #include "src/util/error.hpp"
 #include "src/util/parallel.hpp"
 
@@ -1271,107 +1270,6 @@ void BlockSparseMatrix::combine_f32_into(double alpha,
   assemble_f32(n_, bs_, ws, out, sym_);
 }
 
-void BlockSparseMatrix::multiply_into(const BlockSparseMatrix& b,
-                                      double drop_tolerance,
-                                      BlockSparseMatrix& out,
-                                      BsrWorkspace& ws) const {
-  if (sym_ || b.sym_) {
-    TBMD_REQUIRE(sym_ && b.sym_, "multiply: storage-mode mismatch");
-    multiply_sym_into(b, drop_tolerance, out, ws, nullptr);
-    return;
-  }
-  TBMD_REQUIRE(layout_matches(b), "multiply: size/block mismatch");
-  TBMD_REQUIRE(prec_ == TilePrecision::kF64 &&
-                   b.prec_ == TilePrecision::kF64,
-               "multiply_into: full-storage products are fp64-only (the "
-               "mixed loop runs on symmetric-half operands)");
-  TBMD_REQUIRE(&out != this && &out != &b,
-               "multiply_into: output must not alias an operand");
-  const std::size_t bs2 = max_bs_ * max_bs_;  // accumulator tile stride
-  const bool var = !uniform_blocks();
-  reset_workspace(ws, nb_);
-  const auto nthreads = static_cast<std::size_t>(par::max_threads());
-  if (ws.acc.size() < nthreads) {
-    ws.acc.resize(nthreads);
-    ws.hit.resize(nthreads);
-    ws.touched.resize(nthreads);
-  }
-
-#pragma omp parallel
-  {
-    // Per-thread dense block accumulator (Gustavson over block rows): one
-    // bs x bs tile per block column plus an occupancy flag; `touched`
-    // records which columns were hit so only those are swept and reset.
-    // The buffers live in the workspace: the sweep leaves acc/hit all-zero
-    // after each row, so they are only (re)zeroed when they grow.
-    const auto tid = static_cast<std::size_t>(par::thread_id());
-    std::vector<double>& acc = ws.acc[tid];
-    std::vector<std::uint8_t>& hit = ws.hit[tid];
-    std::vector<std::uint32_t>& touched = ws.touched[tid];
-    if (acc.size() < nb_ * bs2) acc.assign(nb_ * bs2, 0.0);
-    if (hit.size() < nb_) hit.assign(nb_, 0);
-    touched.reserve(256);
-
-#pragma omp for schedule(dynamic, 8)
-    for (std::size_t bi = 0; bi < nb_; ++bi) {
-      const std::size_t di = row_dim(bi);
-      touched.clear();
-      for (std::size_t ka = row_ptr_[bi]; ka < row_ptr_[bi + 1]; ++ka) {
-        const std::size_t bk = col_[ka];
-        const std::size_t dk = row_dim(bk);
-        const double* ta = block(ka);
-        for (std::size_t kb = b.row_ptr_[bk]; kb < b.row_ptr_[bk + 1]; ++kb) {
-          const std::uint32_t bj = b.col_[kb];
-          if (hit[bj] == 0) {
-            hit[bj] = 1;
-            touched.push_back(bj);
-          }
-          if (var) {
-            linalg::gemm_micro_add_rect(di, dk, row_dim(bj), false, false,
-                                        ta, b.block(kb),
-                                        acc.data() + bs2 * bj);
-          } else {
-            linalg::gemm_micro_add(bs_, ta, b.block(kb),
-                                   acc.data() + bs2 * bj);
-          }
-        }
-      }
-      std::sort(touched.begin(), touched.end());
-      auto& cols = ws.row_cols[bi];
-      auto& vals = ws.row_vals[bi];
-      cols.reserve(touched.size());
-      for (const std::uint32_t bj : touched) {
-        double* tile = acc.data() + bs2 * bj;
-        if (var) {
-          const std::size_t dj = dims_[bj];
-          const std::size_t sz = di * dj;
-          const double norm2 = linalg::tile_norm2_rect(di, dj, tile);
-          if (keep_tile_rect(norm2, sz, drop_tolerance) ||
-              (bj == bi && norm2 > 0.0)) {
-            cols.push_back(bj);
-            vals.insert(vals.end(), tile, tile + sz);
-          }
-          std::fill(tile, tile + sz, 0.0);
-        } else {
-          const double norm2 = linalg::tile_norm2(bs_, tile);
-          if (keep_tile(norm2, bs_, drop_tolerance) ||
-              (bj == bi && norm2 > 0.0)) {
-            cols.push_back(bj);
-            vals.insert(vals.end(), tile, tile + bs2);
-          }
-          std::fill(tile, tile + bs2, 0.0);
-        }
-        hit[bj] = 0;
-      }
-    }
-  }
-  if (var) {
-    bsr_assemble(dims_, ws, out);
-  } else {
-    bsr_assemble(n_, bs_, ws, out);
-  }
-}
-
 void BlockSparseMatrix::multiply_sym_into(const BlockSparseMatrix& b,
                                           double drop_tolerance,
                                           BlockSparseMatrix& out,
@@ -1796,14 +1694,6 @@ void BlockSparseMatrix::multiply_sym_f32_into(const BlockSparseMatrix& b,
   }
 }
 
-BlockSparseMatrix BlockSparseMatrix::multiply(const BlockSparseMatrix& b,
-                                              double drop_tolerance) const {
-  BlockSparseMatrix out;
-  BsrWorkspace ws;
-  multiply_into(b, drop_tolerance, out, ws);
-  return out;
-}
-
 linalg::SpectralBounds BlockSparseMatrix::gershgorin_bounds() const {
   TBMD_REQUIRE(prec_ == TilePrecision::kF64,
                "gershgorin_bounds: fp64 payloads only (H is never demoted)");
@@ -1887,128 +1777,6 @@ linalg::SpectralBounds BlockSparseMatrix::gershgorin_bounds() const {
     }
   }
   return bounds;
-}
-
-// --- CSR <-> BSR converters (declared in sparse.hpp) ----------------------
-
-BlockSparseMatrix SparseMatrix::to_block(std::size_t block_size) const {
-  BlockSparseMatrix out(n_, block_size);
-  const std::size_t bs = out.bs_;
-  const std::size_t bs2 = bs * bs;
-  const std::size_t nb = out.nb_;
-  std::vector<std::uint32_t> cols;
-  for (std::size_t bi = 0; bi < nb; ++bi) {
-    // Union of the block columns touched by the bs scalar rows of this
-    // block row (each scalar row's columns are already sorted).
-    cols.clear();
-    for (std::size_t r = 0; r < bs; ++r) {
-      const std::size_t row = bs * bi + r;
-      for (std::size_t k = row_ptr_[row]; k < row_ptr_[row + 1]; ++k) {
-        cols.push_back(static_cast<std::uint32_t>(col_[k] / bs));
-      }
-    }
-    std::sort(cols.begin(), cols.end());
-    cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
-
-    const std::size_t base = out.col_.size();
-    out.col_.insert(out.col_.end(), cols.begin(), cols.end());
-    out.val_.resize(out.val_.size() + cols.size() * bs2, 0.0);
-    for (std::size_t r = 0; r < bs; ++r) {
-      const std::size_t row = bs * bi + r;
-      for (std::size_t k = row_ptr_[row]; k < row_ptr_[row + 1]; ++k) {
-        const std::size_t bj = col_[k] / bs;
-        const auto it = std::lower_bound(cols.begin(), cols.end(),
-                                         static_cast<std::uint32_t>(bj));
-        const std::size_t slot =
-            base + static_cast<std::size_t>(it - cols.begin());
-        out.val_[bs2 * slot + bs * r + (col_[k] % bs)] = val_[k];
-      }
-    }
-    out.row_ptr_[bi + 1] = out.col_.size();
-  }
-  out.refingerprint();
-  return out;
-}
-
-BlockSparseMatrix SparseMatrix::to_block(
-    const std::vector<std::uint32_t>& dims) const {
-  BlockSparseMatrix out(dims);
-  if (out.uniform_blocks()) return to_block(out.block_size());
-  TBMD_REQUIRE(out.size() == n_, "to_block: block dims do not sum to n");
-  const std::size_t nb = out.nb_;
-  // Scalar column -> block column, precomputed once for the scatter.
-  std::vector<std::uint32_t> blk_of(n_);
-  for (std::size_t bi = 0; bi < nb; ++bi) {
-    for (std::size_t q = 0; q < dims[bi]; ++q) {
-      blk_of[out.offs_[bi] + q] = static_cast<std::uint32_t>(bi);
-    }
-  }
-  std::vector<std::uint32_t> cols;
-  for (std::size_t bi = 0; bi < nb; ++bi) {
-    const std::size_t di = out.dims_[bi];
-    const std::size_t oi = out.offs_[bi];
-    // Union of the block columns touched by the di scalar rows of this
-    // block row (each scalar row's columns are already sorted).
-    cols.clear();
-    for (std::size_t r = 0; r < di; ++r) {
-      const std::size_t row = oi + r;
-      for (std::size_t k = row_ptr_[row]; k < row_ptr_[row + 1]; ++k) {
-        cols.push_back(blk_of[col_[k]]);
-      }
-    }
-    std::sort(cols.begin(), cols.end());
-    cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
-
-    const std::size_t base = out.col_.size();
-    out.col_.insert(out.col_.end(), cols.begin(), cols.end());
-    for (const std::uint32_t bj : cols) {
-      out.val_ptr_.push_back(out.val_ptr_.back() + di * out.dims_[bj]);
-    }
-    out.val_.resize(out.val_ptr_.back(), 0.0);
-    for (std::size_t r = 0; r < di; ++r) {
-      const std::size_t row = oi + r;
-      for (std::size_t k = row_ptr_[row]; k < row_ptr_[row + 1]; ++k) {
-        const std::uint32_t bj = blk_of[col_[k]];
-        const auto it = std::lower_bound(cols.begin(), cols.end(), bj);
-        const std::size_t slot =
-            base + static_cast<std::size_t>(it - cols.begin());
-        out.val_[out.val_ptr_[slot] + out.dims_[bj] * r +
-                 (col_[k] - out.offs_[bj])] = val_[k];
-      }
-    }
-    out.row_ptr_[bi + 1] = out.col_.size();
-  }
-  out.refingerprint();
-  return out;
-}
-
-SparseMatrix SparseMatrix::from_block(const BlockSparseMatrix& b) {
-  TBMD_REQUIRE(!b.symmetric(),
-               "from_block: expand half storage via to_full() first");
-  SparseMatrix out(b.size());
-  for (std::size_t bi = 0; bi < b.block_rows(); ++bi) {
-    const std::size_t di = b.row_dim(bi);
-    const std::size_t oi = b.row_offset(bi);
-    for (std::size_t r = 0; r < di; ++r) {
-      for (std::size_t k = b.row_ptr()[bi]; k < b.row_ptr()[bi + 1]; ++k) {
-        const std::size_t bj = b.cols()[k];
-        const std::size_t dj = b.row_dim(bj);
-        const std::size_t oj = b.row_offset(bj);
-        const double* tile = b.block(k);
-        for (std::size_t c = 0; c < dj; ++c) {
-          const double v = tile[dj * r + c];
-          // Tiles are dense; structurally-zero entries inside a stored
-          // tile must not become explicit CSR zeros.
-          if (v != 0.0) {
-            out.col_.push_back(oj + c);
-            out.val_.push_back(v);
-          }
-        }
-      }
-      out.row_ptr_[oi + r + 1] = out.col_.size();
-    }
-  }
-  return out;
 }
 
 }  // namespace tbmd::onx

@@ -10,7 +10,7 @@
 /// *tile* suffices.  BlockSparseMatrix stores, per block row, the sorted
 /// block-column indices and a dense bs x bs row-major tile each; the SpMM
 /// inner product of two tiles dispatches to the shared
-/// linalg::gemm_micro_add micro-kernel (fully unrolled for bs == 4).
+/// linalg::gemm_micro_add_t micro-kernel (fully unrolled for bs == 4).
 ///
 /// Symmetric-half storage.  Every operand of the purification loop (H, P
 /// and its polynomials) is symmetric, so the engine's production mode
@@ -37,16 +37,14 @@
 /// is below the tolerance (diagonal tiles are always kept so traces stay
 /// exact).  Discarding such a tile perturbs the matrix by no more than the
 /// bs^2 scalar entries of magnitude tol the element-wise criterion already
-/// tolerates dropping, so accuracy bounds calibrated against the scalar
-/// engine carry over; the criterion reduces to |v| > tol exactly at
+/// tolerates dropping; the criterion reduces to |v| > tol exactly at
 /// bs == 1.  For symmetric operands the Frobenius criterion is itself
 /// symmetric (||A_IJ||_F == ||A_JI^T||_F), so truncation preserves
 /// symmetric sparsity patterns -- and in half storage, symmetry of the
 /// pattern is structural.
 ///
-/// Block size is a runtime parameter: bs == 4 is the production path, and
-/// bs == 1 degenerates to scalar CSR semantics (used for operands whose
-/// dimension is not a multiple of 4).
+/// Block size is a runtime parameter: bs == 4 is the production path for
+/// the sp models, and bs == 1 degenerates to scalar-granular tiles.
 ///
 /// Variable-block-row mode.  Multi-species models carry a per-atom orbital
 /// count (1 for s-only, 4 for sp, 9 for spd), so the natural tiling has
@@ -104,7 +102,7 @@ struct BsrShrinkPolicy {
   std::size_t block_size = 4;  ///< tile edge the kept accumulators assume
 };
 
-/// Reusable scratch for BlockSparseMatrix::multiply_into / combine_into:
+/// Reusable scratch for BlockSparseMatrix::multiply_sym_into / combine_into:
 /// per-block-row staging buffers plus the per-thread Gustavson
 /// accumulators of the SpMM, all with capacity that survives across
 /// calls, so a persistent workspace (e.g. owned by OrderNCalculator)
@@ -349,24 +347,13 @@ class BlockSparseMatrix {
                     double drop_tolerance, BlockSparseMatrix& out,
                     BsrWorkspace& ws, double sub_tile_drop = 0.0) const;
 
-  /// Block-sparse product this * b with tile-level Frobenius truncation.
-  /// Gustavson row-merge over block rows, OpenMP-parallel; tile products
-  /// run on linalg::gemm_micro_add (unrolled 4x4 fast path).  Half-stored
-  /// operands dispatch to multiply_sym_into (the product must then be
-  /// symmetric, i.e. the operands commute -- true for the purification
-  /// polynomials, which are all polynomials of the same H).
-  [[nodiscard]] BlockSparseMatrix multiply(const BlockSparseMatrix& b,
-                                           double drop_tolerance = 0.0) const;
-
-  /// multiply() writing into `out`, reusing its storage and `ws`.
-  void multiply_into(const BlockSparseMatrix& b, double drop_tolerance,
-                     BlockSparseMatrix& out, BsrWorkspace& ws) const;
-
-  /// Symmetric-half product C = this * b (both operands and the result
-  /// half-stored; this and b must commute so that C is symmetric).  Only
-  /// the upper block triangle of C is computed -- half the flops of the
-  /// full-pattern SpMM -- with mirrored operand tiles read through the
-  /// transposed micro-kernel.  When `pattern` is non-null the symbolic
+  /// Symmetric-half product C = this * b with tile-level Frobenius
+  /// truncation (both operands and the result half-stored; this and b must
+  /// commute so that C is symmetric -- true for the purification
+  /// polynomials, which are all polynomials of the same H).  Gustavson
+  /// row-merge over block rows, OpenMP-parallel; only the upper block
+  /// triangle of C is computed, with mirrored operand tiles read through
+  /// the transposed micro-kernel.  When `pattern` is non-null the symbolic
   /// phase is skipped whenever the operands still match the recorded
   /// fingerprints (ws.stats counts both outcomes); the numeric sweep is
   /// identical either way, so warm results are bit-identical to cold ones.
@@ -417,7 +404,6 @@ class BlockSparseMatrix {
   }
 
  private:
-  friend class SparseMatrix;
   friend void bsr_assemble(std::size_t n, std::size_t bs, BsrWorkspace& ws,
                            BlockSparseMatrix& out, bool symmetric_half);
   friend void bsr_assemble(const std::vector<std::uint32_t>& dims,

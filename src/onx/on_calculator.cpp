@@ -16,63 +16,6 @@
 
 namespace tbmd::onx {
 
-SparseMatrix build_sparse_hamiltonian(const tb::TbModel& model,
-                                      const System& system,
-                                      const tb::BondTable& table) {
-  TBMD_REQUIRE(table.atoms() == system.size(),
-               "build_sparse_hamiltonian: bond table size mismatch");
-  TBMD_REQUIRE(table.has_blocks(),
-               "build_sparse_hamiltonian: bond table was built without blocks");
-  const std::size_t n = system.size();
-  const std::size_t norb = table.orbital_count();
-
-  std::vector<std::vector<std::pair<std::size_t, double>>> rows(norb);
-
-  // The table's per-atom adjacency is already sorted by neighbor index, so
-  // each CSR row comes out ordered in one pass; `transposed` entries read
-  // the shared half-bond block column-major (B^T).  Stored blocks are
-  // orbs_i x orbs_j row-major, so a transposed read of (my orbital a,
-  // neighbor orbital c) indexes row c with my orbital count as the stride.
-#pragma omp parallel for schedule(dynamic, 16)
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t oi = table.orbital_offset(i);
-    const int bsi = table.atom_orbitals(i);
-    const auto si =
-        static_cast<std::size_t>(model.species_index(system.species()[i]));
-    for (int a = 0; a < bsi; ++a) {
-      auto& row = rows[oi + a];
-      const double ea = model.onsite_energy(si, a);
-      bool onsite_done = false;
-      for (const tb::BondTable::AtomBond* ab = table.atom_begin(i);
-           ab != table.atom_end(i); ++ab) {
-        if (table.hopping_zero(ab->bond)) continue;
-        if (!onsite_done && ab->neighbor > i) {
-          row.emplace_back(oi + a, ea);
-          onsite_done = true;
-        }
-        const double* b = table.block(ab->bond);
-        const std::size_t oj = table.orbital_offset(ab->neighbor);
-        const int bsj = table.atom_orbitals(ab->neighbor);
-        for (int c = 0; c < bsj; ++c) {
-          const double v = ab->transposed ? b[bsi * c + a] : b[bsj * a + c];
-          if (v != 0.0) row.emplace_back(oj + c, v);
-        }
-      }
-      if (!onsite_done) row.emplace_back(oi + a, ea);
-    }
-  }
-
-  return SparseMatrix::from_rows(norb, rows);
-}
-
-SparseMatrix build_sparse_hamiltonian(const tb::TbModel& model,
-                                      const System& system,
-                                      const NeighborList& list) {
-  tb::BondTable table;
-  table.build(model, system, list, tb::BondTable::Mode::kBlocks);
-  return build_sparse_hamiltonian(model, system, table);
-}
-
 void build_block_hamiltonian(const tb::TbModel& model, const System& system,
                              const tb::BondTable& table,
                              BlockSparseMatrix& out, BsrWorkspace& ws) {
@@ -154,20 +97,18 @@ BlockSparseMatrix build_block_hamiltonian(const tb::TbModel& model,
   return out;
 }
 
-namespace {
-
-/// Shared Hellmann-Feynman contraction skeleton of the two
-/// band_forces_sparse overloads.  `rho_tile(q, rho, sz)` fills rho[sz]
-/// (sz = orbs_i(q) * orbs_j(q), at most 81) with the spin-summed density
-/// block 2 * P(oi+a, oj+b) of bond q (row-major [a][b]) and returns false
-/// when the bond is absent from P; everything else -- the derivative
-/// contraction, the force sign convention and the virial accumulation --
-/// lives only here.
-template <typename RhoTile>
-std::vector<Vec3> band_forces_contract(const tb::BondTable& table,
-                                       Mat3* virial, const RhoTile& rho_tile) {
+std::vector<Vec3> band_forces_sparse(const tb::BondTable& table,
+                                     const BlockSparseMatrix& p,
+                                     Mat3* virial) {
   TBMD_REQUIRE(table.has_derivatives(),
                "band_forces_sparse: bond table was built without derivatives");
+  // One block row per atom (true for the legacy uniform 4x4 layout and
+  // for every per-atom variable layout, including all-equal dims that
+  // normalized to uniform storage).
+  TBMD_REQUIRE(p.size() == table.orbital_count() &&
+                   p.block_rows() == table.atoms(),
+               "band_forces_sparse: density matrix layout does not match "
+               "the bond table's orbital blocks");
   const std::size_t n = table.atoms();
   std::vector<Vec3> forces(n, Vec3{});
   if (table.size() == 0) return forces;
@@ -192,10 +133,18 @@ std::vector<Vec3> band_forces_contract(const tb::BondTable& table,
       const std::size_t q = nb->bond;
       if (table.hopping_zero(q)) continue;
 
+      // One tile fetch covers all orbital pairs of the bond.  Half pairs
+      // satisfy i < j, so the fetch is always an upper-triangle tile: the
+      // contraction reads the symmetric-half density matrix directly and
+      // never needs a full-pattern (mirror-expanded) copy.
+      const double* tile = p.find_block(table.i(q), table.j(q));
+      if (tile == nullptr) continue;
       const std::size_t sz = static_cast<std::size_t>(table.orbs_i(q)) *
                              static_cast<std::size_t>(table.orbs_j(q));
       double rho[81];
-      if (!rho_tile(q, rho, sz)) continue;
+      for (std::size_t ab = 0; ab < sz; ++ab) {
+        rho[ab] = 2.0 * tile[ab];  // spin factor
+      }
       const double* d = table.derivative(q, 0);
       Vec3 dedd{};
       if (sz == 16) {
@@ -248,61 +197,6 @@ std::vector<Vec3> band_forces_contract(const tb::BondTable& table,
     *virial += w;
   }
   return forces;
-}
-
-}  // namespace
-
-std::vector<Vec3> band_forces_sparse(const tb::BondTable& table,
-                                     const SparseMatrix& p, Mat3* virial) {
-  return band_forces_contract(
-      table, virial,
-      [&table, &p](std::size_t q, double* rho, std::size_t /*sz*/) {
-        const std::size_t oi = table.orbital_offset(table.i(q));
-        const std::size_t oj = table.orbital_offset(table.j(q));
-        const auto bsi = static_cast<std::size_t>(table.orbs_i(q));
-        const auto bsj = static_cast<std::size_t>(table.orbs_j(q));
-        for (std::size_t a = 0; a < bsi; ++a) {
-          for (std::size_t b = 0; b < bsj; ++b) {
-            rho[bsj * a + b] = 2.0 * p.get(oi + a, oj + b);  // spin factor
-          }
-        }
-        return true;
-      });
-}
-
-std::vector<Vec3> band_forces_sparse(const tb::BondTable& table,
-                                     const BlockSparseMatrix& p,
-                                     Mat3* virial) {
-  // One block row per atom (true for the legacy uniform 4x4 layout and
-  // for every per-atom variable layout, including all-equal dims that
-  // normalized to uniform storage).
-  TBMD_REQUIRE(p.size() == table.orbital_count() &&
-                   p.block_rows() == table.atoms(),
-               "band_forces_sparse: density matrix layout does not match "
-               "the bond table's orbital blocks");
-  return band_forces_contract(
-      table, virial,
-      [&table, &p](std::size_t q, double* rho, std::size_t sz) {
-        // One tile fetch covers all orbital pairs of the bond.  Half pairs
-        // satisfy i < j, so the fetch is always an upper-triangle tile:
-        // the contraction reads the symmetric-half density matrix directly
-        // and never needs a full-pattern (mirror-expanded) copy.
-        const double* tile = p.find_block(table.i(q), table.j(q));
-        if (tile == nullptr) return false;
-        for (std::size_t ab = 0; ab < sz; ++ab) {
-          rho[ab] = 2.0 * tile[ab];  // spin factor
-        }
-        return true;
-      });
-}
-
-std::vector<Vec3> band_forces_sparse(const tb::TbModel& model,
-                                     const System& system,
-                                     const NeighborList& list,
-                                     const SparseMatrix& p, Mat3* virial) {
-  tb::BondTable table;
-  table.build(model, system, list, tb::BondTable::Mode::kBlocksAndDerivatives);
-  return band_forces_sparse(table, p, virial);
 }
 
 OrderNCalculator::OrderNCalculator(tb::TbModel model, OrderNOptions options)

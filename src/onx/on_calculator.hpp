@@ -1,15 +1,15 @@
 #pragma once
 
 /// \file on_calculator.hpp
-/// \brief O(N) tight-binding calculator: sparse Hamiltonian + canonical
-/// purification instead of O(N^3) diagonalization.
+/// \brief O(N) tight-binding calculator: blocked-sparse Hamiltonian +
+/// canonical Palser-Manolopoulos purification instead of O(N^3)
+/// diagonalization.
 
 #include "src/core/calculator.hpp"
 #include "src/core/health_spec.hpp"
 #include "src/neighbor/neighbor_list.hpp"
 #include "src/onx/block_sparse.hpp"
 #include "src/onx/purification.hpp"
-#include "src/onx/sparse.hpp"
 #include "src/tb/bond_table.hpp"
 #include "src/tb/tb_model.hpp"
 #include "src/util/partition.hpp"
@@ -79,18 +79,6 @@ struct OrderNOptions {
   HealthSpec health;
 };
 
-/// Assemble the tight-binding Hamiltonian directly in CSR form from a
-/// prebuilt bond table (shared with the force contraction, so the O(N)
-/// path evaluates each Slater-Koster block exactly once per step).
-[[nodiscard]] SparseMatrix build_sparse_hamiltonian(const tb::TbModel& model,
-                                                    const System& system,
-                                                    const tb::BondTable& table);
-
-/// Convenience overload: evaluate a blocks-only BondTable from `list`.
-[[nodiscard]] SparseMatrix build_sparse_hamiltonian(const tb::TbModel& model,
-                                                    const System& system,
-                                                    const NeighborList& list);
-
 /// Assemble the Hamiltonian directly in symmetric-half block-CSR form
 /// (one orbs(i) x orbs(j) tile per atom pair with j >= i: uniform 4x4 for
 /// the legacy sp models, mixed 1/4/9 tiles for multi-species models) from
@@ -108,27 +96,14 @@ void build_block_hamiltonian(const tb::TbModel& model, const System& system,
     const tb::TbModel& model, const System& system,
     const tb::BondTable& table);
 
-/// Hellmann-Feynman band forces from a sparse (spinless) density matrix P
-/// (the contraction uses rho = 2 P), contracted against the bond table's
-/// derivative blocks.  When `virial` is non-null the band virial is
-/// accumulated into it.
-[[nodiscard]] std::vector<Vec3> band_forces_sparse(const tb::BondTable& table,
-                                                   const SparseMatrix& p,
-                                                   Mat3* virial = nullptr);
-
-/// Blocked-density overload: one tile lookup per bond replaces up to 81
-/// scalar binary searches (P must carry one block row per atom with the
-/// table's orbital counts, as produced by the purification engine for TB
-/// Hamiltonians).
+/// Hellmann-Feynman band forces from the blocked (spinless) density
+/// matrix P (the contraction uses rho = 2 P), contracted against the bond
+/// table's derivative blocks with one tile lookup per bond.  P must carry
+/// one block row per atom with the table's orbital counts, as produced by
+/// the purification engine for TB Hamiltonians.  When `virial` is non-null
+/// the band virial is accumulated into it.
 [[nodiscard]] std::vector<Vec3> band_forces_sparse(const tb::BondTable& table,
                                                    const BlockSparseMatrix& p,
-                                                   Mat3* virial = nullptr);
-
-/// Convenience overload: evaluate a derivative-carrying BondTable first.
-[[nodiscard]] std::vector<Vec3> band_forces_sparse(const tb::TbModel& model,
-                                                   const System& system,
-                                                   const NeighborList& list,
-                                                   const SparseMatrix& p,
                                                    Mat3* virial = nullptr);
 
 /// Linear-scaling TBMD calculator (Palser-Manolopoulos purification).

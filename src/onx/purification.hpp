@@ -1,7 +1,8 @@
 #pragma once
 
 /// \file purification.hpp
-/// \brief Canonical density-matrix purification (Palser-Manolopoulos).
+/// \brief Density-matrix purification: canonical Palser-Manolopoulos,
+/// grand-canonical McWeeny at fixed or bisected mu, and SP2 (sp2.hpp).
 ///
 /// The O(N) alternative to exact diagonalization: starting from a linear
 /// map of H whose spectrum lies in [0, 1] and whose trace equals the number
@@ -20,15 +21,19 @@
 /// cached in the workspace PatternCache keyed on operand-pattern
 /// fingerprints: along an MD trajectory the bond topology is unchanged on
 /// almost every step, so steady-state steps re-run only the numeric phase
-/// on frozen patterns (bit-identical to a cold run).  Scalar CSR operands
-/// are converted on entry and stay the assembly/interchange format.
+/// on frozen patterns (bit-identical to a cold run).
+///
+/// All methods share one iteration driver: seeding from the spectral
+/// bounds, the drop schedule, the fp32 phase with its promotion triggers,
+/// fp64 convergence/stagnation and the density hand-back.  A method only
+/// chooses its seed map and its polynomial update.  OrderNCalculator runs
+/// canonical PM; the grand-canonical entry points are library API.
 
 #include <cstdint>
 
 #include "src/core/numerics_spec.hpp"
 #include "src/linalg/spectral_bounds.hpp"
 #include "src/onx/block_sparse.hpp"
-#include "src/onx/sparse.hpp"
 
 namespace tbmd::onx {
 
@@ -45,7 +50,7 @@ struct PurificationOptions : NumericsSpec {
   int max_iterations = 100;
 
   /// Optional caller-supplied spectral enclosure of H.  When `have_bounds`
-  /// is set the loops seed from `bounds` instead of running their own
+  /// is set the driver seeds from `bounds` instead of running its own
   /// Gershgorin pass -- callers that purify the same H repeatedly (the
   /// chemical-potential bisection, OrderNCalculator's cached-bounds mode)
   /// hoist the O(nnz) estimate out of the loop.  The interval must enclose
@@ -79,8 +84,8 @@ struct NumericsStats {
 /// Result of a purification run.
 struct PurificationResult {
   /// Spinless P on the blocked substrate, symmetric-half stored
-  /// (eigenvalues in [0,1], tr = n_occ).  Use
-  /// SparseMatrix::from_block(density.to_full()) for a scalar-CSR view.
+  /// (eigenvalues in [0,1], tr = n_occ).  Use density.to_full() for a
+  /// full-stored view.
   BlockSparseMatrix density;
   double band_energy = 0.0;      ///< 2 tr(P H)  (spin degeneracy)
   int iterations = 0;
@@ -161,22 +166,6 @@ struct PurificationWorkspace {
     const PurificationOptions& options = {},
     PurificationWorkspace* workspace = nullptr);
 
-/// Scalar-CSR convenience overload: converts to the blocked symmetric-half
-/// substrate (4x4 tiles when the dimension allows, scalar tiles otherwise)
-/// and runs the blocked loop.  Prefer the block_dims overload when the
-/// orbital structure is known — see natural_block_size().
-[[nodiscard]] PurificationResult palser_manolopoulos(
-    const SparseMatrix& h, int n_occupied,
-    const PurificationOptions& options = {});
-
-/// Scalar-CSR overload with an explicit per-atom block layout (for a
-/// tight-binding Hamiltonian: tb::orbital_block_dims(model, system)).
-/// This is the correct entry point for multi-species models — the block
-/// structure is a property of the model, never of the dimension.
-[[nodiscard]] PurificationResult palser_manolopoulos(
-    const SparseMatrix& h, const std::vector<std::uint32_t>& block_dims,
-    int n_occupied, const PurificationOptions& options = {});
-
 /// Grand-canonical McWeeny purification at fixed chemical potential `mu`:
 /// start from the Gershgorin-scaled step-function seed
 ///   X0 = 1/2 I + (mu I - H) / (2 W),  W = max(hi - mu, mu - lo),
@@ -203,12 +192,5 @@ struct PurificationWorkspace {
     const BlockSparseMatrix& h, int n_occupied,
     const PurificationOptions& options = {},
     PurificationWorkspace* workspace = nullptr);
-
-/// Tile edge the modelless CSR overload falls back on for an n-dimensional
-/// operand: the 4x4 orbital block of the legacy sp models when it divides
-/// n, else scalar.  Model-aware callers should pass
-/// tb::orbital_block_dims() to the block_dims overload instead of using
-/// this guess.
-[[nodiscard]] std::size_t natural_block_size(std::size_t n);
 
 }  // namespace tbmd::onx

@@ -8,10 +8,10 @@
 /// a linear map of H with spectrum in [0, 1], repeatedly apply X^2 or
 /// 2X - X^2, choosing whichever moves the trace towards the occupation
 /// count.  Each iteration needs ONE sparse multiply (PM needs two), at the
-/// cost of slightly slower convergence -- an ablation axis the benchmark
-/// suite measures.  Like PM, the iteration runs on the blocked-sparse
-/// (BSR) substrate in symmetric-half storage with tile-level truncation
-/// and cached SpMM patterns (see purification.hpp).
+/// cost of more iterations -- an ablation axis exp_a1 measures.  SP2 runs
+/// through the same driver as PM (see purification.hpp), so it shares the
+/// symmetric-half BSR substrate, tile truncation, cached SpMM patterns and
+/// the NumericsSpec precision / sub-tile / SIMD policy.
 
 #include "src/onx/purification.hpp"
 
@@ -24,17 +24,5 @@ namespace tbmd::onx {
     const BlockSparseMatrix& h, int n_occupied,
     const PurificationOptions& options = {},
     PurificationWorkspace* workspace = nullptr);
-
-/// Scalar-CSR convenience overload (converts via SparseMatrix::to_block
-/// with the natural_block_size() fallback layout).
-[[nodiscard]] PurificationResult sp2_purification(
-    const SparseMatrix& h, int n_occupied,
-    const PurificationOptions& options = {});
-
-/// Scalar-CSR overload with an explicit per-atom block layout (for a
-/// tight-binding Hamiltonian: tb::orbital_block_dims(model, system)).
-[[nodiscard]] PurificationResult sp2_purification(
-    const SparseMatrix& h, const std::vector<std::uint32_t>& block_dims,
-    int n_occupied, const PurificationOptions& options = {});
 
 }  // namespace tbmd::onx

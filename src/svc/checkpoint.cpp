@@ -19,8 +19,9 @@ constexpr std::uint32_t kVersion = 2;
 template <typename T>
 void put(std::vector<std::uint8_t>& buf, T value) {
   static_assert(std::is_trivially_copyable_v<T>);
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(&value);
-  buf.insert(buf.end(), bytes, bytes + sizeof(T));
+  const std::size_t at = buf.size();
+  buf.resize(at + sizeof(T));
+  std::memcpy(buf.data() + at, &value, sizeof(T));
 }
 
 /// Bounds-checked cursor over the in-memory payload (the whole file is

@@ -1,8 +1,8 @@
-// Tests for the blocked-sparse (BSR) substrate of the O(N) engine:
-// CSR <-> BSR round trips, blocked SpMM against the dense GEMM reference,
-// tile-threshold truncation symmetry, the symmetric-half storage mode
-// (round trips, half SpMM, frozen-pattern reuse, workspace shrink), and
-// SP2 purification running directly on BSR operands.
+// Tests for the blocked-sparse (BSR) substrate of the O(N) engine: dense
+// round trips, algebra against the dense references, tile-threshold
+// truncation symmetry, the symmetric-half storage mode (round trips, half
+// SpMM, frozen-pattern reuse, workspace shrink), and the shared
+// purification driver (SP2, its mixed-precision phase, the entry guards).
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include "src/onx/block_sparse.hpp"
 #include "src/onx/on_calculator.hpp"
 #include "src/onx/sp2.hpp"
-#include "src/onx/sparse.hpp"
 #include "src/structures/builders.hpp"
 #include "src/tb/hamiltonian.hpp"
 #include "src/tb/occupations.hpp"
@@ -76,32 +75,6 @@ TEST(BlockSparse, DenseRoundTrip) {
   EXPECT_LT(linalg::max_abs(b.to_dense() - a), 1e-15);
 }
 
-TEST(BlockSparse, CsrRoundTripOnRandomPatterns) {
-  // to_block / from_block must be an identity for any scalar pattern and
-  // any admissible block size, including tiles only partially covered by
-  // the scalar pattern.
-  for (const std::uint64_t seed : {1u, 2u, 3u}) {
-    for (const std::size_t bs : {1u, 2u, 4u}) {
-      const linalg::Matrix a = random_symmetric(20, seed);
-      const SparseMatrix s = SparseMatrix::from_dense(a);
-      const BlockSparseMatrix b = s.to_block(bs);
-      EXPECT_EQ(b.size(), 20u);
-      EXPECT_LT(linalg::max_abs(b.to_dense() - a), 1e-15)
-          << "bs = " << bs << " seed " << seed;
-      const SparseMatrix back = SparseMatrix::from_block(b);
-      // Exact zeros padding partially-filled tiles must not come back as
-      // explicit CSR entries, so the round trip preserves nnz exactly.
-      EXPECT_EQ(back.nnz(), s.nnz()) << "bs = " << bs << " seed " << seed;
-      EXPECT_LT(linalg::max_abs(back.to_dense() - a), 1e-15);
-    }
-  }
-}
-
-TEST(BlockSparse, ToBlockRejectsIndivisibleDimension) {
-  const SparseMatrix s = SparseMatrix::identity(10);
-  EXPECT_THROW((void)s.to_block(4), Error);
-}
-
 TEST(BlockSparse, IdentityAndTrace) {
   const BlockSparseMatrix eye = BlockSparseMatrix::identity(12, 4);
   EXPECT_EQ(eye.block_count(), 3u);
@@ -112,19 +85,6 @@ TEST(BlockSparse, IdentityAndTrace) {
 }
 
 // --- algebra vs dense reference ------------------------------------------
-
-TEST(BlockSparse, SpMMMatchesDenseGemm) {
-  for (const std::size_t n : {4u, 16u, 48u, 92u}) {
-    const linalg::Matrix a = random_symmetric(n, 100 + n);
-    const linalg::Matrix b = random_symmetric(n, 200 + n);
-    const std::size_t bs = n % 4 == 0 ? 4 : 2;
-    const BlockSparseMatrix sa = BlockSparseMatrix::from_dense(a, bs);
-    const BlockSparseMatrix sb = BlockSparseMatrix::from_dense(b, bs);
-    const BlockSparseMatrix sc = sa.multiply(sb);
-    EXPECT_LT(linalg::max_abs(sc.to_dense() - linalg::matmul(a, b)), 1e-12)
-        << "n = " << n;
-  }
-}
 
 TEST(BlockSparse, CombineMatchesDense) {
   const linalg::Matrix a = random_block_symmetric(32, 4, 5);
@@ -198,19 +158,14 @@ TEST(BlockSparse, TileTruncationDropsWholeTilesSymmetrically) {
   EXPECT_EQ(b.find_block(0, 2), nullptr);
   EXPECT_EQ(b.block_count(), 5u);
 
-  // The same symmetry must hold through combine() and multiply() of
-  // symmetric operands: pattern and values stay exactly symmetric.
+  // The same symmetry must hold through combine() of symmetric
+  // operands: pattern and values stay exactly symmetric.
   const linalg::Matrix s = random_block_symmetric(24, 4, 31, 0.4);
   const BlockSparseMatrix sb = BlockSparseMatrix::from_dense(s, 4);
+  const BlockSparseMatrix sq =
+      BlockSparseMatrix::from_dense(linalg::matmul(s, s), 4);
   for (const double drop : {0.0, 1e-3, 3e-2}) {
-    const BlockSparseMatrix prod = sb.multiply(sb, drop);
-    const linalg::Matrix d = prod.to_dense();
-    for (std::size_t i = 0; i < d.rows(); ++i) {
-      for (std::size_t j = 0; j < i; ++j) {
-        EXPECT_EQ(d(i, j), d(j, i)) << "drop " << drop;
-      }
-    }
-    const BlockSparseMatrix sum = sb.combine(1.0, prod, -0.25, drop);
+    const BlockSparseMatrix sum = sb.combine(1.0, sq, -0.25, drop);
     const linalg::Matrix ds = sum.to_dense();
     for (std::size_t i = 0; i < ds.rows(); ++i) {
       for (std::size_t j = 0; j < i; ++j) {
@@ -225,21 +180,6 @@ TEST(BlockSparse, DiagonalTilesSurviveTruncation) {
   for (std::size_t i = 0; i < 8; ++i) a(i, i) = 1e-9;  // tiny but nonzero
   const BlockSparseMatrix b = BlockSparseMatrix::from_dense(a, 4, 1e-3);
   EXPECT_NEAR(b.trace(), 8e-9, 1e-20);  // trace exact despite truncation
-}
-
-TEST(BlockSparse, MultiplyIntoReusesWorkspace) {
-  const linalg::Matrix a = random_block_symmetric(32, 4, 17, 0.5);
-  const BlockSparseMatrix sa = BlockSparseMatrix::from_dense(a, 4);
-  BlockSparseMatrix out;
-  BsrWorkspace ws;
-  sa.multiply_into(sa, 0.0, out, ws);
-  const linalg::Matrix ref = linalg::matmul(a, a);
-  EXPECT_LT(linalg::max_abs(out.to_dense() - ref), 1e-12);
-  // Second call into the same buffers must give the same result.
-  sa.multiply_into(sa, 0.0, out, ws);
-  EXPECT_LT(linalg::max_abs(out.to_dense() - ref), 1e-12);
-  EXPECT_THROW(sa.multiply_into(sa, 0.0, const_cast<BlockSparseMatrix&>(sa), ws),
-               Error);
 }
 
 // --- symmetric-half storage ----------------------------------------------
@@ -333,10 +273,6 @@ TEST(BlockSparseSym, MultiplySymMatchesDenseGemm) {
       EXPECT_LT(linalg::max_abs(out.to_dense() - linalg::matmul(a2, a)),
                 1e-11)
           << "n " << n << " bs " << bs;
-      // multiply() dispatches half-stored operands to the same kernel.
-      const BlockSparseMatrix prod = ha.multiply(ha);
-      EXPECT_TRUE(prod.symmetric());
-      EXPECT_LT(linalg::max_abs(prod.to_dense() - a2), 1e-12);
     }
   }
 }
@@ -365,8 +301,9 @@ TEST(BlockSparseSym, AlgebraMatchesDenseInHalfStorage) {
   // Mixed-mode algebra is rejected rather than silently wrong.
   EXPECT_THROW((void)ha.combine(1.0, fb, 1.0), Error);
   EXPECT_THROW((void)ha.trace_of_product(fb), Error);
-  EXPECT_THROW((void)ha.multiply(fb), Error);
-  EXPECT_THROW((void)SparseMatrix::from_block(ha), Error);
+  BlockSparseMatrix out;
+  BsrWorkspace ws;
+  EXPECT_THROW(ha.multiply_sym_into(fb, 0.0, out, ws), Error);
 }
 
 TEST(BlockSparseSym, TruncationDropsMirrorPairsStructurally) {
@@ -375,8 +312,12 @@ TEST(BlockSparseSym, TruncationDropsMirrorPairsStructurally) {
   const linalg::Matrix s = random_block_symmetric(24, 4, 51, 0.4);
   const BlockSparseMatrix hs =
       BlockSparseMatrix::from_dense(s, 4).to_symmetric_half();
+  BsrWorkspace ws;
+  BlockSparseMatrix exact;
+  hs.multiply_sym_into(hs, 0.0, exact, ws);
   for (const double drop : {1e-3, 3e-2}) {
-    const BlockSparseMatrix prod = hs.multiply(hs, drop);
+    BlockSparseMatrix prod;
+    hs.multiply_sym_into(hs, drop, prod, ws);
     const linalg::Matrix d = prod.to_dense();
     for (std::size_t i = 0; i < d.rows(); ++i) {
       for (std::size_t j = 0; j < i; ++j) {
@@ -384,7 +325,7 @@ TEST(BlockSparseSym, TruncationDropsMirrorPairsStructurally) {
       }
     }
     // Diagonal tiles survive: the trace is the untruncated one.
-    EXPECT_NEAR(prod.trace(), hs.multiply(hs, 0.0).trace(), 1e-10);
+    EXPECT_NEAR(prod.trace(), exact.trace(), 1e-10);
   }
 }
 
@@ -411,7 +352,9 @@ TEST(BlockSparseSym, PatternCacheSkipsSymbolicPhaseAndStaysBitIdentical) {
 
   // A pattern change in the operand (tile dropped by truncation) fails
   // fingerprint validation and rebuilds the entry -- never stale reuse.
-  const BlockSparseMatrix hb = ha.multiply(ha, 3e-1);
+  BlockSparseMatrix hb;
+  BsrWorkspace other;
+  ha.multiply_sym_into(ha, 3e-1, hb, other);
   ASSERT_NE(hb.pattern_fingerprint(), ha.pattern_fingerprint());
   BlockSparseMatrix out;
   hb.multiply_sym_into(hb, 1e-8, out, ws, &pat);
@@ -600,8 +543,9 @@ TEST_P(Sp2OnBsr, IdempotentWithExactTraceOnDiamond) {
   // Trace pins the electron count.
   EXPECT_NEAR(r.density.trace(), static_cast<double>(nocc), 1e-5);
   // Idempotency: tr(P) == tr(P^2) at convergence.
-  const BlockSparseMatrix p2 = r.density.multiply(r.density);
-  EXPECT_NEAR(r.density.trace() - p2.trace(), 0.0, 1e-5);
+  const linalg::Matrix p = r.density.to_dense();
+  EXPECT_NEAR(linalg::trace(p) - linalg::trace(linalg::matmul(p, p)), 0.0,
+              1e-5);
   // Band energy against exact diagonalization.
   const auto hd = h.to_dense();
   const auto occ =
@@ -611,6 +555,71 @@ TEST_P(Sp2OnBsr, IdempotentWithExactTraceOnDiamond) {
 
 INSTANTIATE_TEST_SUITE_P(Displacements, Sp2OnBsr,
                          ::testing::Values(0.0, 0.08));
+
+// --- the shared purification driver ---------------------------------------
+
+TEST(PurificationDriver, Sp2MixedPrecisionPromotesAndMatchesPm) {
+  // SP2 runs through the same loop as PM, so the NumericsSpec precision
+  // policy applies to it too: loose-early iterations on fp32 tiles, then a
+  // promotion, and an fp64 density handed back.
+  const tb::TbModel m = tb::xwch_carbon();
+  const System s = structures::diamond(Element::C, 3.567, 2, 2, 2);  // C64
+  NeighborList list;
+  list.build(s.positions(), s.cell(), {m.cutoff(), 0.3});
+  tb::BondTable table;
+  table.build(m, s, list, tb::BondTable::Mode::kBlocks);
+  const BlockSparseMatrix h = build_block_hamiltonian(m, s, table);
+  const int nocc = s.total_valence_electrons() / 2;
+
+  PurificationOptions opt;
+  opt.drop_tolerance = 1e-7;
+  const PurificationResult pm = palser_manolopoulos(h, nocc, opt);
+  ASSERT_TRUE(pm.converged);
+
+  opt.precision = PrecisionMode::kMixed;
+  PurificationWorkspace ws;
+  const PurificationResult sp2 = sp2_purification(h, nocc, opt, &ws);
+  ASSERT_TRUE(sp2.converged);
+  EXPECT_GT(sp2.numerics.fp32_iterations, 0);
+  EXPECT_GT(sp2.numerics.fp64_iterations, 0);
+  EXPECT_EQ(sp2.density.precision(), TilePrecision::kF64);
+  EXPECT_NEAR(sp2.band_energy, pm.band_energy, 1e-4);
+}
+
+using Purifier = PurificationResult (*)(const BlockSparseMatrix&, int,
+                                        const PurificationOptions&,
+                                        PurificationWorkspace*);
+
+class PurificationGuards : public ::testing::TestWithParam<Purifier> {};
+
+TEST_P(PurificationGuards, TrivialAndOutOfRangeOccupations) {
+  const Purifier purify = GetParam();
+  const BlockSparseMatrix h = BlockSparseMatrix::identity(8, 4, true);
+
+  // No electrons: the converged empty density on h's layout.
+  const PurificationResult none = purify(h, 0, {}, nullptr);
+  EXPECT_TRUE(none.converged);
+  EXPECT_DOUBLE_EQ(none.band_energy, 0.0);
+  EXPECT_EQ(none.density.size(), 8u);
+  EXPECT_EQ(none.density.block_size(), 4u);
+  EXPECT_TRUE(none.density.symmetric());
+  EXPECT_EQ(none.density.block_count(), 0u);
+
+  // Empty operand.
+  const PurificationResult empty =
+      purify(BlockSparseMatrix(0, 4, true), 0, {}, nullptr);
+  EXPECT_TRUE(empty.converged);
+  EXPECT_EQ(empty.density.size(), 0u);
+
+  // More occupied states than orbitals, or a negative count.
+  EXPECT_THROW((void)purify(h, 9, {}, nullptr), Error);
+  EXPECT_THROW((void)purify(h, -1, {}, nullptr), Error);
+}
+
+INSTANTIATE_TEST_SUITE_P(Methods, PurificationGuards,
+                         ::testing::Values(&palser_manolopoulos,
+                                           &sp2_purification,
+                                           &purify_with_chemical_potential));
 
 }  // namespace
 }  // namespace tbmd::onx

@@ -1,5 +1,5 @@
 // Tests for the variable-block-row (mixed-tile) mode of BlockSparseMatrix:
-// uniform normalization, dense/CSR round trips, algebra against the dense
+// uniform normalization, dense round trips, algebra against the dense
 // reference, symmetric-half storage with frozen-pattern reuse, and the
 // rectangular truncation criterion.
 
@@ -11,7 +11,6 @@
 
 #include "src/linalg/blas.hpp"
 #include "src/onx/block_sparse.hpp"
-#include "src/onx/sparse.hpp"
 #include "src/util/random.hpp"
 
 namespace tbmd::onx {
@@ -132,17 +131,6 @@ TEST(BlockSparseVar, HalfStorageRoundTrip) {
   }
 }
 
-TEST(BlockSparseVar, CsrRoundTrip) {
-  const auto dims = mixed_dims();
-  const linalg::Matrix a = random_var_symmetric(dims, 13);
-  const SparseMatrix s = SparseMatrix::from_dense(a);
-  const BlockSparseMatrix b = s.to_block(dims);
-  EXPECT_FALSE(b.uniform_blocks());
-  EXPECT_LT(linalg::max_abs(b.to_dense() - a), 1e-15);
-  const SparseMatrix back = SparseMatrix::from_block(b);
-  EXPECT_LT(linalg::max_abs(back.to_dense() - a), 1e-15);
-}
-
 TEST(BlockSparseVar, TraceOfProductMatchesDense) {
   const auto dims = mixed_dims();
   const linalg::Matrix a = random_var_symmetric(dims, 17);
@@ -169,15 +157,6 @@ TEST(BlockSparseVar, CombineMatchesDense) {
     }
   }
   EXPECT_LT(linalg::max_abs(r.to_dense() - ref), 1e-14);
-}
-
-TEST(BlockSparseVar, MultiplyMatchesDenseGemm) {
-  const auto dims = mixed_dims();
-  const linalg::Matrix a = random_var_symmetric(dims, 31);
-  const BlockSparseMatrix ba = BlockSparseMatrix::from_dense(a, dims);
-  const BlockSparseMatrix p = ba.multiply(ba);
-  const linalg::Matrix ref = linalg::matmul(a, a);
-  EXPECT_LT(linalg::max_abs(p.to_dense() - ref), 1e-12);
 }
 
 TEST(BlockSparseVar, SymmetricHalfMultiplyMatchesFull) {

@@ -222,9 +222,10 @@ TEST(Chaos, WatchdogPreemptsStalledStepThenResumes) {
   const std::string ckpt = dir.file("stall.ckpt");
   EXPECT_EQ(read_checkpoint(ckpt).step, 1);
 
+  // The resume leg runs without a watchdog: on a loaded host an ordinary
+  // step can overrun 50 ms, and the preemption itself is proven above.
   fault::disarm_all();
-  const std::vector<JobResult> res =
-      run_sweep({spec}, dir.path(), /*retries=*/0, /*watchdog_s=*/0.05);
+  const std::vector<JobResult> res = run_sweep({spec}, dir.path());
   EXPECT_EQ(res[0].status, JobStatus::kCompleted);
   EXPECT_TRUE(res[0].resumed);
   expect_bit_identical(spec, ckpt, ref_ckpt);

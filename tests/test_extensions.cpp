@@ -36,8 +36,9 @@ TEST(Sp2, MatchesExactBandEnergyOnGappedSystem) {
 
   onx::PurificationOptions opt;
   opt.drop_tolerance = 0.0;
-  const auto sp2 = onx::sp2_purification(onx::SparseMatrix::from_dense(hd),
-                                         s.total_valence_electrons() / 2, opt);
+  const auto sp2 = onx::sp2_purification(
+      onx::BlockSparseMatrix::from_dense(hd, 4).to_symmetric_half(),
+      s.total_valence_electrons() / 2, opt);
   ASSERT_TRUE(sp2.converged);
   EXPECT_NEAR(sp2.band_energy, occ.band_energy, 1e-5);
   EXPECT_NEAR(sp2.density.trace(),
@@ -49,7 +50,9 @@ TEST(Sp2, AgreesWithPalserManolopoulos) {
   System s = structures::diamond(Element::Si, 5.431, 2, 2, 2);
   NeighborList list;
   list.build(s.positions(), s.cell(), {m.cutoff(), 0.3});
-  const auto h = onx::build_sparse_hamiltonian(m, s, list);
+  tb::BondTable table;
+  table.build(m, s, list, tb::BondTable::Mode::kBlocks);
+  const auto h = onx::build_block_hamiltonian(m, s, table);
   const int nocc = s.total_valence_electrons() / 2;
 
   onx::PurificationOptions opt;
@@ -59,14 +62,6 @@ TEST(Sp2, AgreesWithPalserManolopoulos) {
   ASSERT_TRUE(pm.converged);
   ASSERT_TRUE(sp2.converged);
   EXPECT_NEAR(pm.band_energy, sp2.band_energy, 1e-4);
-}
-
-TEST(Sp2, TrivialCases) {
-  const onx::SparseMatrix h = onx::SparseMatrix::identity(4);
-  const auto none = onx::sp2_purification(h, 0, {});
-  EXPECT_TRUE(none.converged);
-  EXPECT_DOUBLE_EQ(none.band_energy, 0.0);
-  EXPECT_THROW((void)onx::sp2_purification(h, 9, {}), Error);
 }
 
 // --- Gear predictor-corrector -------------------------------------------

@@ -1,6 +1,6 @@
-// Tests for the O(N) layer: CSR sparse algebra, sparse Hamiltonian
-// assembly, Palser-Manolopoulos purification vs exact diagonalization, and
-// the OrderNCalculator against TightBindingCalculator.
+// Tests for the O(N) layer: blocked Hamiltonian assembly,
+// Palser-Manolopoulos purification vs exact diagonalization, and the
+// OrderNCalculator against TightBindingCalculator.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include "src/neighbor/neighbor_list.hpp"
 #include "src/onx/on_calculator.hpp"
 #include "src/onx/purification.hpp"
-#include "src/onx/sparse.hpp"
 #include "src/structures/builders.hpp"
 #include "src/tb/density_matrix.hpp"
 #include "src/tb/hamiltonian.hpp"
@@ -25,133 +24,33 @@
 namespace tbmd::onx {
 namespace {
 
-linalg::Matrix random_symmetric(std::size_t n, std::uint64_t seed,
-                                double sparsity = 0.7) {
-  Rng rng(seed);
-  linalg::Matrix m(n, n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
-      if (rng.uniform() > sparsity || i == j) {
-        const double v = rng.uniform(-1, 1);
-        m(i, j) = v;
-        m(j, i) = v;
-      }
-    }
-  }
-  return m;
+/// Symmetric-half BSR operand (4x4 tiles) of a dense sp Hamiltonian.
+BlockSparseMatrix half_blocks(const linalg::Matrix& h) {
+  return BlockSparseMatrix::from_dense(h, 4).to_symmetric_half();
 }
 
-TEST(Sparse, DenseRoundTrip) {
-  const linalg::Matrix a = random_symmetric(20, 3);
-  const SparseMatrix s = SparseMatrix::from_dense(a);
-  EXPECT_LT(linalg::max_abs(s.to_dense() - a), 1e-15);
+/// Blocked Hamiltonian straight from the model, as the engine assembles it.
+BlockSparseMatrix block_hamiltonian(const tb::TbModel& m, const System& s) {
+  NeighborList list;
+  list.build(s.positions(), s.cell(), {m.cutoff(), 0.3});
+  tb::BondTable table;
+  table.build(m, s, list, tb::BondTable::Mode::kBlocks);
+  return build_block_hamiltonian(m, s, table);
 }
 
-TEST(Sparse, DropToleranceRemovesSmallEntries) {
-  linalg::Matrix a(3, 3, 0.0);
-  a(0, 0) = 1.0;
-  a(0, 1) = a(1, 0) = 1e-9;
-  a(2, 2) = -2.0;
-  const SparseMatrix s = SparseMatrix::from_dense(a, 1e-6);
-  EXPECT_EQ(s.nnz(), 2u);
-  EXPECT_DOUBLE_EQ(s.get(0, 1), 0.0);
-  EXPECT_DOUBLE_EQ(s.get(2, 2), -2.0);
-}
+// --- blocked Hamiltonian -------------------------------------------------
 
-TEST(Sparse, FromDenseNeverStoresExplicitZeros) {
-  // Regression: from_dense(a, 0.0) must keep exactly the nonzero pattern
-  // of `a` -- structurally-zero dense entries (including -0.0) must not
-  // become explicit CSR zeros.
-  linalg::Matrix a(4, 4, 0.0);
-  a(0, 0) = 1.0;
-  a(1, 2) = a(2, 1) = -3.5;
-  a(3, 3) = -0.0;  // negative zero is still an exact zero
-  const SparseMatrix s = SparseMatrix::from_dense(a, 0.0);
-  EXPECT_EQ(s.nnz(), 3u);
-  EXPECT_DOUBLE_EQ(s.get(3, 3), 0.0);
-}
-
-TEST(Sparse, CombineAndMultiplyDropExactZeroDiagonals) {
-  // Diagonal entries survive *truncation* (so traces stay exact), but an
-  // entry that is exactly zero must not be stored: combining A with -A
-  // yields an empty matrix, not an explicit-zero diagonal.
-  const linalg::Matrix a = random_symmetric(8, 21);
-  const SparseMatrix sa = SparseMatrix::from_dense(a);
-  const SparseMatrix diff = sa.combine(1.0, sa, -1.0);
-  EXPECT_EQ(diff.nnz(), 0u);
-  // Multiplying by a zero matrix likewise stores nothing.
-  const SparseMatrix zero(8);
-  EXPECT_EQ(sa.multiply(zero).nnz(), 0u);
-}
-
-TEST(Sparse, IdentityAndTrace) {
-  const SparseMatrix eye = SparseMatrix::identity(5);
-  EXPECT_EQ(eye.nnz(), 5u);
-  EXPECT_DOUBLE_EQ(eye.trace(), 5.0);
-  EXPECT_DOUBLE_EQ(eye.get(3, 3), 1.0);
-  EXPECT_DOUBLE_EQ(eye.get(3, 4), 0.0);
-}
-
-TEST(Sparse, CombineMatchesDense) {
-  const linalg::Matrix a = random_symmetric(15, 5);
-  const linalg::Matrix b = random_symmetric(15, 6);
-  const SparseMatrix sa = SparseMatrix::from_dense(a);
-  const SparseMatrix sb = SparseMatrix::from_dense(b);
-  const SparseMatrix sc = sa.combine(2.0, sb, -0.5);
-  const linalg::Matrix expect = a * 2.0 + b * (-0.5);
-  EXPECT_LT(linalg::max_abs(sc.to_dense() - expect), 1e-13);
-}
-
-class SparseMultiply : public ::testing::TestWithParam<int> {};
-
-TEST_P(SparseMultiply, MatchesDenseProduct) {
-  const int n = GetParam();
-  const linalg::Matrix a = random_symmetric(n, 100 + n);
-  const linalg::Matrix b = random_symmetric(n, 200 + n);
-  const SparseMatrix sa = SparseMatrix::from_dense(a);
-  const SparseMatrix sb = SparseMatrix::from_dense(b);
-  const SparseMatrix sc = sa.multiply(sb);
-  EXPECT_LT(linalg::max_abs(sc.to_dense() - linalg::matmul(a, b)), 1e-12);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, SparseMultiply,
-                         ::testing::Values(1, 4, 17, 48, 90));
-
-TEST(Sparse, TraceOfProductMatchesDense) {
-  const linalg::Matrix a = random_symmetric(25, 7);
-  const linalg::Matrix b = random_symmetric(25, 8);
-  const SparseMatrix sa = SparseMatrix::from_dense(a);
-  const SparseMatrix sb = SparseMatrix::from_dense(b);
-  EXPECT_NEAR(sa.trace_of_product(sb), linalg::trace_of_product(a, b), 1e-11);
-}
-
-TEST(Sparse, GershgorinBoundsContainSpectrum) {
-  const linalg::Matrix a = random_symmetric(30, 9);
-  const SparseMatrix s = SparseMatrix::from_dense(a);
-  const auto [lo, hi] = s.gershgorin_bounds();
-  const auto vals = linalg::eigvalsh(a);
-  EXPECT_GE(vals.front(), lo - 1e-12);
-  EXPECT_LE(vals.back(), hi + 1e-12);
-}
-
-TEST(Sparse, FromRowsValidatesColumns) {
-  std::vector<std::vector<std::pair<std::size_t, double>>> rows(2);
-  rows[0] = {{0, 1.0}, {5, 2.0}};  // column 5 out of range for n = 2
-  EXPECT_THROW((void)SparseMatrix::from_rows(2, rows), Error);
-}
-
-// --- sparse Hamiltonian --------------------------------------------------
-
-TEST(SparseHamiltonian, MatchesDenseAssembly) {
+TEST(BlockHamiltonian, MatchesDenseAssembly) {
   const tb::TbModel m = tb::xwch_carbon();
   System s = structures::diamond(Element::C, 3.567, 2, 2, 2);
   structures::perturb(s, 0.05, 77);
   NeighborList list;
   list.build(s.positions(), s.cell(), {m.cutoff(), 0.3});
   const linalg::Matrix dense = tb::build_hamiltonian(m, s, list);
-  const SparseMatrix sparse = build_sparse_hamiltonian(m, s, list);
-  EXPECT_LT(linalg::max_abs(sparse.to_dense() - dense), 1e-13);
-  EXPECT_LT(sparse.fill_fraction(), 0.5);  // genuinely sparse
+  const BlockSparseMatrix h = block_hamiltonian(m, s);
+  EXPECT_TRUE(h.symmetric());
+  EXPECT_LT(linalg::max_abs(h.to_full().to_dense() - dense), 1e-13);
+  EXPECT_LT(h.fill_fraction(), 0.5);  // genuinely sparse
 }
 
 // --- purification --------------------------------------------------------
@@ -162,12 +61,11 @@ TEST(Purification, MatchesExactDensityMatrixOnGappedSystem) {
   NeighborList list;
   list.build(s.positions(), s.cell(), {m.cutoff(), 0.3});
   const linalg::Matrix hd = tb::build_hamiltonian(m, s, list);
-  const SparseMatrix hs = SparseMatrix::from_dense(hd);
-
   const int nocc = s.total_valence_electrons() / 2;
   PurificationOptions opt;
   opt.drop_tolerance = 0.0;  // exact arithmetic
-  const PurificationResult pm = palser_manolopoulos(hs, nocc, opt);
+  const PurificationResult pm =
+      palser_manolopoulos(half_blocks(hd), nocc, opt);
   ASSERT_TRUE(pm.converged);
 
   // Compare against rho/2 from diagonalization.
@@ -181,11 +79,9 @@ TEST(Purification, MatchesExactDensityMatrixOnGappedSystem) {
 TEST(Purification, TraceConservedThroughoutIteration) {
   const tb::TbModel m = tb::gsp_silicon();
   System s = structures::diamond(Element::Si, 5.431, 2, 2, 2);
-  NeighborList list;
-  list.build(s.positions(), s.cell(), {m.cutoff(), 0.3});
-  const SparseMatrix h = build_sparse_hamiltonian(m, s, list);
   const int nocc = s.total_valence_electrons() / 2;
-  const PurificationResult pm = palser_manolopoulos(h, nocc, {});
+  const PurificationResult pm =
+      palser_manolopoulos(block_hamiltonian(m, s), nocc, {});
   EXPECT_TRUE(pm.converged);
   EXPECT_NEAR(pm.density.trace(), static_cast<double>(nocc), 1e-6);
 }
@@ -193,14 +89,12 @@ TEST(Purification, TraceConservedThroughoutIteration) {
 TEST(Purification, IdempotentResult) {
   const tb::TbModel m = tb::xwch_carbon();
   System s = structures::diamond(Element::C, 3.567, 2, 2, 2);
-  NeighborList list;
-  list.build(s.positions(), s.cell(), {m.cutoff(), 0.3});
-  const SparseMatrix h = build_sparse_hamiltonian(m, s, list);
-  const PurificationResult pm =
-      palser_manolopoulos(h, s.total_valence_electrons() / 2, {});
+  const PurificationResult pm = palser_manolopoulos(
+      block_hamiltonian(m, s), s.total_valence_electrons() / 2, {});
   ASSERT_TRUE(pm.converged);
-  const BlockSparseMatrix p2 = pm.density.multiply(pm.density);
-  EXPECT_NEAR(std::fabs(pm.density.trace() - p2.trace()), 0.0, 1e-5);
+  const linalg::Matrix p = pm.density.to_full().to_dense();
+  EXPECT_NEAR(linalg::trace(p) - linalg::trace(linalg::matmul(p, p)), 0.0,
+              1e-5);
 }
 
 class PurificationTruncation : public ::testing::TestWithParam<double> {};
@@ -219,7 +113,7 @@ TEST_P(PurificationTruncation, EnergyErrorBoundedByTolerance) {
   PurificationOptions opt;
   opt.drop_tolerance = drop;
   const PurificationResult pm = palser_manolopoulos(
-      SparseMatrix::from_dense(hd), s.total_valence_electrons() / 2, opt);
+      half_blocks(hd), s.total_valence_electrons() / 2, opt);
   ASSERT_TRUE(pm.converged) << "drop = " << drop;
   // Energy error per atom grows with truncation but stays controlled.
   const double err = std::fabs(pm.band_energy - occ.band_energy) /
@@ -229,14 +123,6 @@ TEST_P(PurificationTruncation, EnergyErrorBoundedByTolerance) {
 
 INSTANTIATE_TEST_SUITE_P(DropTolerances, PurificationTruncation,
                          ::testing::Values(0.0, 1e-8, 1e-6));
-
-TEST(Purification, HandlesTrivialCases) {
-  const SparseMatrix h = SparseMatrix::identity(4);
-  const PurificationResult none = palser_manolopoulos(h, 0, {});
-  EXPECT_TRUE(none.converged);
-  EXPECT_DOUBLE_EQ(none.band_energy, 0.0);
-  EXPECT_THROW((void)palser_manolopoulos(h, 5, {}), Error);
-}
 
 // --- OrderNCalculator ----------------------------------------------------
 

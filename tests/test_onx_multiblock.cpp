@@ -1,5 +1,5 @@
 // Tests for the O(N) layer on mixed orbital blocks (bs in {1, 4, 9}):
-// sparse/blocked Hamiltonian assembly against the dense reference on a
+// blocked Hamiltonian assembly against the dense reference on a
 // multi-species system, the Hellmann-Feynman contraction over mixed tiles,
 // and the grand-canonical purification path (fixed-mu McWeeny + the
 // chemical-potential bisection).
@@ -124,23 +124,6 @@ System mixed_crystal() {
   return s;
 }
 
-TEST(MixedBlocks, SparseHamiltonianMatchesDense) {
-  const tb::TbModel m = toy_multi_model();
-  const System s = mixed_crystal();
-  NeighborList list;
-  list.build(s.positions(), s.cell(), {m.cutoff(), 0.3});
-
-  const linalg::Matrix hd = tb::build_hamiltonian(m, s, list);
-  const SparseMatrix hs = build_sparse_hamiltonian(m, s, list);
-  ASSERT_EQ(hs.size(), hd.rows());
-  ASSERT_EQ(hs.size(), tb::orbital_count(m, s));
-  for (std::size_t i = 0; i < hs.size(); ++i) {
-    for (std::size_t j = 0; j < hs.size(); ++j) {
-      EXPECT_NEAR(hs.get(i, j), hd(i, j), 1e-13) << i << "," << j;
-    }
-  }
-}
-
 TEST(MixedBlocks, BlockHamiltonianMatchesDense) {
   const tb::TbModel m = toy_multi_model();
   const System s = mixed_crystal();
@@ -171,8 +154,8 @@ TEST(MixedBlocks, BandForcesSparseMatchesDenseContraction) {
   tb::BondTable table;
   table.build(m, s, list, tb::BondTable::Mode::kBlocksAndDerivatives);
 
-  // Spin-summed density from exact diagonalization (T = 0); the sparse
-  // overloads take the spinless P = rho / 2.
+  // Spin-summed density from exact diagonalization (T = 0); the blocked
+  // contraction takes the spinless P = rho / 2.
   const linalg::Matrix hd = tb::build_hamiltonian(m, s, list);
   const auto eig = linalg::eigh(hd);
   const auto occ = tb::occupy(eig.values, s.total_valence_electrons(), 0.0);
@@ -181,22 +164,17 @@ TEST(MixedBlocks, BandForcesSparseMatchesDenseContraction) {
   Mat3 w_dense{};
   const std::vector<Vec3> f_dense = tb::band_forces(table, rho, &w_dense);
 
-  const SparseMatrix p_csr = SparseMatrix::from_dense(rho * 0.5);
-  Mat3 w_csr{};
-  const std::vector<Vec3> f_csr = band_forces_sparse(table, p_csr, &w_csr);
-
   const std::vector<std::uint32_t> dims = tb::orbital_block_dims(m, s);
-  const BlockSparseMatrix p_bsr = p_csr.to_block(dims).to_symmetric_half();
+  const BlockSparseMatrix p_bsr =
+      BlockSparseMatrix::from_dense(rho * 0.5, dims).to_symmetric_half();
   Mat3 w_bsr{};
   const std::vector<Vec3> f_bsr = band_forces_sparse(table, p_bsr, &w_bsr);
 
   for (std::size_t i = 0; i < s.size(); ++i) {
-    EXPECT_LT(norm(f_csr[i] - f_dense[i]), 1e-10) << "atom " << i;
     EXPECT_LT(norm(f_bsr[i] - f_dense[i]), 1e-10) << "atom " << i;
   }
   for (int r = 0; r < 3; ++r) {
     for (int c = 0; c < 3; ++c) {
-      EXPECT_NEAR(w_csr(r, c), w_dense(r, c), 1e-9);
       EXPECT_NEAR(w_bsr(r, c), w_dense(r, c), 1e-9);
     }
   }
@@ -238,9 +216,9 @@ TEST(GrandCanonical, FixedMuCountsStatesBelowMu) {
   const double lumo = eig.values[nocc];
   ASSERT_GT(lumo - homo, 0.5);  // diamond gap
 
-  const SparseMatrix hs = SparseMatrix::from_dense(hd);
   const BlockSparseMatrix hb =
-      hs.to_block(tb::orbital_block_dims(m, s)).to_symmetric_half();
+      BlockSparseMatrix::from_dense(hd, tb::orbital_block_dims(m, s))
+          .to_symmetric_half();
 
   PurificationOptions opt;
   opt.drop_tolerance = 0.0;
@@ -263,9 +241,9 @@ TEST(GrandCanonical, ChemicalPotentialSearchFindsTheGap) {
   const auto eig = linalg::eigh(hd);
   const int nocc = s.total_valence_electrons() / 2;
 
-  const SparseMatrix hs = SparseMatrix::from_dense(hd);
   const BlockSparseMatrix hb =
-      hs.to_block(tb::orbital_block_dims(m, s)).to_symmetric_half();
+      BlockSparseMatrix::from_dense(hd, tb::orbital_block_dims(m, s))
+          .to_symmetric_half();
 
   PurificationOptions opt;
   opt.drop_tolerance = 0.0;
@@ -295,9 +273,9 @@ TEST(GrandCanonical, ChemicalPotentialSearchUnderMixedPrecision) {
   const auto eig = linalg::eigh(hd);
   const int nocc = s.total_valence_electrons() / 2;
 
-  const SparseMatrix hs = SparseMatrix::from_dense(hd);
   const BlockSparseMatrix hb =
-      hs.to_block(tb::orbital_block_dims(m, s)).to_symmetric_half();
+      BlockSparseMatrix::from_dense(hd, tb::orbital_block_dims(m, s))
+          .to_symmetric_half();
 
   PurificationOptions opt;
   opt.drop_tolerance = 1e-7;
