@@ -41,8 +41,6 @@ std::string CalculatorSpec::fingerprint() const {
        << ";prec=" << numerics.precision_name()
        << ";promit=" << numerics.promote_iteration
        << ";promthr=" << numerics.promote_threshold
-       << ";simd=" << (numerics.simd ? 1 : 0)
-       << ";subtile=" << numerics.sub_tile
        << ";reuse=" << (reuse_patterns ? 1 : 0) << ";domains=" << domains
        << ";cachebounds=" << (cache_spectral_bounds ? 1 : 0)
        << ";bondskin=" << bond_reuse_skin;
@@ -94,7 +92,7 @@ std::unique_ptr<Calculator> make_calculator(const tb::TbModel& model,
   onx::OrderNOptions opt;
   opt.skin = spec.skin;
   // The whole numerics policy (drop tolerance + schedule, precision mode,
-  // promotion, SIMD) transfers in one slice assignment: PurificationOptions
+  // promotion) transfers in one slice assignment: PurificationOptions
   // IS-A NumericsSpec.
   static_cast<NumericsSpec&>(opt.purification) = spec.numerics;
   opt.reuse_patterns = spec.reuse_patterns;

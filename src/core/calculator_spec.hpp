@@ -53,9 +53,9 @@ struct CalculatorSpec {
 
   // --- O(N) engine ---
   /// Numerics policy of the purification loop: drop tolerance + schedule,
-  /// precision mode (fp64 / mixed), promotion policy, SIMD switch,
-  /// sub-tile truncation.  Every field changes results, so all of them are
-  /// fingerprint-relevant (unlike `threads` below).
+  /// precision mode (fp64 / mixed), promotion policy.  Every field changes
+  /// results, so all of them are fingerprint-relevant (unlike `threads`
+  /// below).
   NumericsSpec numerics;
   /// Reuse symbolic SpMM patterns across steps (ablation switch; results
   /// are bit-identical either way).

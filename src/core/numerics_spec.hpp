@@ -1,14 +1,14 @@
 #pragma once
 
 /// \file numerics_spec.hpp
-/// \brief Unified numerics policy of the O(N) engine: precision mode,
-/// truncation schedule, SIMD switch.
+/// \brief Unified numerics policy of the O(N) engine: precision mode and
+/// truncation schedule.
 ///
 /// The drop-schedule knobs used to live on onx::PurificationOptions and be
 /// duplicated (flattened) onto CalculatorSpec; the mixed-precision work
-/// added a second family (precision mode, promotion policy, kernel
-/// selection) that every layer -- purification loop, calculator options,
-/// declarative spec, JobSpec files, sweep CLI -- must agree on.
+/// added a second family (precision mode, promotion policy) that every
+/// layer -- purification loop, calculator options, declarative spec,
+/// JobSpec files, sweep CLI -- must agree on.
 /// NumericsSpec is that single struct: PurificationOptions inherits it (so
 /// every historical `options.drop_tolerance` spelling still compiles) and
 /// CalculatorSpec carries one by value, fingerprint-relevant (unlike
@@ -69,20 +69,6 @@ struct NumericsSpec {
   /// tr(P - P^2)/N falls below this.  The default sits at the ~1e-4 error
   /// the loosened early drop schedule already tolerates.
   double promote_threshold = 1e-4;
-
-  /// Route fp32 tile products through the lane-vector SIMD kernels
-  /// (default) or the scalar reference kernel -- the A/B switch for
-  /// validating that vectorization changes throughput, not physics.  The
-  /// fp64 kernels are a single code path, so this only affects mixed mode.
-  bool simd = true;
-
-  /// Scalar-granular truncation inside surviving tiles: after each
-  /// product, entries with |v| <= sub_tile * (this iteration's drop
-  /// threshold) are zeroed before the tile-level Frobenius test.  0 (the
-  /// default) disables it, keeping the historical tile-granular behavior
-  /// byte-for-byte.  Symmetric by construction in half storage (the
-  /// mirror tile is the stored tile).
-  double sub_tile = 0.0;
 
   /// Effective tile-drop threshold for (1-based) iteration `it`.
   [[nodiscard]] double drop_at(int it) const {

@@ -391,12 +391,6 @@ void gemm_micro_add_rect(std::size_t m, std::size_t k, std::size_t n,
   }
 }
 
-double tile_norm2(std::size_t bs, const double* a) {
-  double s = 0.0;
-  for (std::size_t q = 0; q < bs * bs; ++q) s += a[q] * a[q];
-  return s;
-}
-
 double tile_norm2_rect(std::size_t m, std::size_t n, const double* a) {
   double s = 0.0;
   for (std::size_t q = 0; q < m * n; ++q) s += a[q] * a[q];

@@ -81,11 +81,8 @@ void gemm_micro_add_rect(std::size_t m, std::size_t k, std::size_t n,
                          bool transpose_a, bool transpose_b, const double* a,
                          const double* b, double* c);
 
-/// Squared Frobenius norm of a bs x bs row-major tile (block truncation
+/// Squared Frobenius norm of an m x n row-major tile (block truncation
 /// criterion of the block-sparse layer).
-[[nodiscard]] double tile_norm2(std::size_t bs, const double* a);
-
-/// Squared Frobenius norm of an m x n row-major tile (mixed-block variant).
 [[nodiscard]] double tile_norm2_rect(std::size_t m, std::size_t n,
                                      const double* a);
 
@@ -215,9 +212,11 @@ inline void micro_add_square_f32(bool transpose_a, bool transpose_b,
 }  // namespace detail
 
 /// Generic-reference fp32 tile product: the plain triple loop with no
-/// unrolled dispatch, the `simd = off` arm of the NumericsSpec A/B switch.
-/// Per-element accumulation is k-major like every other kernel, so the
-/// switch never changes a bit of a fixed-precision result, only its speed.
+/// unrolled dispatch, and the path of every shape the lane-vector kernels
+/// do not cover (1 x 1 tiles included).  Each output element is summed
+/// k-major into a zeroed partial before it is added to C, exactly as in the
+/// lane-vector kernels, so those equal this loop bit-for-bit (the kernel
+/// test asserts it).
 inline void gemm_micro_add_rect_f32_ref(std::size_t m, std::size_t k,
                                         std::size_t n, bool transpose_a,
                                         bool transpose_b, const float* a,
@@ -241,8 +240,9 @@ inline void gemm_micro_add_rect_f32_ref(std::size_t m, std::size_t k,
 }
 
 /// Transpose-flagged fp32 tile product C += op(A) * op(B) for bs x bs
-/// row-major tiles (bs in {1, 4, 9} on lane-vector fast paths, generic
-/// fallback otherwise).
+/// row-major tiles (bs in {4, 9} on lane-vector fast paths, the reference
+/// loop otherwise).  No 1 x 1 shortcut: `c += a * b` would contract to one
+/// FMA and round differently from the zeroed-partial sum.
 inline void gemm_micro_add_t_f32(std::size_t bs, bool transpose_a,
                                  bool transpose_b, const float* a,
                                  const float* b, float* c) {
@@ -250,22 +250,11 @@ inline void gemm_micro_add_t_f32(std::size_t bs, bool transpose_a,
     detail::micro_add_square_f32<4>(transpose_a, transpose_b, a, b, c);
     return;
   }
-  if (bs == 1) {
-    c[0] += a[0] * b[0];  // a 1 x 1 tile is its own transpose
-    return;
-  }
   if (bs == 9) {
     detail::micro_add_square_f32<9>(transpose_a, transpose_b, a, b, c);
     return;
   }
   gemm_micro_add_rect_f32_ref(bs, bs, bs, transpose_a, transpose_b, a, b, c);
-}
-
-/// C += A * B for bs x bs row-major fp32 tiles; exactly
-/// gemm_micro_add_t_f32(bs, false, false, ...).
-inline void gemm_micro_add_f32(std::size_t bs, const float* a, const float* b,
-                               float* c) {
-  gemm_micro_add_t_f32(bs, false, false, a, b, c);
 }
 
 /// Rectangular fp32 tile product for the variable-block SpMM (see
@@ -288,8 +277,10 @@ inline void gemm_micro_add_rect_f32(std::size_t m, std::size_t k,
 /// lanes and reduces them in a fixed order: a different (but deterministic
 /// and thread-count-invariant) summation than the plain serial loop, chosen
 /// because the serial double chain is the gather phase's latency bottleneck.
-[[nodiscard]] inline double tile_norm2_rect_f32(std::size_t m, std::size_t n,
-                                                const float* a) {
+/// An overload of the fp64 tile_norm2_rect, so precision-generic callers
+/// name one function.
+[[nodiscard]] inline double tile_norm2_rect(std::size_t m, std::size_t n,
+                                            const float* a) {
   const std::size_t sz = m * n;
 #ifdef TBMD_F32_VEC_EXT
   detail::v4df acc = {};
@@ -313,11 +304,6 @@ inline void gemm_micro_add_rect_f32(std::size_t m, std::size_t k,
   }
   return s;
 #endif
-}
-
-/// Squared Frobenius norm of a bs x bs fp32 tile.
-[[nodiscard]] inline double tile_norm2_f32(std::size_t bs, const float* a) {
-  return tile_norm2_rect_f32(bs, bs, a);
 }
 
 /// y = A * x.

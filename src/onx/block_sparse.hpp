@@ -55,9 +55,20 @@
 /// (linalg::gemm_micro_add_rect).  A dims vector whose entries all agree is
 /// normalized to uniform mode on construction, so homogeneous systems --
 /// carbon, silicon -- always run the unrolled uniform fast paths and their
-/// results are unchanged by the generalization.  The truncation criterion
-/// becomes ||T||_F <= sqrt(dims[I] * dims[J]) * tol, the same RMS-entry
-/// rule the uniform criterion expresses with bs.
+/// results are unchanged by the generalization.  Every operation has one
+/// body over both layouts, addressing rows through row_dim()/row_offset()
+/// and tiles through a per-tile offset (bs^2 * k uniform, a stored table
+/// otherwise).  The truncation criterion is ||T||_F <= sqrt(dims[I] *
+/// dims[J]) * tol, the same RMS-entry rule; for square tiles the scale is
+/// exactly bs, so both layouts share the one test bit-for-bit.
+///
+/// Tile precision.  Payloads are fp64 or fp32 (TilePrecision); the
+/// assemble / combine / SpMM bodies are templates over the tile scalar and
+/// each public entry point dispatches once on precision().  Only the tile
+/// product itself is specialized: fp64 tiles run the linalg kernels above,
+/// fp32 tiles the lane-vector kernel family (linalg::gemm_micro_add_t_f32
+/// and its bs == 4 sweep), whose results equal the generic reference loop
+/// bit-for-bit.
 
 #include <cstddef>
 #include <cstdint>
@@ -75,9 +86,10 @@ class BlockSparseMatrix;
 /// mixed-precision purification substrate -- half the memory traffic in
 /// the bandwidth-bound SpMM numeric phase -- and supports exactly the
 /// operations the purification loop's fp32 phase needs (multiply_sym_into,
-/// combine_into, trace, get, to_dense via conversion).  The structure
-/// (pattern, dims, fingerprints) is precision-independent, so the
-/// symbolic-pattern cache works unchanged across a promotion.
+/// combine_into, trace, get, to_dense via conversion), each through the
+/// same template body as fp64.  The structure (pattern, dims, fingerprints)
+/// is precision-independent, so the symbolic-pattern cache works unchanged
+/// across a promotion.
 enum class TilePrecision : std::uint8_t { kF64, kF32 };
 
 /// Cached symbolic SpMM result for multiply_sym_into(): the frozen output
@@ -110,14 +122,13 @@ struct BsrShrinkPolicy {
 struct BsrWorkspace {
   std::vector<std::vector<std::uint32_t>> row_cols;
   std::vector<std::vector<double>> row_vals;
-  /// fp32 staging rows (the kF32 sweeps stage here; empty in fp64 runs).
+  /// fp32 staging rows (kF32 operations stage here; empty in fp64 runs).
   std::vector<std::vector<float>> row_vals32;
   // Per-thread SpMM scratch (indexed by omp thread id).  The row sweep
   // restores acc/hit to all-zeroes after every block row, so these only
   // need zero-filling when they grow.
   std::vector<std::vector<double>> acc;
-  /// fp32 twin of `acc` for the kF32 numeric sweeps (same all-zero
-  /// invariant between uses).
+  /// fp32 accumulators for kF32 operands (same all-zero invariant).
   std::vector<std::vector<float>> acc32;
   std::vector<std::vector<std::uint8_t>> hit;
   std::vector<std::vector<std::uint32_t>> touched;
@@ -337,15 +348,11 @@ class BlockSparseMatrix {
                                           double drop_tolerance = 0.0) const;
 
   /// combine() writing into `out`, reusing its storage and `ws`.  Operands
-  /// must share the tile precision; the result inherits it (kF32 stages
-  /// and rounds each combined tile once, after the fp64 accumulation).
-  /// `sub_tile_drop` > 0 additionally zeroes scalar entries of magnitude
-  /// <= sub_tile_drop inside kept tiles before the Frobenius test
-  /// (scalar-granular truncation; 0 keeps the historical tile-only rule,
-  /// and the default keeps the pure-fp64 path bit-identical).
+  /// must share the tile precision; the result inherits it (kF32 combines
+  /// each entry in fp64 and rounds it once on store).
   void combine_into(double alpha, const BlockSparseMatrix& b, double beta,
                     double drop_tolerance, BlockSparseMatrix& out,
-                    BsrWorkspace& ws, double sub_tile_drop = 0.0) const;
+                    BsrWorkspace& ws) const;
 
   /// Symmetric-half product C = this * b with tile-level Frobenius
   /// truncation (both operands and the result half-stored; this and b must
@@ -359,20 +366,12 @@ class BlockSparseMatrix {
   /// identical either way, so warm results are bit-identical to cold ones.
   ///
   /// Precision: operands must share the tile precision and the result
-  /// inherits it.  The kF32 sweep shares the symbolic phase (patterns are
-  /// structure-only) and runs the numeric phase on the fp32 kernel family;
-  /// `simd` selects the unrolled `omp simd` kernels (true, the default)
-  /// or the generic reference loop (the NumericsSpec A/B switch -- fixed
-  /// precision results are bit-identical either way, only speed changes).
-  /// `sub_tile_drop` > 0 zeroes scalar entries of magnitude
-  /// <= sub_tile_drop inside kept tiles before the Frobenius test; in half
-  /// storage the implicit mirror keeps the truncation exactly symmetric.
-  /// Both knobs default to the historical behavior, so the pure-fp64 path
-  /// is untouched.
+  /// inherits it.  Both precisions share the symbolic phase (patterns are
+  /// structure-only); kF32 runs the numeric phase on the fp32 kernel
+  /// family, with fp32 accumulators and fp64 truncation thresholds.
   void multiply_sym_into(const BlockSparseMatrix& b, double drop_tolerance,
                          BlockSparseMatrix& out, BsrWorkspace& ws,
-                         BsrPattern* pattern = nullptr,
-                         double sub_tile_drop = 0.0, bool simd = true) const;
+                         BsrPattern* pattern = nullptr) const;
 
   /// Gershgorin enclosure of the spectrum (shared linalg interval type).
   [[nodiscard]] linalg::SpectralBounds gershgorin_bounds() const;
@@ -392,7 +391,7 @@ class BlockSparseMatrix {
   /// Tile payload of the k-th stored block (row-major; row_dim(I) x
   /// row_dim(J) doubles for a tile in block row I, column J).  kF64 only.
   [[nodiscard]] const double* block(std::size_t k) const {
-    return val_.data() + (dims_.empty() ? bs_ * bs_ * k : val_ptr_[k]);
+    return val_.data() + tile_offset(k);
   }
 
   /// fp32 payload vector (empty unless precision() == kF32).
@@ -400,7 +399,7 @@ class BlockSparseMatrix {
 
   /// fp32 tile payload of the k-th stored block (kF32 matrices only).
   [[nodiscard]] const float* block_f32(std::size_t k) const {
-    return val32_.data() + (dims_.empty() ? bs_ * bs_ * k : val_ptr_[k]);
+    return val32_.data() + tile_offset(k);
   }
 
  private:
@@ -414,7 +413,25 @@ class BlockSparseMatrix {
   /// builder calls this exactly once after the pattern is final.
   void refingerprint();
 
-  /// Block row containing scalar row `i` (variable mode only).
+  /// Adopt a block layout (dimension, tile dims, row offsets; storage mode
+  /// and tiles untouched): n x n with bs x bs tiles when `dims` is empty,
+  /// else the per-row `dims`, normalized to uniform when all agree.
+  void set_layout(std::size_t n, std::size_t bs,
+                  const std::vector<std::uint32_t>& dims);
+
+  /// Rebuild the per-tile value offsets from row_ptr_ / col_ (variable
+  /// mode; uniform tiles sit at bs^2 * k and need no table).
+  void index_tiles();
+
+  /// Offset of the k-th stored tile in the payload vector.
+  [[nodiscard]] std::size_t tile_offset(std::size_t k) const {
+    return dims_.empty() ? bs_ * bs_ * k : val_ptr_[k];
+  }
+
+  /// from_dense() body: tile the square dense `a` onto this (empty) layout.
+  void fill_from_dense(const linalg::Matrix& a, double drop_tolerance);
+
+  /// Block row containing scalar row `i`.
   [[nodiscard]] std::size_t block_index_of(std::size_t i) const;
 
   /// Stored-tile index of tile (bi, bj), or npos if absent (the
@@ -423,22 +440,24 @@ class BlockSparseMatrix {
   [[nodiscard]] std::size_t find_block_index(std::size_t bi,
                                              std::size_t bj) const;
 
-  /// kF32 twins of combine_into / multiply_sym_into (separate functions so
-  /// the fp64 sweeps' codegen cannot drift -- the PR 6 lesson).
-  void combine_f32_into(double alpha, const BlockSparseMatrix& b, double beta,
-                        double drop_tolerance, double sub_tile_drop,
-                        BlockSparseMatrix& out, BsrWorkspace& ws) const;
-  void multiply_sym_f32_into(const BlockSparseMatrix& b, double drop_tolerance,
-                             double sub_tile_drop, bool simd,
-                             BlockSparseMatrix& out, BsrWorkspace& ws,
-                             BsrPattern* pattern) const;
-
-  /// bsr_assemble twins reading ws.row_vals32 into val32_.
-  static void assemble_f32(std::size_t n, std::size_t bs, BsrWorkspace& ws,
-                           BlockSparseMatrix& out, bool symmetric_half);
-  static void assemble_f32(const std::vector<std::uint32_t>& dims,
-                           BsrWorkspace& ws, BlockSparseMatrix& out,
-                           bool symmetric_half);
+  // One body per operation, templated on the tile scalar (double / float).
+  // Defined in block_sparse.cpp, the only place they are instantiated.
+  template <typename T>
+  [[nodiscard]] std::vector<T>& payload();
+  template <typename T>
+  [[nodiscard]] const T* tile_data(std::size_t k) const;
+  /// Set the structure and T payloads from the staging rows of `ws`
+  /// (layout already set; clears the other precision's payloads).
+  template <typename T>
+  void assemble(BsrWorkspace& ws, bool symmetric_half);
+  template <typename T>
+  void combine_tiles(double alpha, const BlockSparseMatrix& b, double beta,
+                     double drop_tolerance, BlockSparseMatrix& out,
+                     BsrWorkspace& ws) const;
+  template <typename T>
+  void multiply_sym_tiles(const BlockSparseMatrix& b, double drop_tolerance,
+                          BlockSparseMatrix& out, BsrWorkspace& ws,
+                          BsrPattern* pattern) const;
 
   std::size_t n_ = 0;       ///< scalar dimension
   std::size_t bs_ = 1;      ///< uniform tile edge (0: variable mode)
@@ -462,9 +481,8 @@ void bsr_assemble(std::size_t n, std::size_t bs, BsrWorkspace& ws,
                   BlockSparseMatrix& out, bool symmetric_half = false);
 
 /// bsr_assemble() on a variable block layout: tile (I, J) in the staging
-/// rows is dims[I] x dims[J].  A dims vector whose entries all agree is
-/// routed through the uniform assembler, so the output normalizes exactly
-/// like the constructors do.
+/// rows is dims[I] x dims[J].  A dims vector whose entries all agree
+/// yields the uniform layout, exactly as the constructors normalize it.
 void bsr_assemble(const std::vector<std::uint32_t>& dims, BsrWorkspace& ws,
                   BlockSparseMatrix& out, bool symmetric_half = false);
 

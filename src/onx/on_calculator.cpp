@@ -475,7 +475,6 @@ ForceResult OrderNCalculator::compute(const System& system) {
       } else if (rung == 2 && health.tighten_retry) {
         popts.drop_tolerance *= health.tighten_factor;
         popts.schedule_loosening = 1.0;
-        popts.sub_tile = 0.0;
         // Cold cache rebuild: a corrupted or stalled run may have been fed
         // by a stale symbolic pattern or a drift-widened spectral seed.
         workspace_.patterns.invalidate();
@@ -538,7 +537,7 @@ PurificationResult OrderNCalculator::exact_step_density(const System& system,
   // the same filling the canonical purification targets).  The density
   // goes back onto the blocked substrate with no truncation so the
   // existing sparse force contraction serves this rung unchanged.
-  const linalg::Matrix hd = hamiltonian_.to_full().to_dense();
+  const linalg::Matrix hd = hamiltonian_.to_dense();
   const linalg::SymmetricEigenSolution eig = linalg::eigh(hd);
   std::vector<double> weights(eig.values.size(), 0.0);
   double band = 0.0;

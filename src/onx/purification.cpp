@@ -143,15 +143,13 @@ PurificationResult purify(const BlockSparseMatrix& h,
   }
 
   const auto cube = [&](double drop) {
-    ws.p2.multiply_sym_into(ws.p, drop, ws.p3, ws.scratch, ws.patterns.next(),
-                            options.sub_tile * drop, options.simd);
+    ws.p2.multiply_sym_into(ws.p, drop, ws.p3, ws.scratch, ws.patterns.next());
   };
 
   ws.patterns.begin_run();
   for (int it = 1; it <= options.max_iterations; ++it) {
     const double drop = options.drop_at(it);
-    ws.p.multiply_sym_into(ws.p, drop, ws.p2, ws.scratch, ws.patterns.next(),
-                           options.sub_tile * drop, options.simd);
+    ws.p.multiply_sym_into(ws.p, drop, ws.p2, ws.scratch, ws.patterns.next());
     if (method.cubic) cube(drop);
 
     const Traces t{ws.p.trace(), ws.p2.trace(),

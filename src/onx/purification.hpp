@@ -38,7 +38,7 @@
 namespace tbmd::onx {
 
 /// Options for the purification loop.  The numerics policy (drop
-/// tolerance, truncation schedule, precision mode, SIMD switch) is the
+/// tolerance, truncation schedule, precision mode and promotion) is the
 /// inherited NumericsSpec -- shared verbatim with CalculatorSpec and the
 /// JobSpec/CLI layers, and spelled the historical way
 /// (`options.drop_tolerance`, `options.drop_at(it)`) at every existing

@@ -11,7 +11,7 @@
 /// cost of more iterations -- an ablation axis exp_a1 measures.  SP2 runs
 /// through the same driver as PM (see purification.hpp), so it shares the
 /// symmetric-half BSR substrate, tile truncation, cached SpMM patterns and
-/// the NumericsSpec precision / sub-tile / SIMD policy.
+/// the NumericsSpec precision policy.
 
 #include "src/onx/purification.hpp"
 

@@ -82,9 +82,6 @@ JobSpec JobSpec::from_config(const io::Config& cfg) {
         cfg.get_double("promote_threshold", num.promote_threshold);
     TBMD_REQUIRE(num.promote_threshold >= 0.0,
                  "job spec: 'promote_threshold' must be >= 0");
-    num.simd = cfg.get_bool("simd", num.simd);
-    num.sub_tile = cfg.get_double("sub_tile", num.sub_tile);
-    TBMD_REQUIRE(num.sub_tile >= 0.0, "job spec: 'sub_tile' must be >= 0");
     s.calc.reuse_patterns = cfg.get_bool("reuse_patterns", true);
     s.calc.domains = static_cast<int>(cfg.get_long("domains", 0));
     TBMD_REQUIRE(s.calc.domains >= 0, "job spec: 'domains' must be >= 0");

@@ -1,7 +1,7 @@
 // Tests for the variable-block-row (mixed-tile) mode of BlockSparseMatrix:
 // uniform normalization, dense round trips, algebra against the dense
-// reference, symmetric-half storage with frozen-pattern reuse, and the
-// rectangular truncation criterion.
+// reference, symmetric-half storage with frozen-pattern reuse (the algebra
+// on both tile precisions), and the rectangular truncation criterion.
 
 #include <gtest/gtest.h>
 
@@ -143,40 +143,57 @@ TEST(BlockSparseVar, TraceOfProductMatchesDense) {
               ref, 1e-11);
 }
 
-TEST(BlockSparseVar, CombineMatchesDense) {
+// The algebra suites below run on both tile precisions: fp64 against the
+// dense reference at roundoff, fp32 within the single-precision bound of
+// Fp32MultiplyTracksFp64AndReusesPatterns.
+class BlockSparseVarAlgebra : public ::testing::TestWithParam<TilePrecision> {
+ protected:
+  [[nodiscard]] double bound(double fp64_bound) const {
+    return GetParam() == TilePrecision::kF32 ? 1e-4 : fp64_bound;
+  }
+};
+
+TEST_P(BlockSparseVarAlgebra, CombineMatchesDense) {
   const auto dims = mixed_dims();
   const linalg::Matrix a = random_var_symmetric(dims, 23);
   const linalg::Matrix c = random_var_symmetric(dims, 29);
-  const BlockSparseMatrix ba = BlockSparseMatrix::from_dense(a, dims);
-  const BlockSparseMatrix bc = BlockSparseMatrix::from_dense(c, dims);
+  const BlockSparseMatrix ba =
+      BlockSparseMatrix::from_dense(a, dims).to_precision(GetParam());
+  const BlockSparseMatrix bc =
+      BlockSparseMatrix::from_dense(c, dims).to_precision(GetParam());
   const BlockSparseMatrix r = ba.combine(1.5, bc, -0.5);
+  EXPECT_EQ(r.precision(), GetParam());
+  EXPECT_FALSE(r.uniform_blocks());
   linalg::Matrix ref(a.rows(), a.cols(), 0.0);
   for (std::size_t i = 0; i < a.rows(); ++i) {
     for (std::size_t j = 0; j < a.cols(); ++j) {
       ref(i, j) = 1.5 * a(i, j) - 0.5 * c(i, j);
     }
   }
-  EXPECT_LT(linalg::max_abs(r.to_dense() - ref), 1e-14);
+  EXPECT_LT(linalg::max_abs(r.to_dense() - ref), bound(1e-14));
 }
 
-TEST(BlockSparseVar, SymmetricHalfMultiplyMatchesFull) {
+TEST_P(BlockSparseVarAlgebra, SymmetricHalfMultiplyMatchesFull) {
   const auto dims = mixed_dims();
   const linalg::Matrix a = random_var_symmetric(dims, 37);
   const BlockSparseMatrix full = BlockSparseMatrix::from_dense(a, dims);
-  const BlockSparseMatrix half = full.to_symmetric_half();
+  const BlockSparseMatrix half =
+      full.to_symmetric_half().to_precision(GetParam());
   BlockSparseMatrix out;
   BsrWorkspace ws;
   half.multiply_sym_into(half, 0.0, out, ws, nullptr);
   EXPECT_TRUE(out.symmetric());
+  EXPECT_EQ(out.precision(), GetParam());
   const linalg::Matrix ref = linalg::matmul(a, a);
-  EXPECT_LT(linalg::max_abs(out.to_dense() - ref), 1e-12);
+  EXPECT_LT(linalg::max_abs(out.to_dense() - ref), bound(1e-12));
 }
 
-TEST(BlockSparseVar, FrozenPatternReuseIsBitIdentical) {
+TEST_P(BlockSparseVarAlgebra, FrozenPatternReuseIsBitIdentical) {
   const auto dims = mixed_dims();
   const linalg::Matrix a = random_var_symmetric(dims, 41);
-  const BlockSparseMatrix half =
-      BlockSparseMatrix::from_dense(a, dims).to_symmetric_half();
+  const BlockSparseMatrix half = BlockSparseMatrix::from_dense(a, dims)
+                                     .to_symmetric_half()
+                                     .to_precision(GetParam());
   BsrWorkspace ws;
   BsrPattern pattern;
   BlockSparseMatrix cold, warm;
@@ -185,11 +202,18 @@ TEST(BlockSparseVar, FrozenPatternReuseIsBitIdentical) {
   half.multiply_sym_into(half, 1e-8, warm, ws, &pattern);
   EXPECT_EQ(ws.stats.symbolic_builds, 1u);
   EXPECT_EQ(ws.stats.numeric_reuses, 1u);
-  ASSERT_EQ(warm.values().size(), cold.values().size());
-  for (std::size_t q = 0; q < cold.values().size(); ++q) {
-    EXPECT_EQ(warm.values()[q], cold.values()[q]);  // bit-identical
-  }
+  EXPECT_EQ(warm.cols(), cold.cols());
+  // Bit-identical in either precision.
+  EXPECT_EQ(warm.values(), cold.values());
+  EXPECT_EQ(warm.values_f32(), cold.values_f32());
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Precisions, BlockSparseVarAlgebra,
+    ::testing::Values(TilePrecision::kF64, TilePrecision::kF32),
+    [](const ::testing::TestParamInfo<TilePrecision>& info) {
+      return info.param == TilePrecision::kF32 ? "fp32" : "fp64";
+    });
 
 TEST(BlockSparseVar, RectTruncationDropsSmallTiles) {
   // Two tiles: a 4x9 tile of entries eps/2 must be dropped at tolerance

@@ -479,15 +479,14 @@ TEST(ParallelOn, MixedPrecisionTracksFp64WithinForceBudget) {
 }
 
 TEST(ParallelOn, MixedPrecisionStepsAreBitIdenticalAcrossThreadCounts) {
-  // The fp32 sweeps follow the same per-row serial-accumulation design as
-  // the fp64 ones, so the thread-count invariance contract extends to the
-  // mixed loop (and to sub-tile truncation) unchanged.
+  // The fp32 sweeps are the fp64 ones instantiated on float tiles (the
+  // same per-row serial accumulation), so the thread-count invariance
+  // contract extends to the mixed loop unchanged.
   const ThreadGuard guard;
   const System s = perturbed_diamond(3);
   OrderNOptions opt;
   opt.purification.drop_tolerance = 1e-6;
   opt.purification.precision = PrecisionMode::kMixed;
-  opt.purification.sub_tile = 0.5;
   const StepRecord ref = run_steps(s, 1, opt);
   for (const int threads : {2, 4}) {
     const StepRecord rec = run_steps(s, threads, opt);

@@ -416,7 +416,7 @@ TEST(JobSpec, ParsesNumericsKeysIntoTheSharedSpec) {
       "steps = 4\ndt = 1.0\n"
       "drop_tolerance = 1e-6\nschedule_loosening = 4\nschedule_decay = 0.25\n"
       "precision = mixed\npromote_iteration = 3\npromote_threshold = 5e-4\n"
-      "simd = false\nsub_tile = 0.5\nbond_reuse_skin = 0.05\n");
+      "bond_reuse_skin = 0.05\n");
   const JobSpec s = JobSpec::from_config(cfg);
   const NumericsSpec& num = s.calc.numerics;
   EXPECT_EQ(num.drop_tolerance, 1e-6);
@@ -425,12 +425,17 @@ TEST(JobSpec, ParsesNumericsKeysIntoTheSharedSpec) {
   EXPECT_EQ(num.precision, PrecisionMode::kMixed);
   EXPECT_EQ(num.promote_iteration, 3);
   EXPECT_EQ(num.promote_threshold, 5e-4);
-  EXPECT_FALSE(num.simd);
-  EXPECT_EQ(num.sub_tile, 0.5);
   EXPECT_EQ(s.calc.bond_reuse_skin, 0.05);
 
   // Unknown precision spellings are config errors, not silent defaults.
   EXPECT_THROW((void)NumericsSpec::precision_by_name("quad"), Error);
+  // The retired kernel-selection keys are unknown keys now.
+  for (const char* retired : {"simd = false\n", "sub_tile = 0.5\n"}) {
+    EXPECT_THROW((void)JobSpec::from_config(io::Config::parse_string(
+                     std::string("steps = 5\nmode = on\n") + retired)),
+                 Error)
+        << retired;
+  }
 
   // Every numerics knob is part of the calculator identity: jobs that
   // differ there must not share a cached calculator...
@@ -438,12 +443,6 @@ TEST(JobSpec, ParsesNumericsKeysIntoTheSharedSpec) {
   JobSpec mixed = base;
   mixed.calc.numerics.precision = PrecisionMode::kMixed;
   EXPECT_NE(base.calculator_key(), mixed.calculator_key());
-  JobSpec subtile = base;
-  subtile.calc.numerics.sub_tile = 0.25;
-  EXPECT_NE(base.calculator_key(), subtile.calculator_key());
-  JobSpec nosimd = base;
-  nosimd.calc.numerics.simd = false;
-  EXPECT_NE(base.calculator_key(), nosimd.calculator_key());
   JobSpec skin = base;
   skin.calc.bond_reuse_skin = 0.05;
   EXPECT_NE(base.calculator_key(), skin.calculator_key());
