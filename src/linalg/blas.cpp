@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
 
 #include "src/util/parallel.hpp"
 
@@ -9,130 +10,220 @@ namespace tbmd::linalg {
 
 namespace {
 
-/// Cache tile edge shared by every level-3 kernel.  64 doubles = 512 B per
-/// row tile; a 64x64 tile of each operand fits comfortably in L1/L2.
-constexpr std::size_t kTile = 64;
+// Every level-3 product here -- gemm, syrk, syr2k and, through them, the
+// blocked tridiagonalization's trailing update and WY back-transform -- runs
+// through one register-blocked micro-kernel in the GotoBLAS layout: A is
+// read as k-major panels of kMr rows and B as strips of kNr lanes, each in
+// place when its values for one k step are adjacent in memory, else from a
+// zero-padded packed copy, and each kMr x kNr block of C is accumulated in
+// registers over the whole k range before it is added to C once.  Every C
+// element is therefore one fixed FMA chain over k followed by one update,
+// whatever the tiling, the schedule or the thread count: the products are
+// bit-identical at any thread count.
 
-/// Block kernel, no-transpose x no-transpose: C += alpha * A * B over the
-/// tile i in [i0,i1), k in [k0,k1), j in [j0,j1).  i-k-j order: the
-/// innermost loop streams rows of B and C (axpy form).
-inline void tile_gemm_nn(std::size_t i0, std::size_t i1, std::size_t k0,
-                         std::size_t k1, std::size_t j0, std::size_t j1,
-                         double alpha, const double* a, std::size_t lda,
-                         const double* b, std::size_t ldb, double* c,
-                         std::size_t ldc) {
-  for (std::size_t i = i0; i < i1; ++i) {
-    const double* arow = a + i * lda;
-    double* crow = c + i * ldc;
-    for (std::size_t kk = k0; kk < k1; ++kk) {
-      const double aik = alpha * arow[kk];
-      if (aik == 0.0) continue;
-      const double* brow = b + kk * ldb;
-      for (std::size_t j = j0; j < j1; ++j) crow[j] += aik * brow[j];
-    }
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "the dense micro-kernel needs GCC/clang vector extensions"
+#endif
+
+/// Lane vector of the micro-kernel, as wide as the target's vector
+/// registers, and the register block: kMr x kNr of C held in kMr * 2
+/// accumulators (16 of 32 zmm registers with AVX-512, 12 of 16 ymm
+/// otherwise), leaving room for two B vectors and one broadcast.
+#ifdef __AVX512F__
+typedef double vlane __attribute__((vector_size(64), aligned(8), may_alias));
+constexpr std::size_t kMr = 8;
+#else
+typedef double vlane __attribute__((vector_size(32), aligned(8), may_alias));
+constexpr std::size_t kMr = 6;
+#endif
+constexpr std::size_t kLanes = sizeof(vlane) / sizeof(double);
+constexpr std::size_t kNr = 2 * kLanes;
+/// Cache block of one parallel task: kMc x kNc of C.  The task's A panels
+/// (kMc x k) stay in L2 while each B strip (k x kNr) is reused from L1 by
+/// all kMc / kMr row panels.
+constexpr std::size_t kMc = 96;
+constexpr std::size_t kNc = 32;
+static_assert(kMc % kMr == 0 && kNc % kNr == 0);
+
+/// One k-segment of a product: C += alpha * A * B, A m x k, B k x n.
+/// syr2k is two segments sharing one accumulation.
+struct Term {
+  StridedView a;
+  StridedView b;
+  std::size_t k;
+};
+
+StridedView transposed(StridedView v) {
+  return {v.data, v.col_stride, v.row_stride};
+}
+
+/// Uninitialized packed-operand scratch, allocated like Matrix storage: on
+/// a cache line, so the strips' lane loads never straddle two lines.
+class PackBuffer {
+ public:
+  explicit PackBuffer(std::size_t count)
+      : bytes_(count * sizeof(double)),
+        p_(static_cast<double*>(detail::allocate_block(bytes_))) {}
+  ~PackBuffer() { detail::release_block(p_, bytes_); }
+  PackBuffer(const PackBuffer&) = delete;
+  PackBuffer& operator=(const PackBuffer&) = delete;
+  [[nodiscard]] double* get() const { return p_; }
+
+ private:
+  std::size_t bytes_;
+  double* p_;
+};
+
+/// Copy rows [i0, i0 + W) of the m x k view `x` into a k-major panel,
+/// out[q * W + r] = x(i0 + r, q), with rows at or past m zero-padded.
+template <std::size_t W>
+void pack_panel(StridedView x, std::size_t i0, std::size_t m, std::size_t k,
+                double* out) {
+  const std::size_t rows = std::min(W, m - i0);
+  for (std::size_t q = 0; q < k; ++q) {
+    const double* src = x.data + i0 * x.row_stride + q * x.col_stride;
+    double* dst = out + q * W;
+    for (std::size_t r = 0; r < rows; ++r) dst[r] = src[r * x.row_stride];
+    for (std::size_t r = rows; r < W; ++r) dst[r] = 0.0;
   }
 }
 
-/// Block kernel, no-transpose x transpose: C += alpha * A * B^T over the
-/// tile i in [i0,i1), j in [j0,j1), contraction index in [k0,k1).  Both
-/// operand rows are contiguous, so the inner loops are plain dot products;
-/// two j-columns per pass share the A-row loads.  When `lower` the j range
-/// of each row is clipped to j <= i (the symmetric-kernel case).
-inline void tile_gemm_nt(std::size_t i0, std::size_t i1, std::size_t j0,
-                         std::size_t j1, std::size_t k0, std::size_t k1,
-                         bool lower, double alpha, const double* a,
-                         std::size_t lda, const double* b, std::size_t ldb,
-                         double* c, std::size_t ldc) {
-  for (std::size_t i = i0; i < i1; ++i) {
-    const double* ai = a + i * lda;
-    double* crow = c + i * ldc;
-    const std::size_t jend = lower ? std::min(j1, i + 1) : j1;
-    std::size_t j = j0;
-    for (; j + 1 < jend; j += 2) {
-      const double* bj0 = b + j * ldb;
-      const double* bj1 = bj0 + ldb;
-      double s0 = 0.0, s1 = 0.0;
-      for (std::size_t kk = k0; kk < k1; ++kk) {
-        s0 += ai[kk] * bj0[kk];
-        s1 += ai[kk] * bj1[kk];
+/// acc += A_panel * B_strip over k steps: the kMr values at a + q * a_step
+/// times the kNr lanes at b + q * b_step.  One FMA per term in q order per
+/// element.
+[[gnu::always_inline]] inline void accumulate(std::size_t k, const double* a,
+                                              std::size_t a_step,
+                                              const double* b,
+                                              std::size_t b_step,
+                                              vlane (&acc)[kMr][2]) {
+  for (std::size_t q = 0; q < k; ++q) {
+    vlane b0, b1;
+    __builtin_memcpy(&b0, b, sizeof b0);
+    __builtin_memcpy(&b1, b + kLanes, sizeof b1);
+    for (std::size_t r = 0; r < kMr; ++r) {
+      acc[r][0] += a[r] * b0;
+      acc[r][1] += a[r] * b1;
+    }
+    a += a_step;
+    b += b_step;
+  }
+}
+
+/// C(i0 + r, j0 + s) += alpha * acc(r, s) for r < rows, s < cols; with
+/// `lower` only where j0 + s <= i0 + r.
+inline void store_block(const vlane (&acc)[kMr][2], double alpha, double* c,
+                        std::size_t ldc, std::size_t i0, std::size_t j0,
+                        std::size_t rows, std::size_t cols, bool lower) {
+  if (rows == kMr && cols == kNr && (!lower || j0 + kNr <= i0 + 1)) {
+    for (std::size_t r = 0; r < kMr; ++r) {
+      double* cr = c + (i0 + r) * ldc + j0;
+      vlane c0, c1;
+      __builtin_memcpy(&c0, cr, sizeof c0);
+      __builtin_memcpy(&c1, cr + kLanes, sizeof c1);
+      c0 += alpha * acc[r][0];
+      c1 += alpha * acc[r][1];
+      __builtin_memcpy(cr, &c0, sizeof c0);
+      __builtin_memcpy(cr + kLanes, &c1, sizeof c1);
+    }
+    return;
+  }
+  double block[kMr][kNr];
+  __builtin_memcpy(&block, &acc, sizeof block);
+  for (std::size_t r = 0; r < rows; ++r) {
+    if (lower && j0 > i0 + r) continue;
+    const std::size_t send = lower ? std::min(cols, i0 + r + 1 - j0) : cols;
+    double* cr = c + (i0 + r) * ldc + j0;
+    for (std::size_t s = 0; s < send; ++s) cr[s] += alpha * block[r][s];
+  }
+}
+
+/// C += alpha * sum_t A_t * B_t over an m x n row-major C (leading
+/// dimension ldc); with `lower` only the lower triangle j <= i is written.
+void packed_product(std::size_t m, std::size_t n, double alpha,
+                    std::initializer_list<Term> terms, double* c,
+                    std::size_t ldc, bool lower) {
+  std::size_t k = 0;
+  bool a_in_place = true;
+  bool b_in_place = true;
+  for (const Term& t : terms) {
+    k += t.k;
+    a_in_place = a_in_place && t.a.row_stride == 1;
+    b_in_place = b_in_place && t.b.col_stride == 1;
+  }
+  if (m == 0 || n == 0 || k == 0 || alpha == 0.0) return;
+
+  // A panel (B strip) whose kMr (kNr) values per k step are adjacent in
+  // memory is read in place; the rest -- all of them, or only a ragged
+  // last one -- come from zero-padded packed copies.
+  const std::size_t panels = (m + kMr - 1) / kMr;
+  const std::size_t strips = (n + kNr - 1) / kNr;
+  const std::size_t a_direct = a_in_place ? m / kMr : 0;
+  const std::size_t b_direct = b_in_place ? n / kNr : 0;
+  const PackBuffer apack((panels - a_direct) * kMr * k);
+  const PackBuffer bpack((strips - b_direct) * kNr * k);
+  const std::size_t mtiles = (m + kMc - 1) / kMc;
+  const std::size_t ntiles = (n + kNc - 1) / kNc;
+
+  [[maybe_unused]] const bool par = !par::in_parallel() &&
+                                    mtiles * ntiles > 1 &&
+                                    par::worth_parallelizing(m * n, k);
+#pragma omp parallel if (par)
+  {
+#pragma omp for schedule(static)
+    for (std::size_t ip = a_direct; ip < panels; ++ip) {
+      double* out = apack.get() + (ip - a_direct) * kMr * k;
+      for (const Term& t : terms) {
+        pack_panel<kMr>(t.a, ip * kMr, m, t.k, out);
+        out += kMr * t.k;
       }
-      crow[j] += alpha * s0;
-      crow[j + 1] += alpha * s1;
     }
-    for (; j < jend; ++j) {
-      const double* bj = b + j * ldb;
-      double s = 0.0;
-      for (std::size_t kk = k0; kk < k1; ++kk) s += ai[kk] * bj[kk];
-      crow[j] += alpha * s;
-    }
-  }
-}
-
-/// Fused rank-2 variant of tile_gemm_nt: C += alpha * (A * B^T + B * A^T)
-/// over the tile, accumulating both products in one pass so the C tile is
-/// read and written once (splitting into two NT passes doubles the C
-/// traffic and measurably slows the tridiagonalization trailing update).
-inline void tile_gemm_nt2(std::size_t i0, std::size_t i1, std::size_t j0,
-                          std::size_t j1, std::size_t k0, std::size_t k1,
-                          bool lower, double alpha, const double* a,
-                          std::size_t lda, const double* b, std::size_t ldb,
-                          double* c, std::size_t ldc) {
-  for (std::size_t i = i0; i < i1; ++i) {
-    const double* ai = a + i * lda;
-    const double* bi = b + i * ldb;
-    double* crow = c + i * ldc;
-    const std::size_t jend = lower ? std::min(j1, i + 1) : j1;
-    for (std::size_t j = j0; j < jend; ++j) {
-      const double* aj = a + j * lda;
-      const double* bj = b + j * ldb;
-      double s = 0.0;
-      for (std::size_t kk = k0; kk < k1; ++kk) {
-        s += ai[kk] * bj[kk] + bi[kk] * aj[kk];
+#pragma omp for schedule(static)
+    for (std::size_t jp = b_direct; jp < strips; ++jp) {
+      double* out = bpack.get() + (jp - b_direct) * kNr * k;
+      for (const Term& t : terms) {
+        pack_panel<kNr>(transposed(t.b), jp * kNr, n, t.k, out);
+        out += kNr * t.k;
       }
-      crow[j] += alpha * s;
     }
-  }
-}
-
-/// Unflatten a lower-triangle tile-pair index t into (ti, tj), tj <= ti,
-/// with t = ti * (ti + 1) / 2 + tj.
-inline void unflatten_tile_pair(std::size_t t, std::size_t& ti,
-                                std::size_t& tj) {
-  ti = static_cast<std::size_t>((std::sqrt(8.0 * static_cast<double>(t) + 1.0) - 1.0) / 2.0);
-  while ((ti + 1) * (ti + 2) / 2 <= t) ++ti;   // guard against sqrt rounding
-  while (ti * (ti + 1) / 2 > t) --ti;
-  tj = t - ti * (ti + 1) / 2;
-}
-
-/// Shared driver of syrk_lower / syr2k_lower: walk lower-triangle tile
-/// pairs in parallel and run the NT block kernel once (syrk) or twice with
-/// swapped operands (syr2k) per k-slab.
-template <bool Rank2>
-void rank_k_lower(std::size_t n, std::size_t k, double alpha, const double* a,
-                  std::size_t lda, const double* b, std::size_t ldb, double* c,
-                  std::size_t ldc) {
-  if (n == 0 || k == 0 || alpha == 0.0) return;
-  const std::size_t nt = (n + kTile - 1) / kTile;
-  const std::size_t npairs = nt * (nt + 1) / 2;
-  [[maybe_unused]] const bool par = par::worth_parallelizing(n * n / 2, k);
-#pragma omp parallel for schedule(dynamic) if (par)
-  for (std::size_t t = 0; t < npairs; ++t) {
-    std::size_t ti, tj;
-    unflatten_tile_pair(t, ti, tj);
-    const std::size_t i0 = ti * kTile, i1 = std::min(i0 + kTile, n);
-    const std::size_t j0 = tj * kTile, j1 = std::min(j0 + kTile, n);
-    const bool lower = ti == tj;  // diagonal tiles clip to j <= i
-    for (std::size_t k0 = 0; k0 < k; k0 += kTile) {
-      const std::size_t k1 = std::min(k0 + kTile, k);
-      if constexpr (Rank2) {
-        tile_gemm_nt2(i0, i1, j0, j1, k0, k1, lower, alpha, a, lda, b, ldb, c,
-                      ldc);
-      } else {
-        tile_gemm_nt(i0, i1, j0, j1, k0, k1, lower, alpha, a, lda, b, ldb, c,
-                     ldc);
+#pragma omp for schedule(dynamic)
+    for (std::size_t tile = 0; tile < mtiles * ntiles; ++tile) {
+      const std::size_t i0 = tile / ntiles * kMc;
+      const std::size_t j0 = tile % ntiles * kNc;
+      if (lower && j0 >= i0 + kMc) continue;  // tile above the diagonal
+      const std::size_t i1 = std::min(i0 + kMc, m);
+      const std::size_t j1 = std::min(j0 + kNc, n);
+      for (std::size_t j = j0; j < j1; j += kNr) {
+        const bool b_direct_strip = j / kNr < b_direct;
+        for (std::size_t i = i0; i < i1; i += kMr) {
+          if (lower && j >= i + kMr) continue;  // block above the diagonal
+          const bool a_direct_panel = i / kMr < a_direct;
+          const double* ap =
+              a_direct_panel ? nullptr
+                             : apack.get() + (i / kMr - a_direct) * kMr * k;
+          const double* bp =
+              b_direct_strip ? nullptr
+                             : bpack.get() + (j / kNr - b_direct) * kNr * k;
+          vlane acc[kMr][2] = {};
+          for (const Term& t : terms) {
+            accumulate(t.k, a_direct_panel ? t.a.data + i : ap,
+                       a_direct_panel ? t.a.col_stride : kMr,
+                       b_direct_strip ? t.b.data + j : bp,
+                       b_direct_strip ? t.b.row_stride : kNr, acc);
+            if (!a_direct_panel) ap += kMr * t.k;
+            if (!b_direct_strip) bp += kNr * t.k;
+          }
+          store_block(acc, alpha, c, ldc, i, j, std::min(kMr, m - i),
+                      std::min(kNr, n - j), lower);
+        }
       }
     }
   }
+}
+
+/// Lower triangle of C += alpha * A * A^T for an n x k view A.
+void syrk_lower(std::size_t n, std::size_t k, double alpha, StridedView a,
+                double* c, std::size_t ldc) {
+  packed_product(n, n, alpha, {{a, transposed(a), k}}, c, ldc, true);
 }
 
 /// Scale the lower triangle of C by beta (the symmetric kernels never read
@@ -163,6 +254,11 @@ void mirror_lower(Matrix& c) {
 
 }  // namespace
 
+void gemm(std::size_t m, std::size_t n, std::size_t k, double alpha,
+          StridedView a, StridedView b, double* c, std::size_t ldc) {
+  packed_product(m, n, alpha, {{a, b, k}}, c, ldc, false);
+}
+
 void gemm_accumulate(double alpha, const Matrix& a, const Matrix& b,
                      Matrix& c) {
   const std::size_t m = a.rows();
@@ -170,19 +266,7 @@ void gemm_accumulate(double alpha, const Matrix& a, const Matrix& b,
   const std::size_t n = b.cols();
   TBMD_REQUIRE(b.rows() == k, "gemm: inner dimensions differ");
   TBMD_REQUIRE(c.rows() == m && c.cols() == n, "gemm: C has wrong shape");
-
-#pragma omp parallel for schedule(static) if (m * n * k > 100000)
-  for (std::size_t i0 = 0; i0 < m; i0 += kTile) {
-    const std::size_t i1 = std::min(i0 + kTile, m);
-    for (std::size_t k0 = 0; k0 < k; k0 += kTile) {
-      const std::size_t k1 = std::min(k0 + kTile, k);
-      for (std::size_t j0 = 0; j0 < n; j0 += kTile) {
-        const std::size_t j1 = std::min(j0 + kTile, n);
-        tile_gemm_nn(i0, i1, k0, k1, j0, j1, alpha, a.data(), k, b.data(), n,
-                     c.data(), n);
-      }
-    }
-  }
+  gemm(m, n, k, alpha, {a.data(), k, 1}, {b.data(), n, 1}, c.data(), n);
 }
 
 Matrix matmul(const Matrix& a, const Matrix& b) {
@@ -191,15 +275,11 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-void syrk_lower(std::size_t n, std::size_t k, double alpha, const double* a,
-                std::size_t lda, double* c, std::size_t ldc) {
-  rank_k_lower<false>(n, k, alpha, a, lda, a, lda, c, ldc);
-}
-
-void syr2k_lower(std::size_t n, std::size_t k, double alpha, const double* a,
-                 std::size_t lda, const double* b, std::size_t ldb, double* c,
-                 std::size_t ldc) {
-  rank_k_lower<true>(n, k, alpha, a, lda, b, ldb, c, ldc);
+void syr2k_lower(std::size_t n, std::size_t k, double alpha, StridedView a,
+                 StridedView b, double* c, std::size_t ldc) {
+  packed_product(n, n, alpha,
+                 {{a, transposed(b), k}, {b, transposed(a), k}}, c, ldc,
+                 true);
 }
 
 namespace {
@@ -398,10 +478,15 @@ double tile_norm2_rect(std::size_t m, std::size_t n, const double* a) {
 }
 
 void syrk(double alpha, const Matrix& a, double beta, Matrix& c) {
-  const std::size_t n = a.rows();
-  TBMD_REQUIRE(c.rows() == n && c.cols() == n, "syrk: C must be n x n");
+  TBMD_REQUIRE(c.rows() == a.rows(), "syrk: C must be n x n");
+  syrk(alpha, {a.data(), a.cols(), 1}, a.cols(), beta, c);
+}
+
+void syrk(double alpha, StridedView a, std::size_t k, double beta, Matrix& c) {
+  const std::size_t n = c.rows();
+  TBMD_REQUIRE(c.cols() == n, "syrk: C must be n x n");
   scale_lower(beta, c);
-  syrk_lower(n, a.cols(), alpha, a.data(), a.cols(), c.data(), n);
+  syrk_lower(n, k, alpha, a, c.data(), n);
   mirror_lower(c);
 }
 
@@ -412,8 +497,8 @@ void syr2k(double alpha, const Matrix& a, const Matrix& b, double beta,
                "syr2k: A and B must have the same shape");
   TBMD_REQUIRE(c.rows() == n && c.cols() == n, "syr2k: C must be n x n");
   scale_lower(beta, c);
-  syr2k_lower(n, a.cols(), alpha, a.data(), a.cols(), b.data(), b.cols(),
-              c.data(), n);
+  syr2k_lower(n, a.cols(), alpha, {a.data(), a.cols(), 1},
+              {b.data(), b.cols(), 1}, c.data(), n);
   mirror_lower(c);
 }
 

@@ -7,8 +7,9 @@
 /// GEMM for general products, SYRK/SYR2K rank-k updates for the density
 /// matrix (rho = B B^T) and the blocked tridiagonalization's trailing
 /// update, GEMV/SYMV for iterative methods, and a handful of level-1
-/// helpers.  All level-3 kernels share the same cache tiling (see blas.cpp);
-/// the symmetric kernels compute only the lower triangle and mirror.
+/// helpers.  Every level-3 kernel runs through one packed, register-blocked
+/// micro-kernel (see blas.cpp) whose results do not depend on the thread
+/// count; the symmetric kernels compute only the lower triangle and mirror.
 
 #include <cstddef>
 #include <vector>
@@ -16,6 +17,23 @@
 #include "src/linalg/matrix.hpp"
 
 namespace tbmd::linalg {
+
+/// Read-only strided view of a dense operand: element (i, j) sits at
+/// data[i * row_stride + j * col_stride].  A row-major block with leading
+/// dimension ld is {p, ld, 1}; its transpose is {p, 1, ld}.
+struct StridedView {
+  const double* data;
+  std::size_t row_stride;
+  std::size_t col_stride;
+};
+
+/// C += alpha * A * B for an m x k view A and a k x n view B, with C
+/// row-major (leading dimension ldc).  The raw building block under every
+/// product below.  A is read in place when row_stride == 1 and B when
+/// col_stride == 1; other operands are packed first, so the GEMMs of the
+/// blocked back-transform never copy the eigenvector block.
+void gemm(std::size_t m, std::size_t n, std::size_t k, double alpha,
+          StridedView a, StridedView b, double* c, std::size_t ldc);
 
 /// C = A * B (shapes must conform).  Cache-blocked, OpenMP-parallel.
 [[nodiscard]] Matrix matmul(const Matrix& a, const Matrix& b);
@@ -25,27 +43,26 @@ void gemm_accumulate(double alpha, const Matrix& a, const Matrix& b, Matrix& c);
 
 /// Symmetric rank-k update C = alpha * A * A^T + beta * C.  A is n x k and
 /// may be rectangular (k != n); C must be n x n.  Only the lower triangle
-/// is computed (cache-blocked over lower-triangle tile pairs, parallel over
-/// tiles), then mirrored, so C is exactly symmetric on return.
+/// is computed, then mirrored, so C is exactly symmetric on return.
 void syrk(double alpha, const Matrix& a, double beta, Matrix& c);
+
+/// syrk on an n x k view A, n = C's order.  A row-major k x n block viewed
+/// as its transpose, {p, 1, n}, is read in place, with no packed copy:
+/// density_matrix hands over B^T this way.
+void syrk(double alpha, StridedView a, std::size_t k, double beta, Matrix& c);
 
 /// Symmetric rank-2k update C = alpha * (A * B^T + B * A^T) + beta * C with
 /// A and B both n x k; C must be n x n.  Exactly symmetric on return.
 void syr2k(double alpha, const Matrix& a, const Matrix& b, double beta,
            Matrix& c);
 
-/// Raw-pointer building block of syrk: accumulate the lower triangle only,
-///   C(i, j) += alpha * sum_c A(i, c) * A(j, c)   for 0 <= j <= i < n,
-/// with leading dimensions lda/ldc.  Lets callers (blocked_tridiag) update
-/// a trailing submatrix in place without copying it out.
-void syrk_lower(std::size_t n, std::size_t k, double alpha, const double* a,
-                std::size_t lda, double* c, std::size_t ldc);
-
-/// Raw-pointer building block of syr2k: lower triangle only,
-///   C(i, j) += alpha * sum_c [A(i, c) * B(j, c) + B(i, c) * A(j, c)].
-void syr2k_lower(std::size_t n, std::size_t k, double alpha, const double* a,
-                 std::size_t lda, const double* b, std::size_t ldb, double* c,
-                 std::size_t ldc);
+/// Raw building block of syr2k: lower triangle only,
+///   C(i, j) += alpha * sum_c [A(i, c) * B(j, c) + B(i, c) * A(j, c)],
+/// both products summed in one accumulation, so C is read and written once.
+/// Lets blocked_tridiag update a trailing submatrix in place from its
+/// column-contiguous panels; the strict upper triangle is never touched.
+void syr2k_lower(std::size_t n, std::size_t k, double alpha, StridedView a,
+                 StridedView b, double* c, std::size_t ldc);
 
 /// Tiny dense tile product C += A * B for bs x bs row-major blocks (the
 /// inner kernel of the block-sparse SpMM in src/onx).  Dispatch table over

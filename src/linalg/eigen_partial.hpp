@@ -11,9 +11,10 @@
 /// eigh_range() answers index-range queries [il, iu]: the reduction to
 /// tridiagonal form is shared with the full solver, eigenvalues in the range
 /// come from parallel Sturm bisection (or a values-only QL sweep when the
-/// range covers most of the spectrum), eigenvectors from shifted inverse
-/// iteration with cluster reorthogonalization, and the back-transform applies
-/// the blocked WY reflectors only to the requested columns.
+/// range covers more than a quarter of the spectrum), eigenvectors from
+/// shifted inverse iteration with cluster reorthogonalization, and the
+/// back-transform applies the blocked WY reflectors only to the requested
+/// columns.  Results do not depend on the thread count.
 
 #include <cstddef>
 #include <vector>

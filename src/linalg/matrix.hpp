@@ -17,6 +17,47 @@
 
 namespace tbmd::linalg {
 
+namespace detail {
+
+/// Cache-line-aligned storage of `bytes` bytes.  Blocks of 128 KiB and up
+/// (the sizes malloc would hand out as freshly mapped, zero-filled pages)
+/// are recycled: a released block waits in a small process-wide cache and
+/// the next request of the same size takes it back.  The per-step matrices
+/// of an MD loop -- H, the reflectors, eigenvectors, rho -- then reuse the
+/// same resident pages every step instead of page-faulting them in again
+/// whenever the heap was trimmed in between.
+[[nodiscard]] void* allocate_block(std::size_t bytes);
+void release_block(void* p, std::size_t bytes) noexcept;
+
+}  // namespace detail
+
+/// Allocator of dense kernel storage: every block starts on a 64-byte cache
+/// line, so rows whose length is a multiple of eight doubles start on a line
+/// too and the vector kernels' loads never straddle two lines, whatever
+/// address the heap hands out; large blocks are recycled (see above).
+template <class T>
+struct CacheLineAllocator {
+  using value_type = T;
+
+  CacheLineAllocator() = default;
+  template <class U>
+  CacheLineAllocator(const CacheLineAllocator<U>&) noexcept {}
+
+  [[nodiscard]] T* allocate(std::size_t n) {
+    return static_cast<T*>(detail::allocate_block(n * sizeof(T)));
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    detail::release_block(p, n * sizeof(T));
+  }
+  template <class U>
+  bool operator==(const CacheLineAllocator<U>&) const noexcept {
+    return true;
+  }
+};
+
+/// Cache-line-aligned vector of doubles (scratch of the dense kernels).
+using AlignedVector = std::vector<double, CacheLineAllocator<double>>;
+
 /// Dense row-major matrix of doubles.
 ///
 /// Storage is contiguous; `row(i)` returns a pointer to the i-th row so hot
@@ -92,7 +133,7 @@ class Matrix {
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  std::vector<double> data_;
+  AlignedVector data_;
 };
 
 /// Matrix transpose.

@@ -710,12 +710,6 @@ void BlockSparseMatrix::assemble(BsrWorkspace& ws, bool symmetric_half) {
   refingerprint();
 }
 
-void bsr_assemble(std::size_t n, std::size_t bs, BsrWorkspace& ws,
-                  BlockSparseMatrix& out, bool symmetric_half) {
-  out.set_layout(n, bs, {});
-  out.assemble<double>(ws, symmetric_half);
-}
-
 void bsr_assemble(const std::vector<std::uint32_t>& dims, BsrWorkspace& ws,
                   BlockSparseMatrix& out, bool symmetric_half) {
   TBMD_REQUIRE(!dims.empty(), "bsr_assemble: empty block layout");

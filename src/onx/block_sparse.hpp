@@ -403,8 +403,6 @@ class BlockSparseMatrix {
   }
 
  private:
-  friend void bsr_assemble(std::size_t n, std::size_t bs, BsrWorkspace& ws,
-                           BlockSparseMatrix& out, bool symmetric_half);
   friend void bsr_assemble(const std::vector<std::uint32_t>& dims,
                            BsrWorkspace& ws, BlockSparseMatrix& out,
                            bool symmetric_half);
@@ -476,13 +474,10 @@ class BlockSparseMatrix {
 };
 
 /// Direct mutable access for assembly code (onx Hamiltonian builder): set
-/// the structure in one shot from per-row staging buffers in `ws`.
-void bsr_assemble(std::size_t n, std::size_t bs, BsrWorkspace& ws,
-                  BlockSparseMatrix& out, bool symmetric_half = false);
-
-/// bsr_assemble() on a variable block layout: tile (I, J) in the staging
-/// rows is dims[I] x dims[J].  A dims vector whose entries all agree
-/// yields the uniform layout, exactly as the constructors normalize it.
+/// the structure in one shot from per-row staging buffers in `ws`.  Tile
+/// (I, J) in the staging rows is dims[I] x dims[J]; a dims vector whose
+/// entries all agree yields the uniform layout, exactly as the
+/// constructors normalize it.
 void bsr_assemble(const std::vector<std::uint32_t>& dims, BsrWorkspace& ws,
                   BlockSparseMatrix& out, bool symmetric_half = false);
 

@@ -58,6 +58,17 @@ inline void set_num_threads(int n) {
 #endif
 }
 
+/// True inside an active parallel region (false without OpenMP).  Kernels
+/// called there run on the calling thread alone rather than open a nested
+/// region.
+[[nodiscard]] inline bool in_parallel() {
+#ifdef _OPENMP
+  return omp_in_parallel() != 0;
+#else
+  return false;
+#endif
+}
+
 /// True when OpenMP is enabled in this build.
 [[nodiscard]] inline constexpr bool openmp_enabled() {
 #ifdef _OPENMP

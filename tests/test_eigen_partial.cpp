@@ -15,6 +15,11 @@
 #include "src/linalg/jacobi.hpp"
 #include "src/linalg/spectral_bounds.hpp"
 #include "src/linalg/tridiagonal.hpp"
+#include "src/structures/builders.hpp"
+#include "src/tb/density_matrix.hpp"
+#include "src/tb/tb_calculator.hpp"
+#include "src/tb/tb_model.hpp"
+#include "src/util/parallel.hpp"
 #include "src/util/random.hpp"
 
 namespace tbmd::linalg {
@@ -299,6 +304,69 @@ TEST(EighRange, RejectsBadRanges) {
   EXPECT_THROW((void)eigh_range(a, 0, 6), Error);
   Matrix rect(3, 4);
   EXPECT_THROW((void)eigh_range(rect, 0, 1), Error);
+}
+
+void expect_same(const Matrix& a, const Matrix& b) {
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.cols(), b.cols());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      EXPECT_EQ(a(i, j), b(i, j)) << i << "," << j;
+    }
+  }
+}
+
+TEST(EighRange, BitIdenticalAcrossThreadCounts) {
+  // Results must not depend on the thread count (src/util/parallel.hpp):
+  // the chunked symv, the GEMM micro-kernel under the trailing update, the
+  // back-transform and rho, and the (n, m)-only QL/bisection choice.
+  const std::size_t n = 320;
+  const Matrix a = random_symmetric(n, 2024);
+  struct RestoreThreads {
+    int saved = par::max_threads();
+    ~RestoreThreads() { par::set_num_threads(saved); }
+  } restore;
+
+  struct Run {
+    SymmetricEigenSolution half, window;
+    Matrix rho;
+    ForceResult tb;
+  };
+  const auto run = [&](int threads) {
+    par::set_num_threads(threads);
+    Run out;
+    out.half = eigh_range(a, 0, n / 2 - 1);     // values-only QL path
+    out.window = eigh_range(a, 150, 165);       // Sturm bisection path
+    std::vector<double> weights(n / 2);
+    for (std::size_t k = 0; k < weights.size(); ++k) {
+      weights[k] = 2.0 - static_cast<double>(k % 3) * 0.5;
+    }
+    out.rho = tb::density_matrix(out.half.vectors, weights);
+
+    System cell = structures::diamond(Element::C, 3.567, 2, 2, 2);
+    structures::perturb(cell, 0.1, 77);
+    tb::TbOptions opt;
+    opt.report_eigenvalues = false;  // the production partial-spectrum path
+    tb::TightBindingCalculator calc(tb::xwch_carbon(), opt);
+    out.tb = calc.compute(cell);
+    return out;
+  };
+
+  const Run ref = run(1);
+  for (const int threads : {2, 4}) {
+    SCOPED_TRACE(threads);
+    const Run got = run(threads);
+    EXPECT_EQ(got.half.values, ref.half.values);
+    expect_same(got.half.vectors, ref.half.vectors);
+    EXPECT_EQ(got.window.values, ref.window.values);
+    expect_same(got.window.vectors, ref.window.vectors);
+    expect_same(got.rho, ref.rho);
+    EXPECT_EQ(got.tb.energy, ref.tb.energy);
+    ASSERT_EQ(got.tb.forces.size(), ref.tb.forces.size());
+    for (std::size_t i = 0; i < ref.tb.forces.size(); ++i) {
+      EXPECT_EQ(got.tb.forces[i], ref.tb.forces[i]) << i;
+    }
+  }
 }
 
 TEST(SpectralBounds, EncloseDenseAndTridiagonalSpectra) {

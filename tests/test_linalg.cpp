@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "src/linalg/blas.hpp"
 #include "src/linalg/cholesky.hpp"
@@ -86,6 +87,26 @@ TEST(Matrix, ShapeMismatchThrows) {
   EXPECT_THROW(a += b, Error);
 }
 
+TEST(Matrix, StorageStartsOnACacheLine) {
+  for (const std::size_t n : {1u, 3u, 17u, 129u, 200u, 768u}) {
+    const Matrix m(n, n + 1);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(m.data()) % 64, 0u) << n;
+  }
+}
+
+TEST(Matrix, ReleasedLargeBlockIsHandedBack) {
+  // 256 x 256 doubles = 512 KiB: recycled, so an MD loop's per-step
+  // matrices reuse resident pages instead of faulting fresh ones in.
+  const double* first = nullptr;
+  {
+    const Matrix a(256, 256, 1.0);
+    first = a.data();
+  }
+  const Matrix b(256, 256, 2.0);
+  EXPECT_EQ(b.data(), first);
+  EXPECT_EQ(b(255, 255), 2.0);
+}
+
 TEST(Matrix, TransposeInvolution) {
   const Matrix a = random_matrix(4, 7, 1);
   const Matrix att = transpose(transpose(a));
@@ -131,12 +152,45 @@ TEST_P(GemmSizes, MatchesNaiveTripleLoop) {
   EXPECT_LT(max_abs(c1 - c2), 1e-11);
 }
 
+TEST_P(GemmSizes, StridedViewsUpdateOnlyTheirBlock) {
+  // The raw kernel on sub-blocks whose leading dimensions are not multiples
+  // of the register block: A read through a transposed view, B through a
+  // transposed view (packed strips) and C an interior block of a larger
+  // matrix, whose surrounding entries must stay untouched.
+  const auto [m, k, n] = GetParam();
+  const std::size_t mu = m, ku = k, nu = n;
+  const Matrix a = random_matrix(mu, ku, 30 + mu);
+  const Matrix b = random_matrix(ku, nu, 40 + nu);
+  const Matrix at = transpose(a);
+  const Matrix bt = transpose(b);
+  Matrix big = random_matrix(mu + 5, nu + 3, 50);
+  const Matrix big0 = big;
+  const std::size_t ldc = nu + 3;
+  gemm(mu, nu, ku, -0.5, {at.data(), 1, mu}, {bt.data(), 1, ku},
+       big.row(2) + 1, ldc);
+  const Matrix expect = naive_matmul(a, b);
+  for (std::size_t i = 0; i < mu + 5; ++i) {
+    for (std::size_t j = 0; j < nu + 3; ++j) {
+      const bool inside = i >= 2 && i < mu + 2 && j >= 1 && j < nu + 1;
+      if (inside) {
+        EXPECT_NEAR(big(i, j), big0(i, j) - 0.5 * expect(i - 2, j - 1), 1e-11);
+      } else {
+        EXPECT_EQ(big(i, j), big0(i, j)) << i << "," << j;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, GemmSizes,
     ::testing::Values(std::make_tuple(1, 1, 1), std::make_tuple(3, 5, 2),
                       std::make_tuple(16, 16, 16), std::make_tuple(65, 64, 63),
                       std::make_tuple(70, 129, 40),
-                      std::make_tuple(128, 128, 128)));
+                      std::make_tuple(128, 128, 128),
+                      std::make_tuple(7, 1, 9), std::make_tuple(9, 3, 7),
+                      std::make_tuple(129, 7, 3), std::make_tuple(3, 129, 9),
+                      std::make_tuple(100, 9, 129),
+                      std::make_tuple(1, 129, 1)));
 
 TEST(Gemm, InnerDimensionMismatchThrows) {
   Matrix a(2, 3), b(4, 2);
@@ -157,11 +211,28 @@ TEST_P(SyrkSizes, MatchesExplicitProductAndIsExactlySymmetric) {
   EXPECT_DOUBLE_EQ(symmetry_defect(c), 0.0);
 }
 
+TEST_P(SyrkSizes, TransposedViewIsReadInPlaceWithTheSameBits) {
+  // A stored as its k x n transpose, the layout density_matrix hands over:
+  // read in place, each entry is still the same FMA chain over k.
+  const auto [n, k] = GetParam();
+  const Matrix a = random_matrix(n, k, 50 + static_cast<std::uint64_t>(n));
+  const Matrix at = transpose(a);
+  Matrix packed(n, n), in_place(n, n);
+  syrk(1.0, a, 0.0, packed);
+  syrk(1.0, {at.data(), 1, at.cols()}, k, 0.0, in_place);
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) EXPECT_EQ(in_place(i, j), packed(i, j));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, SyrkSizes,
     ::testing::Values(std::make_tuple(1, 1), std::make_tuple(5, 3),
                       std::make_tuple(64, 64), std::make_tuple(70, 33),
-                      std::make_tuple(63, 130), std::make_tuple(129, 96)));
+                      std::make_tuple(63, 130), std::make_tuple(129, 96),
+                      std::make_tuple(7, 1), std::make_tuple(9, 3),
+                      std::make_tuple(3, 7), std::make_tuple(129, 9),
+                      std::make_tuple(1, 129)));
 
 TEST(Syrk, BetaScalesExistingSymmetricC) {
   const Matrix a = random_matrix(40, 17, 60);
@@ -204,25 +275,48 @@ TEST(Syr2k, ShapeMismatchThrows) {
 
 TEST(Syr2kLower, UpdatesTrailingSubmatrixInPlace) {
   // The blocked_tridiag use case: update the lower triangle of a trailing
-  // q0-offset submatrix through raw pointers with distinct leading dims.
-  const std::size_t n = 20, q0 = 7, k = 5;
-  Matrix c = random_symmetric(n, 80);
-  const Matrix c0 = c;
-  const Matrix v = random_matrix(n, k, 81);
-  const Matrix w = random_matrix(n, k, 82);
-  syr2k_lower(n - q0, k, -1.0, v.row(q0), k, w.row(q0), k, c.row(q0) + q0, n);
-  for (std::size_t i = q0; i < n; ++i) {
-    for (std::size_t j = q0; j <= i; ++j) {
-      double s = 0.0;
-      for (std::size_t cc = 0; cc < k; ++cc) {
-        s += v(i, cc) * w(j, cc) + w(i, cc) * v(j, cc);
+  // q0-offset submatrix in place, with V and W read both as row-major
+  // blocks and as column-contiguous panels (the tridiagonalization's
+  // layout), at leading dimensions that are not multiples of the block.
+  struct Shape {
+    std::size_t n, q0, k;
+  };
+  for (const Shape sh : {Shape{20, 7, 5}, Shape{9, 0, 1}, Shape{17, 3, 3},
+                         Shape{40, 1, 7}, Shape{150, 21, 9},
+                         Shape{140, 11, 129}}) {
+    const std::size_t n = sh.n, q0 = sh.q0, k = sh.k, t = n - q0;
+    const Matrix v = random_matrix(n, k, 81 + n);
+    const Matrix w = random_matrix(n, k, 82 + n);
+    const Matrix vt = transpose(v);  // k x n: V's columns contiguous
+    const Matrix wt = transpose(w);
+    for (const bool panels : {false, true}) {
+      Matrix c = random_matrix(n, n, 80 + n);
+      const Matrix c0 = c;
+      if (panels) {
+        syr2k_lower(t, k, -1.0, {vt.data() + q0, 1, n}, {wt.data() + q0, 1, n},
+                    c.row(q0) + q0, n);
+      } else {
+        syr2k_lower(t, k, -1.0, {v.row(q0), k, 1}, {w.row(q0), k, 1},
+                    c.row(q0) + q0, n);
       }
-      EXPECT_NEAR(c(i, j), c0(i, j) - s, 1e-12) << i << "," << j;
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+          if (i >= q0 && j >= q0 && j <= i) {
+            double s = 0.0;
+            for (std::size_t cc = 0; cc < k; ++cc) {
+              s += v(i, cc) * w(j, cc) + w(i, cc) * v(j, cc);
+            }
+            EXPECT_NEAR(c(i, j), c0(i, j) - s, 1e-12)
+                << n << "/" << k << " " << i << "," << j;
+          } else {
+            // Rows above, columns left of the trailing block and its strict
+            // upper triangle are untouched.
+            EXPECT_EQ(c(i, j), c0(i, j))
+                << n << "/" << k << " " << i << "," << j;
+          }
+        }
+      }
     }
-  }
-  // Rows above / columns right of the trailing block are untouched.
-  for (std::size_t i = 0; i < q0; ++i) {
-    for (std::size_t j = 0; j < n; ++j) EXPECT_DOUBLE_EQ(c(i, j), c0(i, j));
   }
 }
 
