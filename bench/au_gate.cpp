@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
 
   const double a0 = 4.08;  // experimental fcc Au lattice constant (A)
   const tb::TbModel model = tb::kirchhoff_gold();
-  tb::TbOptions opt;
+  CalculatorSpec opt;
   opt.electronic_temperature = tel;
   opt.report_eigenvalues = false;
 

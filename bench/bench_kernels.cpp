@@ -323,8 +323,7 @@ void BM_TbOnStep(benchmark::State& state) {
   // tolerance.  Arg = atom count.
   System s = diamond_with_atoms(Element::C, 3.567, state.range(0));
   structures::perturb(s, 0.02, 3);
-  onx::OrderNOptions opt;
-  opt.purification.drop_tolerance = 1e-6;
+  CalculatorSpec opt = CalculatorSpec::order_n(1e-6);
   onx::OrderNCalculator calc(tb::xwch_carbon(), opt);
   (void)calc.compute(s);
   for (auto _ : state) {
@@ -366,7 +365,7 @@ void BM_TbStepPartialSpectrum(benchmark::State& state) {
   const int nx = state.range(0);
   System s = structures::diamond(Element::C, 3.567, nx, nx, 2);
   structures::perturb(s, 0.02, 11);
-  tb::TbOptions opt;
+  CalculatorSpec opt;
   opt.report_eigenvalues = false;  // kAuto then takes the partial path
   tb::TightBindingCalculator calc(tb::xwch_carbon(), opt);
   (void)calc.compute(s);

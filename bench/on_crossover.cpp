@@ -1,6 +1,6 @@
 /// \file on_crossover.cpp
 /// \brief O(N)-vs-exact crossover sweep: per-step wall time of the
-/// partial-spectrum exact path (TightBindingCalculator, SpectrumMode
+/// partial-spectrum exact path (TightBindingCalculator, SpectrumPolicy
 /// kPartial via the MD production configuration) against the symmetric-half
 /// O(N) purification engine at N from 64 up to 21952 atoms.
 ///
@@ -22,7 +22,7 @@
 ///
 /// Usage: on_crossover [--reps 2] [--drop 1e-6] [--max-atoms 512]
 ///                     [--exact-max 1000] [--threads 1,2,4]
-///                     [--domains N] [--reorder] [--cache-bounds]
+///                     [--domains N] [--cache-bounds]
 
 #include <cmath>
 #include <cstdio>
@@ -101,10 +101,8 @@ int main(int argc, char** argv) {
   const std::vector<int> threads =
       parse_thread_list(arg_str(argc, argv, "--threads"));
 
-  onx::OrderNOptions oopt;
-  oopt.purification.drop_tolerance = drop;
+  CalculatorSpec oopt = CalculatorSpec::order_n(drop);
   oopt.domains = static_cast<int>(arg_or(argc, argv, "--domains", 0));
-  oopt.reorder_domains = has_flag(argc, argv, "--reorder");
   oopt.cache_spectral_bounds = has_flag(argc, argv, "--cache-bounds");
 
   std::printf("O(N) crossover sweep: exact(kPartial) vs tb_on, drop = %.1e, "

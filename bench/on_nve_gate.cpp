@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
               ms_on, on.last_purification().iterations,
               on.last_purification().fill_fraction);
   if (precision == PrecisionMode::kMixed) {
-    const onx::NumericsStats& st = on.numerics_stats();
+    const onx::NumericsStats& st = on.last_purification().numerics;
     std::printf("  precision split : %d fp32 + %d fp64 iterations "
                 "(promoted at %d)\n",
                 st.fp32_iterations, st.fp64_iterations, st.promoted_at);

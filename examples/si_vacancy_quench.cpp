@@ -53,9 +53,7 @@ int main(int argc, char** argv) {
 
   System si = structures::diamond(Element::Si, 5.431, 2, 2, 2);
 
-  onx::OrderNOptions oopt;
-  oopt.purification.drop_tolerance = 1e-6;
-  onx::OrderNCalculator on(tb::gsp_silicon(), oopt);
+  onx::OrderNCalculator on(tb::gsp_silicon(), CalculatorSpec::order_n(1e-6));
   onx::BsrWorkspace::SpmmStats mark;
 
   std::printf("Si vacancy + quench on the O(N) engine (%zu atoms)\n\n",

@@ -67,40 +67,9 @@ std::string CalculatorSpec::fingerprint() const {
 std::unique_ptr<Calculator> make_calculator(const tb::TbModel& model,
                                             const CalculatorSpec& spec) {
   if (spec.mode == CalcMode::kExact) {
-    tb::TbOptions opt;
-    opt.skin = spec.skin;
-    opt.electronic_temperature = spec.electronic_temperature;
-    opt.report_eigenvalues = spec.report_eigenvalues;
-    switch (spec.spectrum) {
-      case SpectrumPolicy::kAuto:
-        opt.spectrum = tb::SpectrumMode::kAuto;
-        break;
-      case SpectrumPolicy::kFull:
-        opt.spectrum = tb::SpectrumMode::kFull;
-        break;
-      case SpectrumPolicy::kPartial:
-        opt.spectrum = tb::SpectrumMode::kPartial;
-        break;
-    }
-    return std::make_unique<tb::TightBindingCalculator>(model, opt);
+    return std::make_unique<tb::TightBindingCalculator>(model, spec);
   }
-  // The canonical purification loop fills an integer number of states: a
-  // smeared-occupation request must not be silently downgraded to T = 0.
-  TBMD_REQUIRE(spec.electronic_temperature == 0.0,
-               "make_calculator: the O(N) engine integrates at T_el = 0; "
-               "use mode = exact for Fermi-Dirac smearing");
-  onx::OrderNOptions opt;
-  opt.skin = spec.skin;
-  // The whole numerics policy (drop tolerance + schedule, precision mode,
-  // promotion) transfers in one slice assignment: PurificationOptions
-  // IS-A NumericsSpec.
-  static_cast<NumericsSpec&>(opt.purification) = spec.numerics;
-  opt.reuse_patterns = spec.reuse_patterns;
-  opt.domains = spec.domains;
-  opt.cache_spectral_bounds = spec.cache_spectral_bounds;
-  opt.bond_reuse_skin = spec.bond_reuse_skin;
-  opt.health = spec.health;
-  return std::make_unique<onx::OrderNCalculator>(model, opt);
+  return std::make_unique<onx::OrderNCalculator>(model, spec);
 }
 
 std::unique_ptr<Calculator> make_calculator(const tb::TbModel& model,

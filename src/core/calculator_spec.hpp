@@ -3,14 +3,13 @@
 /// \file calculator_spec.hpp
 /// \brief Declarative calculator construction: one spec, both TB engines.
 ///
-/// The exact-diagonalization and O(N) purification calculators grew
-/// separate option structs (tb::TbOptions, onx::OrderNOptions).  Callers
-/// that must choose an engine at runtime -- the config runner, the job
-/// runner, every crossover/ablation bench -- previously hand-rolled both
-/// construction paths.  CalculatorSpec is the single declarative
-/// description (engine mode, accuracy knobs, electronic temperature) and
-/// make_calculator() the one factory that resolves it against a model, so
-/// "which engine" becomes data instead of code.
+/// CalculatorSpec is the one configuration type of the two TB engines:
+/// tb::TightBindingCalculator and onx::OrderNCalculator take it by value
+/// and each reads its own fields (engine mode, accuracy knobs, electronic
+/// temperature).  make_calculator() picks the engine `mode` names, so
+/// callers that choose an engine at runtime -- the config runner, the job
+/// runner, every crossover/ablation bench -- treat "which engine" as data
+/// instead of code.
 
 #include <memory>
 #include <string>
@@ -31,24 +30,45 @@ enum class CalcMode {
   kOrderN,  ///< onx::OrderNCalculator (density-matrix purification)
 };
 
-/// Spectrum policy of the exact engine (mirrors tb::SpectrumMode without
-/// making core depend on the tb headers).
-enum class SpectrumPolicy { kAuto, kFull, kPartial };
+/// Which part of the spectrum the exact engine's diagonalization step
+/// computes.
+enum class SpectrumPolicy {
+  /// Partial when nothing demands the full spectrum (the default):
+  /// report_eigenvalues == false and the occupied-window coverage check
+  /// passes; otherwise transparently falls back to the full solver.
+  kAuto,
+  /// Always diagonalize the full spectrum.
+  kFull,
+  /// Always use the partial-spectrum path; with report_eigenvalues the
+  /// ForceResult then carries only the computed low-lying eigenvalues.
+  kPartial,
+};
 
-/// Declarative calculator description.  Fields irrelevant to the chosen
-/// mode are ignored by the factory; defaults match the engines' own
-/// defaults, so CalculatorSpec{} builds the library's standard exact
-/// calculator.
+/// Declarative calculator description.  Each engine ignores the fields of
+/// the other; CalculatorSpec{} (= exact()) builds the library's standard
+/// exact calculator and order_n() the standard O(N) one.
 struct CalculatorSpec {
   CalcMode mode = CalcMode::kExact;
   /// Verlet skin added to the model cutoff for the neighbor list (A).
   double skin = 0.5;
-  /// Electronic temperature for Fermi-Dirac smearing (K); 0 = aufbau.
+  /// Electronic temperature for Fermi-Dirac smearing (K); 0 = aufbau
+  /// filling.  When > 0 the exact engine's reported energy includes the
+  /// -T*S_el Mermin term so that MD with smeared occupations conserves the
+  /// free energy.  The O(N) engine integrates at T_el = 0 only and rejects
+  /// any other value.
   double electronic_temperature = 0.0;
 
   // --- exact engine ---
+  /// Spectrum policy for the diagonalization step.  Occupations, density
+  /// matrix and Hellmann-Feynman forces only involve the ~Ne/2 occupied
+  /// states, so the partial path requests just those (plus the LUMO for
+  /// the Fermi level, plus a Fermi-tail buffer when
+  /// electronic_temperature > 0) from linalg::eigh_range and skips more
+  /// than half the O(N^3) work.
   SpectrumPolicy spectrum = SpectrumPolicy::kAuto;
-  /// Copy the eigenvalue spectrum into each ForceResult.
+  /// Copy the eigenvalue spectrum into each ForceResult (adds an O(N)
+  /// copy).  Analyses that consume the whole spectrum (EDOS, HOMO-LUMO
+  /// gaps) need this; with kAuto it forces the full solver.
   bool report_eigenvalues = true;
 
   // --- O(N) engine ---
@@ -57,12 +77,16 @@ struct CalculatorSpec {
   /// results, so all of them are fingerprint-relevant (unlike `threads`
   /// below).
   NumericsSpec numerics;
-  /// Reuse symbolic SpMM patterns across steps (ablation switch; results
-  /// are bit-identical either way).
+  /// Reuse the symbolic SpMM patterns of previous steps while the bond
+  /// topology is unchanged (the steady-state fast path).  false forces a
+  /// cold symbolic rebuild every step; results are bit-identical either
+  /// way (ablation switch for the bit-identity regression tests).
   bool reuse_patterns = true;
-  /// Block-row domain count for the sharded O(N) sweeps (0 = auto-size
-  /// from the thread count, 1 = off, >= 2 explicit); scheduling-level
-  /// only, results are bit-identical at any value.
+  /// Contiguous block-row domains for the sharded SpMM / H-assembly
+  /// sweeps.  0 = auto: 4 domains per OpenMP thread when the team has more
+  /// than one thread and the system has >= 512 atoms, else off.  1 = off;
+  /// >= 2 = explicit count.  Scheduling only (stable thread -> domain
+  /// ownership): results are bit-identical at any value.
   int domains = 0;
   /// Cache Gershgorin spectral bounds across steps (norm-widened on
   /// pattern hits).  Saves an O(nnz) pass per warm step but makes the
@@ -71,7 +95,7 @@ struct CalculatorSpec {
   bool cache_spectral_bounds = false;
   /// Verlet-skin-lifetime BondTable reuse (A): freeze Slater-Koster
   /// blocks of bonds whose endpoints moved less than half this skin since
-  /// their last evaluation (see onx::OrderNOptions::bond_reuse_skin).
+  /// their last evaluation (see tb::BondTable::build).
   /// 0 = off (the default; like cache_spectral_bounds, reuse trades
   /// checkpoint bit-reproducibility for throughput).
   double bond_reuse_skin = 0.0;

@@ -142,7 +142,7 @@ RawFrame read_raw_frame(std::istream& is) {
 
 struct Header {
   std::uint32_t flags = 0;
-  std::uint32_t natoms = 0;
+  std::size_t natoms = 0;
   double pos_quantum = 0.0;
   double vel_quantum = 0.0;
   Cell cell;
@@ -181,7 +181,17 @@ void write_header(std::ostream& os, const System& system,
            static_cast<std::streamsize>(buf.size()));
 }
 
-Header read_header(ByteSource& src) {
+/// Bytes between the read position of `is` and the end of the stream.
+std::uintmax_t bytes_left(std::istream& is) {
+  const std::streamoff at = is.tellg();
+  is.seekg(0, std::ios::end);
+  const std::streamoff end = is.tellg();
+  is.seekg(at);
+  return at >= 0 && end > at ? static_cast<std::uintmax_t>(end - at) : 0;
+}
+
+Header read_header(std::istream& is) {
+  ByteSource src(is);
   char magic[4];
   TBMD_REQUIRE(src.read_exact(magic, 4) && std::memcmp(magic, kMagic, 4) == 0,
                "binary trajectory: bad magic (not a .tbt file)");
@@ -199,12 +209,20 @@ Header read_header(ByteSource& src) {
   bool pbc[3];
   for (bool& p : pbc) p = src.get<std::uint8_t>() != 0;
   (void)src.get<std::uint8_t>();  // pad
+  // The header carries no CRC: a corrupt atom count must fail against the
+  // species bytes actually present (one per atom) before it sizes any
+  // allocation.
+  const std::uintmax_t left = bytes_left(is);
+  TBMD_REQUIRE(hd.natoms <= left,
+               "binary trajectory: header atom count " +
+                   std::to_string(hd.natoms) + " exceeds the " +
+                   std::to_string(left) + " bytes left in the file");
   if (pbc[0] || pbc[1] || pbc[2]) {
     hd.cell = Cell({h[0], h[1], h[2]}, {h[3], h[4], h[5]}, {h[6], h[7], h[8]},
                    pbc[0], pbc[1], pbc[2]);
   }
   hd.species.reserve(hd.natoms);
-  for (std::uint32_t i = 0; i < hd.natoms; ++i) {
+  for (std::size_t i = 0; i < hd.natoms; ++i) {
     hd.species.push_back(static_cast<Element>(src.get<std::uint8_t>()));
   }
   return hd;
@@ -311,8 +329,7 @@ BinaryTrajectoryWriter BinaryTrajectoryWriter::resume(
     std::ifstream in(path, std::ios::binary);
     TBMD_REQUIRE(in.good(),
                  "BinaryTrajectoryWriter::resume: cannot open '" + path + "'");
-    ByteSource src(in);
-    const Header hd = read_header(src);
+    const Header hd = read_header(in);
     TBMD_REQUIRE(hd.natoms == system.size(),
                  "BinaryTrajectoryWriter::resume: atom count mismatch");
     TBMD_REQUIRE(hd.velocities() == options.velocities &&
@@ -412,8 +429,7 @@ BinaryTrajectoryReader::BinaryTrajectoryReader(const std::string& path)
   impl_->stream.open(path, std::ios::binary);
   TBMD_REQUIRE(impl_->stream.good(),
                "BinaryTrajectoryReader: cannot open '" + path + "'");
-  ByteSource src(impl_->stream);
-  impl_->header = read_header(src);
+  impl_->header = read_header(impl_->stream);
   impl_->prev.assign(
       3 * impl_->header.natoms * (impl_->header.velocities() ? 2 : 1), 0);
 }

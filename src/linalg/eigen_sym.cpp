@@ -1,120 +1,11 @@
 #include "src/linalg/eigen_sym.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "src/linalg/eigen_partial.hpp"
 #include "src/util/error.hpp"
-#include "src/util/parallel.hpp"
 
 namespace tbmd::linalg {
-
-namespace {
-
-/// Minimum (sub)matrix dimension before the Householder update loops are
-/// worth forking threads for.
-constexpr std::size_t kParallelCutoff = 96;
-
-}  // namespace
-
-void householder_tridiagonalize(Matrix& a, std::vector<double>& d,
-                                std::vector<double>& e, bool accumulate) {
-  const std::size_t n = a.rows();
-  TBMD_REQUIRE(n == a.cols(), "householder: matrix must be square");
-  d.assign(n, 0.0);
-  e.assign(n, 0.0);
-  if (n == 0) return;
-  if (n == 1) {
-    d[0] = a(0, 0);
-    if (accumulate) a(0, 0) = 1.0;
-    return;
-  }
-
-  // Phase 1: reduce rows n-1 .. 1.  `d[i]` temporarily stores the
-  // Householder h for row i (needed by the accumulation phase).
-  for (std::size_t i = n - 1; i >= 1; --i) {
-    const std::size_t l = i - 1;
-    double h = 0.0;
-    if (l > 0) {
-      double scale = 0.0;
-      for (std::size_t k = 0; k <= l; ++k) scale += std::fabs(a(i, k));
-      if (scale == 0.0) {
-        e[i] = a(i, l);
-      } else {
-        for (std::size_t k = 0; k <= l; ++k) {
-          a(i, k) /= scale;
-          h += a(i, k) * a(i, k);
-        }
-        double f = a(i, l);
-        const double g = (f >= 0.0) ? -std::sqrt(h) : std::sqrt(h);
-        e[i] = scale * g;
-        h -= f * g;
-        a(i, l) = f - g;
-
-        // e[j] <- (A v)_j / h for the trailing submatrix (lower triangle is
-        // authoritative).  Independent across j -> parallel.
-        [[maybe_unused]] const bool par = (l + 1) >= kParallelCutoff;
-#pragma omp parallel for schedule(dynamic, 16) if (par)
-        for (std::size_t j = 0; j <= l; ++j) {
-          if (accumulate) a(j, i) = a(i, j) / h;
-          double gj = 0.0;
-          for (std::size_t k = 0; k <= j; ++k) gj += a(j, k) * a(i, k);
-          for (std::size_t k = j + 1; k <= l; ++k) gj += a(k, j) * a(i, k);
-          e[j] = gj / h;
-        }
-
-        f = 0.0;
-        for (std::size_t j = 0; j <= l; ++j) f += e[j] * a(i, j);
-        const double hh = f / (h + h);
-
-        // K = e - hh*v, then rank-2 update A <- A - v K^T - K v^T on the
-        // lower triangle.  Update all of e first so row updates can run in
-        // parallel.
-        for (std::size_t j = 0; j <= l; ++j) e[j] -= hh * a(i, j);
-#pragma omp parallel for schedule(dynamic, 16) if (par)
-        for (std::size_t j = 0; j <= l; ++j) {
-          const double fj = a(i, j);
-          const double ej = e[j];
-          double* arow = a.row(j);
-          const double* virow = a.row(i);
-          for (std::size_t k = 0; k <= j; ++k) {
-            arow[k] -= fj * e[k] + ej * virow[k];
-          }
-        }
-      }
-    } else {
-      e[i] = a(i, l);
-    }
-    d[i] = h;
-  }
-  d[0] = 0.0;
-  e[0] = 0.0;
-
-  // Phase 2: accumulate transformations (Q) and extract the diagonal.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (accumulate) {
-      if (d[i] != 0.0) {
-        // Left-multiply the accumulated Q by this reflection.
-        [[maybe_unused]] const bool par = i >= kParallelCutoff;
-#pragma omp parallel for schedule(static) if (par)
-        for (std::size_t j = 0; j < i; ++j) {
-          double g = 0.0;
-          for (std::size_t k = 0; k < i; ++k) g += a(i, k) * a(k, j);
-          for (std::size_t k = 0; k < i; ++k) a(k, j) -= g * a(k, i);
-        }
-      }
-      d[i] = a(i, i);
-      a(i, i) = 1.0;
-      for (std::size_t j = 0; j < i; ++j) {
-        a(j, i) = 0.0;
-        a(i, j) = 0.0;
-      }
-    } else {
-      d[i] = a(i, i);
-    }
-  }
-}
 
 void tql_implicit_shift(std::vector<double>& d, std::vector<double>& e,
                         Matrix* z) {
@@ -210,55 +101,16 @@ void tql_implicit_shift(std::vector<double>& d, std::vector<double>& e,
   }
 }
 
-namespace {
-
-SymmetricEigenSolution sort_solution(std::vector<double> d, Matrix z,
-                                     bool with_vectors) {
-  const std::size_t n = d.size();
-  std::vector<std::size_t> perm(n);
-  std::iota(perm.begin(), perm.end(), std::size_t{0});
-  std::sort(perm.begin(), perm.end(),
-            [&](std::size_t a, std::size_t b) { return d[a] < d[b]; });
-
-  SymmetricEigenSolution out;
-  out.values.resize(n);
-  for (std::size_t j = 0; j < n; ++j) out.values[j] = d[perm[j]];
-  if (with_vectors) {
-    out.vectors.resize(n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double* zrow = z.row(i);
-      double* orow = out.vectors.row(i);
-      for (std::size_t j = 0; j < n; ++j) orow[j] = zrow[perm[j]];
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 SymmetricEigenSolution eigh(const Matrix& a) {
   TBMD_REQUIRE(a.rows() == a.cols(), "eigh: matrix must be square");
   if (a.rows() == 0) return {};
   return eigh_range(a, 0, a.rows() - 1);
 }
 
-SymmetricEigenSolution eigh_ql(const Matrix& a) {
-  TBMD_REQUIRE(a.rows() == a.cols(), "eigh_ql: matrix must be square");
-  Matrix work = a;
-  std::vector<double> d, e;
-  householder_tridiagonalize(work, d, e, /*accumulate=*/true);
-  tql_implicit_shift(d, e, &work);
-  return sort_solution(std::move(d), std::move(work), /*with_vectors=*/true);
-}
-
 std::vector<double> eigvalsh(const Matrix& a) {
   TBMD_REQUIRE(a.rows() == a.cols(), "eigvalsh: matrix must be square");
-  Matrix work = a;
-  std::vector<double> d, e;
-  householder_tridiagonalize(work, d, e, /*accumulate=*/false);
-  tql_implicit_shift(d, e, nullptr);
-  std::sort(d.begin(), d.end());
-  return d;
+  if (a.rows() == 0) return {};
+  return eigvalsh_range(a, 0, a.rows() - 1);
 }
 
 }  // namespace tbmd::linalg

@@ -162,7 +162,7 @@ struct BsrWorkspace {
   /// affinity) instead of the default dynamic row chunking.  Purely a
   /// scheduling hint: per-row results are unchanged, so outputs stay
   /// bit-identical with or without domains at any thread count.  Owners
-  /// (OrderNCalculator) refresh it per step from the spatial partition.
+  /// (OrderNCalculator) refresh it per step from par::even_domains.
   std::vector<std::size_t> domains;
 
   /// Release staging capacity beyond `policy` (rows above block_rows are

@@ -13,6 +13,7 @@
 #include "src/tb/repulsive.hpp"
 #include "src/util/error.hpp"
 #include "src/util/parallel.hpp"
+#include "src/util/partition.hpp"
 
 namespace tbmd::onx {
 
@@ -199,8 +200,15 @@ std::vector<Vec3> band_forces_sparse(const tb::BondTable& table,
   return forces;
 }
 
-OrderNCalculator::OrderNCalculator(tb::TbModel model, OrderNOptions options)
-    : model_(std::move(model)), options_(options) {}
+OrderNCalculator::OrderNCalculator(tb::TbModel model, CalculatorSpec spec)
+    : model_(std::move(model)), spec_(std::move(spec)) {
+  TBMD_REQUIRE(spec_.mode == CalcMode::kOrderN,
+               "OrderNCalculator: spec.mode is '" + spec_.mode_name() +
+                   "'; the exact engine is tb::TightBindingCalculator");
+  TBMD_REQUIRE(spec_.electronic_temperature == 0.0,
+               "OrderNCalculator: the O(N) engine integrates at T_el = 0; "
+               "use mode = exact for Fermi-Dirac smearing");
+}
 
 linalg::SpectralBounds OrderNCalculator::step_spectral_bounds() {
   const std::uint64_t stamp = table_.topology_version();
@@ -265,39 +273,18 @@ ForceResult OrderNCalculator::compute(const System& system) {
   // thread to stay coarse; 1 thread or an explicit `domains = 1` keeps
   // the engine on the exact pre-sharding code path.
   std::size_t ndom = 1;
-  if (options_.domains == 0) {
+  if (spec_.domains == 0) {
     const auto nthreads = static_cast<std::size_t>(par::max_threads());
     if (nthreads > 1 && n >= 512) ndom = std::min(4 * nthreads, n / 64);
-  } else if (options_.domains > 1) {
-    ndom = std::min(static_cast<std::size_t>(options_.domains), n);
+  } else if (spec_.domains > 1) {
+    ndom = std::min(static_cast<std::size_t>(spec_.domains), n);
   }
-
-  // Row partition: a spatial re-sort (applied through a permuted working
-  // copy of the system) when reorder_domains asks for compact domains,
-  // else contiguous equal-count chunks of the caller's row order.  Both
-  // are pure functions of the current positions.
-  const System* sys = &system;
-  bool permuted = false;
-  if (ndom > 1 && options_.reorder_domains) {
-    auto t = timers_.scope("partition");
-    part_ = par::spatial_domains(system.positions(), system.cell(), ndom);
-    if (!part_.identity) {
-      permuted = true;
-      perm_system_ = System(system.cell());
-      for (std::size_t k = 0; k < n; ++k) {
-        const std::size_t src = part_.order[k];
-        perm_system_.add_atom(system.species()[src], system.positions()[src]);
-      }
-      sys = &perm_system_;
-    }
-  } else {
-    part_ = par::even_domains(n, ndom);
-  }
+  domain_stats_.domains = ndom;
 
   {
     auto t = timers_.scope("neighbors");
-    list_.ensure(sys->positions(), sys->cell(),
-                 {model_.cutoff(), options_.skin});
+    list_.ensure(system.positions(), system.cell(),
+                 {model_.cutoff(), spec_.skin});
   }
 
   // Shared per-step bond table: the sparse assembly, the sparse force
@@ -305,9 +292,9 @@ ForceResult OrderNCalculator::compute(const System& system) {
   // O(N) path no longer re-derives any Slater-Koster quantity.
   {
     auto t = timers_.scope("bondtable");
-    table_.build(model_, *sys, list_,
+    table_.build(model_, system, list_,
                  tb::BondTable::Mode::kBlocksAndDerivatives,
-                 options_.bond_reuse_skin);
+                 spec_.bond_reuse_skin);
   }
 
   // An atom-count shrink would otherwise leave the workspace staging rows
@@ -322,35 +309,22 @@ ForceResult OrderNCalculator::compute(const System& system) {
   }
   last_atoms_ = n;
   workspace_.patterns.set_topology(table_.topology_version());
-  if (!options_.reuse_patterns) workspace_.patterns.invalidate();
+  if (!spec_.reuse_patterns) workspace_.patterns.invalidate();
 
-  // Publish the domain cuts to the shared BSR scratch: the H assembly and
-  // every purification SpMM then sweep domain-by-domain with stable
-  // thread ownership (scheduling only -- outputs are unchanged).
+  // Publish the domain cuts (contiguous equal-count chunks of the block
+  // rows) to the shared BSR scratch: the H assembly and every
+  // purification SpMM then sweep domain-by-domain with stable thread
+  // ownership (scheduling only -- outputs are unchanged).
   if (ndom > 1) {
-    workspace_.scratch.domains = part_.domain_ptr;
+    workspace_.scratch.domains = par::even_domains(n, ndom).domain_ptr;
   } else {
     workspace_.scratch.domains.clear();
   }
 
   {
     auto t = timers_.scope("hamiltonian");
-    build_block_hamiltonian(model_, *sys, table_, hamiltonian_,
+    build_block_hamiltonian(model_, system, table_, hamiltonian_,
                             workspace_.scratch);
-  }
-
-  domain_stats_ = DomainStats{};
-  domain_stats_.domains = ndom;
-  domain_stats_.reordered = permuted;
-  if (ndom > 1) {
-    const std::vector<std::uint8_t> halo =
-        par::halo_rows(part_, hamiltonian_.row_ptr(), hamiltonian_.cols());
-    for (const std::uint8_t h : halo) {
-      domain_stats_.halo += h;
-    }
-    domain_stats_.interior = n - domain_stats_.halo;
-  } else {
-    domain_stats_.interior = n;
   }
 
   // Repulsive term first: it is a pure function of the bond table (no
@@ -362,9 +336,10 @@ ForceResult OrderNCalculator::compute(const System& system) {
     rep = tb::repulsive_energy_forces(model_, table_);
   }
 
-  const HealthSpec& health = options_.health;
-  PurificationOptions popts = options_.purification;
-  if (options_.cache_spectral_bounds) {
+  const HealthSpec& health = spec_.health;
+  PurificationOptions popts;
+  static_cast<NumericsSpec&>(popts) = spec_.numerics;
+  if (spec_.cache_spectral_bounds) {
     popts.bounds = step_spectral_bounds();
     popts.have_bounds = true;
     last_bounds_ = popts.bounds;
@@ -390,7 +365,7 @@ ForceResult OrderNCalculator::compute(const System& system) {
         last_ = palser_manolopoulos(hamiltonian_, electrons / 2, popts,
                                     &workspace_);
       } else {
-        last_ = exact_step_density(*sys, electrons / 2);
+        last_ = exact_step_density(system, electrons / 2);
       }
     }
     {
@@ -438,8 +413,7 @@ ForceResult OrderNCalculator::compute(const System& system) {
     }
     if (fail == FailureClass::kNone) {
       // Bounds on the *total* per-atom forces and energy (band +
-      // repulsive), checked in the working (possibly permuted) frame --
-      // magnitudes are permutation-invariant.
+      // repulsive).
       const double e_per_atom =
           std::fabs(last_.band_energy + rep.energy) / static_cast<double>(n);
       if (health.max_energy_per_atom > 0.0 &&
@@ -479,7 +453,7 @@ ForceResult OrderNCalculator::compute(const System& system) {
         // by a stale symbolic pattern or a drift-widened spectral seed.
         workspace_.patterns.invalidate();
         bounds_valid_ = false;
-        if (options_.cache_spectral_bounds) {
+        if (spec_.cache_spectral_bounds) {
           popts.bounds = step_spectral_bounds();
           last_bounds_ = popts.bounds;
         }
@@ -514,15 +488,6 @@ ForceResult OrderNCalculator::compute(const System& system) {
   }
 
   for (std::size_t i = 0; i < n; ++i) result.forces[i] += rep.forces[i];
-  if (permuted) {
-    // Back to the caller's atom order (energies and the virial are order-
-    // independent sums and need no unscrambling).
-    std::vector<Vec3> unperm(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      unperm[part_.order[k]] = result.forces[k];
-    }
-    result.forces = std::move(unperm);
-  }
   result.virial += rep.virial;
   result.band_energy = last_.band_energy;
   result.repulsive_energy = rep.energy;

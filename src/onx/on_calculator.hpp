@@ -6,78 +6,15 @@
 /// diagonalization.
 
 #include "src/core/calculator.hpp"
+#include "src/core/calculator_spec.hpp"
 #include "src/core/health_spec.hpp"
 #include "src/neighbor/neighbor_list.hpp"
 #include "src/onx/block_sparse.hpp"
 #include "src/onx/purification.hpp"
 #include "src/tb/bond_table.hpp"
 #include "src/tb/tb_model.hpp"
-#include "src/util/partition.hpp"
 
 namespace tbmd::onx {
-
-/// Options for OrderNCalculator.
-struct OrderNOptions {
-  double skin = 0.5;                  ///< Verlet skin (A)
-  PurificationOptions purification;   ///< truncation / convergence controls
-  /// Reuse the symbolic SpMM patterns of previous steps while the bond
-  /// topology is unchanged (the steady-state fast path).  false forces a
-  /// cold symbolic rebuild every step -- results are bit-identical either
-  /// way (the cold and warm paths run the same numeric sweep); the switch
-  /// exists for ablation and the bit-identity regression tests.
-  bool reuse_patterns = true;
-
-  /// Contiguous block-row domains for the sharded SpMM / H-assembly
-  /// sweeps.  0 = auto: 4 domains per OpenMP thread when the team has more
-  /// than one thread and the system is large enough (>= 512 atoms), else
-  /// off.  1 = off; >= 2 = explicit count.  Without reorder_domains this
-  /// is purely a scheduling change (stable thread -> domain ownership for
-  /// cache/NUMA affinity): results stay bit-identical to the unsharded
-  /// path at any thread count, so the default is safe for the checkpoint
-  /// bit-identity guarantees.
-  int domains = 0;
-
-  /// Re-sort atoms by spatial grid cell into contiguous domains every step
-  /// before assembly, and scatter the forces back at the end.  The
-  /// permutation is a pure function of the current positions (checkpoint
-  /// kill-and-resume stays bit-reproducible *within* this mode), and each
-  /// domain's rows become spatially compact (fewer halo rows, better
-  /// locality for lattice-disordered systems).  Off by default: the
-  /// permuted build's floating-point summation orders differ from the
-  /// unpermuted one in the last ulp, so the two layouts are tolerance-
-  /// equivalent, not bit-equal.  Only takes effect when the effective
-  /// domain count is > 1.
-  bool reorder_domains = false;
-
-  /// Cache the Gershgorin spectral bounds across steps behind the bond
-  /// topology stamp: pattern hits widen the cached interval by the
-  /// Frobenius norm of dH (a rigorous enclosure, since no eigenvalue can
-  /// move further than ||dH||_2 <= ||dH||_F) and only recompute the exact
-  /// bounds when the accumulated drift exceeds a fraction of the spectral
-  /// width.  Saves an O(nnz(H)) Gershgorin pass per warm step.  Off by
-  /// default: the widened seed depends on the *history* of H since the
-  /// last refresh, so a checkpoint-resumed run (which starts from exact
-  /// bounds) would differ in the last ulp from an uninterrupted one.
-  /// Benches and long production trajectories should turn it on.
-  bool cache_spectral_bounds = false;
-
-  /// Verlet-skin-lifetime BondTable reuse (A): > 0 freezes the
-  /// Slater-Koster block, derivative and repulsive radial of every bond
-  /// whose endpoints each moved less than half this skin since their last
-  /// evaluation (see tb::BondTable::build).  Saves the
-  /// transcendental-heavy SK pass for the quiescent bulk between
-  /// neighbor-list rebuilds.  Off by default for the same reason as
-  /// cache_spectral_bounds: frozen bonds make forces a function of the
-  /// position history, so checkpoint kill-and-resume is no longer
-  /// bit-reproducible with this on.
-  double bond_reuse_skin = 0.0;
-
-  /// Numerics guardrails + recovery ladder (see core/health_spec.hpp).
-  /// Disabled by default: no scans, no retries, and an unconverged
-  /// purification is only counted (recovery_stats().unconverged_steps)
-  /// and logged -- results stay bit-identical to the unguarded engine.
-  HealthSpec health;
-};
 
 /// Assemble the Hamiltonian directly in symmetric-half block-CSR form
 /// (one orbs(i) x orbs(j) tile per atom pair with j >= i: uniform 4x4 for
@@ -109,10 +46,17 @@ void build_block_hamiltonian(const tb::TbModel& model, const System& system,
 /// Linear-scaling TBMD calculator (Palser-Manolopoulos purification).
 ///
 /// Valid for gapped systems (diamond C/Si, molecules); the result of the
-/// last purification run is exposed for diagnostics.
+/// last purification run is exposed for diagnostics.  Reads the spec's
+/// `skin` and O(N) fields (numerics, reuse_patterns, domains,
+/// cache_spectral_bounds, bond_reuse_skin, health).
 class OrderNCalculator final : public Calculator {
  public:
-  OrderNCalculator(tb::TbModel model, OrderNOptions options = {});
+  /// Throws tbmd::Error when `spec.mode` names the exact engine or
+  /// `spec.electronic_temperature` is not 0: the canonical purification
+  /// fills an integer number of states, so a smeared-occupation request
+  /// must not be silently downgraded to T_el = 0.
+  OrderNCalculator(tb::TbModel model,
+                   CalculatorSpec spec = CalculatorSpec::order_n());
 
   ForceResult compute(const System& system) override;
 
@@ -120,17 +64,10 @@ class OrderNCalculator final : public Calculator {
     return "tb-on[" + model_.name + "]";
   }
 
-  /// Diagnostics of the most recent purification (iterations, fill, ...).
+  /// Diagnostics of the most recent purification (iterations, fill, and
+  /// in `numerics` the fp32/fp64 iteration split and promotion trigger).
   [[nodiscard]] const PurificationResult& last_purification() const {
     return last_;
-  }
-
-  /// Precision accounting of the most recent purification: iterations run
-  /// on fp32 vs fp64 tiles and what triggered the promotion (all-fp64
-  /// split with trigger kNone when options.purification.precision is
-  /// PrecisionMode::kF64).
-  [[nodiscard]] const NumericsStats& numerics_stats() const {
-    return last_.numerics;
   }
 
   /// Symbolic-vs-numeric SpMM accounting (cumulative across steps): the
@@ -138,13 +75,6 @@ class OrderNCalculator final : public Calculator {
   /// numeric_reuses.
   [[nodiscard]] const BsrWorkspace::SpmmStats& spmm_stats() const {
     return workspace_.scratch.stats;
-  }
-
-  /// Bond-evaluation accounting of the Verlet-skin BondTable reuse
-  /// (cumulative across steps; `reused` stays 0 with the default
-  /// bond_reuse_skin = 0).
-  [[nodiscard]] const tb::BondTable::ReuseStats& bond_reuse_stats() const {
-    return table_.reuse_stats();
   }
 
   /// Topology stamp of the current bond table (what the pattern cache is
@@ -160,15 +90,10 @@ class OrderNCalculator final : public Calculator {
     return workspace_.scratch.footprint_bytes();
   }
 
-  /// Domain-decomposition diagnostics of the most recent compute().
-  /// `halo` counts block rows whose Hamiltonian pattern crosses a domain
-  /// seam (they touch another domain's tiles during the SpMM);
-  /// `interior` rows are fully resolvable inside their own domain.
+  /// Domain-decomposition diagnostics of the most recent compute(): the
+  /// effective block-row domain count (1 = unsharded).
   struct DomainStats {
     std::size_t domains = 1;
-    std::size_t halo = 0;
-    std::size_t interior = 0;
-    bool reordered = false;  ///< a spatial permutation was applied
   };
   [[nodiscard]] const DomainStats& domain_stats() const {
     return domain_stats_;
@@ -219,7 +144,7 @@ class OrderNCalculator final : public Calculator {
                                                       int n_occupied) const;
 
   tb::TbModel model_;
-  OrderNOptions options_;
+  CalculatorSpec spec_;
   NeighborList list_;
   /// Per-step shared SK block/derivative table (storage reused per step).
   tb::BondTable table_;
@@ -234,11 +159,6 @@ class OrderNCalculator final : public Calculator {
   /// system instead of the historical maximum.
   std::size_t last_atoms_ = 0;
 
-  /// Block-row domain partition of the current step (identity/single
-  /// domain when sharding is off) and the permuted working copy of the
-  /// caller's system when reorder_domains applies one.
-  par::DomainPartition part_;
-  System perm_system_;
   DomainStats domain_stats_;
   RecoveryStats recovery_stats_;
 

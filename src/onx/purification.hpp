@@ -69,8 +69,8 @@ enum class PromotionTrigger : std::uint8_t {
                ///< (promotion instead of convergence: fp32 never converges)
 };
 
-/// Per-run precision accounting of the mixed-precision loop (reported via
-/// OrderNCalculator::numerics_stats()).
+/// Per-run precision accounting of the mixed-precision loop (reported in
+/// PurificationResult::numerics).
 struct NumericsStats {
   int fp32_iterations = 0;  ///< iterations whose SpMMs ran on fp32 tiles
   int fp64_iterations = 0;  ///< iterations whose SpMMs ran on fp64 tiles

@@ -11,12 +11,18 @@
 #include "src/tb/hamiltonian.hpp"
 #include "src/tb/occupations.hpp"
 #include "src/tb/repulsive.hpp"
+#include "src/util/error.hpp"
 #include "src/util/units.hpp"
 
 namespace tbmd::tb {
 
-TightBindingCalculator::TightBindingCalculator(TbModel model, TbOptions options)
-    : model_(std::move(model)), options_(options) {}
+TightBindingCalculator::TightBindingCalculator(TbModel model,
+                                               CalculatorSpec spec)
+    : model_(std::move(model)), spec_(std::move(spec)) {
+  TBMD_REQUIRE(spec_.mode == CalcMode::kExact,
+               "TightBindingCalculator: spec.mode is '" + spec_.mode_name() +
+                   "'; the O(N) engine is onx::OrderNCalculator");
+}
 
 ForceResult TightBindingCalculator::compute(const System& system) {
   ForceResult result;
@@ -26,7 +32,7 @@ ForceResult TightBindingCalculator::compute(const System& system) {
   {
     auto t = timers_.scope("neighbors");
     list_.ensure(system.positions(), system.cell(),
-                 {model_.cutoff(), options_.skin});
+                 {model_.cutoff(), spec_.skin});
   }
 
   // One batched pass evaluates every Slater-Koster block, its derivative
@@ -45,16 +51,15 @@ ForceResult TightBindingCalculator::compute(const System& system) {
 
   const std::size_t norb = h.rows();
   const int ne = system.total_valence_electrons();
-  const double etemp = options_.electronic_temperature;
+  const double etemp = spec_.electronic_temperature;
 
   // Partial-spectrum policy: occupations / density matrix / forces only
   // involve the occupied states, so ask eigh_range for indices [0, iu] with
   // iu = LUMO (T = 0) or LUMO + a Fermi-tail buffer (T > 0), and keep the
   // full solver for spectrum-reporting or forced-full configurations.
   const bool want_partial =
-      options_.spectrum == SpectrumMode::kPartial ||
-      (options_.spectrum == SpectrumMode::kAuto &&
-       !options_.report_eigenvalues);
+      spec_.spectrum == SpectrumPolicy::kPartial ||
+      (spec_.spectrum == SpectrumPolicy::kAuto && !spec_.report_eigenvalues);
 
   bool partial = false;
   linalg::SymmetricEigenSolution eig;
@@ -131,7 +136,7 @@ ForceResult TightBindingCalculator::compute(const System& system) {
   result.repulsive_energy = rep.energy;
   result.energy = occ.band_energy + occ.entropy_term + rep.energy;
   result.fermi_level = occ.fermi_level;
-  if (options_.report_eigenvalues) result.eigenvalues = std::move(eig.values);
+  if (spec_.report_eigenvalues) result.eigenvalues = std::move(eig.values);
   return result;
 }
 

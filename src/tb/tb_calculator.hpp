@@ -15,49 +15,20 @@
 #include <memory>
 
 #include "src/core/calculator.hpp"
+#include "src/core/calculator_spec.hpp"
 #include "src/neighbor/neighbor_list.hpp"
 #include "src/tb/bond_table.hpp"
 #include "src/tb/tb_model.hpp"
 
 namespace tbmd::tb {
 
-/// Which part of the spectrum the diagonalization step computes.
-enum class SpectrumMode {
-  /// Partial when nothing demands the full spectrum (the default):
-  /// report_eigenvalues == false and the occupied-window coverage check
-  /// passes; otherwise transparently falls back to the full solver.
-  kAuto,
-  /// Always diagonalize the full spectrum (the pre-refactor behavior).
-  kFull,
-  /// Always use the partial-spectrum path; with report_eigenvalues the
-  /// ForceResult then carries only the computed low-lying eigenvalues.
-  kPartial,
-};
-
-/// Options for TightBindingCalculator.
-struct TbOptions {
-  /// Verlet skin added to the model cutoff for the shared neighbor list (A).
-  double skin = 0.5;
-  /// Electronic temperature for Fermi-Dirac smearing (K); 0 = aufbau
-  /// filling.  When > 0 the reported energy includes the -T*S_el Mermin
-  /// term so that MD with smeared occupations conserves the free energy.
-  double electronic_temperature = 0.0;
-  /// Copy the eigenvalue spectrum into the ForceResult (adds an O(N) copy).
-  /// Analyses that consume the whole spectrum (EDOS, HOMO-LUMO gaps) need
-  /// this; with kAuto it forces the full solver.
-  bool report_eigenvalues = true;
-  /// Spectrum policy for the diagonalization step.  Occupations, density
-  /// matrix and Hellmann-Feynman forces only involve the ~Ne/2 occupied
-  /// states, so the partial path requests just those (plus the LUMO for the
-  /// Fermi level, plus a Fermi-tail buffer when electronic_temperature > 0)
-  /// from linalg::eigh_range and skips more than half the O(N^3) work.
-  SpectrumMode spectrum = SpectrumMode::kAuto;
-};
-
-/// Exact-diagonalization TBMD calculator.
+/// Exact-diagonalization TBMD calculator.  Reads the spec's `skin`,
+/// `electronic_temperature`, `spectrum` and `report_eigenvalues`.
 class TightBindingCalculator final : public Calculator {
  public:
-  TightBindingCalculator(TbModel model, TbOptions options = {});
+  /// Throws tbmd::Error when `spec.mode` names the O(N) engine.
+  TightBindingCalculator(TbModel model,
+                         CalculatorSpec spec = CalculatorSpec::exact());
 
   ForceResult compute(const System& system) override;
 
@@ -66,14 +37,10 @@ class TightBindingCalculator final : public Calculator {
   }
 
   [[nodiscard]] const TbModel& model() const { return model_; }
-  [[nodiscard]] const TbOptions& options() const { return options_; }
-
-  /// Neighbor list statistics (for the ablation experiments).
-  [[nodiscard]] const NeighborList& neighbor_list() const { return list_; }
 
  private:
   TbModel model_;
-  TbOptions options_;
+  CalculatorSpec spec_;
   NeighborList list_;
   /// Per-step table of SK blocks/derivatives + repulsive pair values,
   /// rebuilt each compute() (storage reused) and shared by the Hamiltonian,

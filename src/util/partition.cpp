@@ -1,149 +1,15 @@
 #include "src/util/partition.hpp"
 
-#include <algorithm>
-#include <cmath>
-
-#include "src/util/error.hpp"
-
 namespace tbmd::par {
 
-namespace {
-
-DomainPartition identity_partition(std::size_t n, std::size_t ndomains) {
+DomainPartition even_domains(std::size_t n, std::size_t ndomains) {
+  if (ndomains == 0) ndomains = 1;
   DomainPartition part;
-  part.order.resize(n);
-  part.rank.resize(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    part.order[k] = static_cast<std::uint32_t>(k);
-    part.rank[k] = static_cast<std::uint32_t>(k);
-  }
-  part.identity = true;
   part.domain_ptr.resize(ndomains + 1);
   for (std::size_t d = 0; d <= ndomains; ++d) {
     part.domain_ptr[d] = (n * d) / ndomains;
   }
   return part;
-}
-
-}  // namespace
-
-DomainPartition even_domains(std::size_t n, std::size_t ndomains) {
-  if (ndomains == 0) ndomains = 1;
-  return identity_partition(n, ndomains);
-}
-
-DomainPartition spatial_domains(const std::vector<Vec3>& positions,
-                                const Cell& cell, std::size_t ndomains,
-                                std::size_t target_atoms_per_cell) {
-  const std::size_t n = positions.size();
-  if (ndomains == 0) ndomains = 1;
-  if (ndomains == 1 || n < 2 * ndomains) return identity_partition(n, 1);
-  if (target_atoms_per_cell == 0) target_atoms_per_cell = 1;
-
-  // Fractional coordinates; periodic axes wrap into [0, 1), open axes are
-  // rescaled onto the bounding box so every atom lands on the grid.
-  std::vector<Vec3> frac(n);
-  Vec3 lo{1e300, 1e300, 1e300};
-  Vec3 hi{-1e300, -1e300, -1e300};
-  for (std::size_t i = 0; i < n; ++i) {
-    Vec3 f = cell.to_fractional(positions[i]);
-    if (cell.periodic(0)) f.x -= std::floor(f.x);
-    if (cell.periodic(1)) f.y -= std::floor(f.y);
-    if (cell.periodic(2)) f.z -= std::floor(f.z);
-    frac[i] = f;
-    lo.x = std::min(lo.x, f.x);
-    lo.y = std::min(lo.y, f.y);
-    lo.z = std::min(lo.z, f.z);
-    hi.x = std::max(hi.x, f.x);
-    hi.y = std::max(hi.y, f.y);
-    hi.z = std::max(hi.z, f.z);
-  }
-
-  // Grid resolution: ~target_atoms_per_cell atoms per cell, with enough
-  // cells along the sweep that the domain cuts (which land on grid-cell
-  // boundaries) can realize `ndomains` non-degenerate chunks.
-  const double want =
-      std::cbrt(static_cast<double>(n) /
-                static_cast<double>(target_atoms_per_cell));
-  std::size_t g = static_cast<std::size_t>(std::llround(std::max(1.0, want)));
-  while (g * g * g < ndomains) ++g;
-  const std::size_t ncells = g * g * g;
-
-  const auto bin = [g](double f, double fmin, double fmax) {
-    const double span = fmax - fmin;
-    double t = span > 0.0 ? (f - fmin) / span : 0.0;
-    auto c = static_cast<std::size_t>(t * static_cast<double>(g));
-    return std::min(c, g - 1);
-  };
-
-  // z-major sweep key: consecutive keys are spatially adjacent columns, so
-  // contiguous runs of the sorted order are compact slabs/bricks.
-  std::vector<std::size_t> key(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t cx = bin(frac[i].x, lo.x, hi.x);
-    const std::size_t cy = bin(frac[i].y, lo.y, hi.y);
-    const std::size_t cz = bin(frac[i].z, lo.z, hi.z);
-    key[i] = (cx * g + cy) * g + cz;
-  }
-
-  // Stable counting sort by cell key (ties keep original index order):
-  // deterministic and thread-count independent by construction.
-  std::vector<std::size_t> count(ncells + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) ++count[key[i] + 1];
-  for (std::size_t c = 0; c < ncells; ++c) count[c + 1] += count[c];
-  DomainPartition part;
-  part.order.resize(n);
-  part.rank.resize(n);
-  std::vector<std::size_t> cursor(count.begin(), count.end() - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    part.order[cursor[key[i]]++] = static_cast<std::uint32_t>(i);
-  }
-  part.identity = true;
-  for (std::size_t k = 0; k < n; ++k) {
-    part.rank[part.order[k]] = static_cast<std::uint32_t>(k);
-    if (part.order[k] != k) part.identity = false;
-  }
-
-  // Cut the sorted order into ndomains contiguous chunks at grid-cell
-  // boundaries, greedily closing each domain at the first boundary that
-  // reaches its proportional share of atoms.
-  part.domain_ptr.assign(1, 0);
-  std::size_t next = 1;
-  for (std::size_t c = 0; c < ncells && next < ndomains; ++c) {
-    const std::size_t upto = count[c + 1];  // atoms in cells [0, c]
-    if (upto >= (n * next) / ndomains && upto > part.domain_ptr.back()) {
-      part.domain_ptr.push_back(upto);
-      ++next;
-    }
-  }
-  part.domain_ptr.push_back(n);
-  return part;
-}
-
-std::vector<std::uint8_t> halo_rows(const DomainPartition& part,
-                                    const std::vector<std::size_t>& row_ptr,
-                                    const std::vector<std::uint32_t>& cols) {
-  const std::size_t n = part.size();
-  TBMD_REQUIRE(row_ptr.size() == n + 1, "halo_rows: row_ptr size mismatch");
-  std::vector<std::uint32_t> dom(n, 0);
-  for (std::size_t d = 0; d < part.domains(); ++d) {
-    for (std::size_t k = part.domain_ptr[d]; k < part.domain_ptr[d + 1]; ++k) {
-      dom[k] = static_cast<std::uint32_t>(d);
-    }
-  }
-  std::vector<std::uint8_t> halo(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
-      const std::uint32_t j = cols[k];
-      if (dom[j] != dom[i]) {
-        // Half-pattern: the implicit mirror couples row j back to i, so a
-        // seam-crossing tile makes both endpoints halo rows.
-        halo[i] = 1;
-        halo[j] = 1;
-      }
-    }
-  }
-  return halo;
 }
 
 }  // namespace tbmd::par

@@ -1,61 +1,21 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
-
-#include "src/geom/cell.hpp"
-#include "src/geom/vec3.hpp"
 
 namespace tbmd::par {
 
 /// Contiguous decomposition of atom (= BSR block-row) indices into
-/// domains.  `order` maps new index -> original index (positions sorted by
-/// spatial grid cell), `rank` is its inverse (original -> new), and
-/// `domain_ptr` holds the domain boundaries in the *new* index space:
-/// domain d covers new indices [domain_ptr[d], domain_ptr[d + 1]).
-///
-/// Every field is a deterministic pure function of the inputs -- the sort
-/// is a stable counting sort by grid-cell key and never consults thread
-/// count, iteration order of a hash map, or any per-run state -- so two
-/// runs (or a checkpoint-resumed run) always produce the same partition.
+/// domains: domain d covers indices [domain_ptr[d], domain_ptr[d + 1]).
+/// A pure function of its inputs, so two runs (or a checkpoint-resumed
+/// run) always produce the same partition.
 struct DomainPartition {
-  std::vector<std::uint32_t> order;      ///< new -> original atom index
-  std::vector<std::uint32_t> rank;       ///< original -> new atom index
-  std::vector<std::size_t> domain_ptr;   ///< size domains() + 1
-  bool identity = true;                  ///< order[k] == k for all k
-
-  std::size_t domains() const {
-    return domain_ptr.empty() ? 0 : domain_ptr.size() - 1;
-  }
-  std::size_t size() const { return order.size(); }
+  std::vector<std::size_t> domain_ptr;  ///< size domain count + 1
 };
 
-/// Trivial partition: identity order, `ndomains` equal-count contiguous
-/// chunks of [0, n).  Used when rows are already laid out coherently (the
-/// lattice builders emit spatially sorted atoms) and only the scheduling
-/// granularity is wanted, not a permutation.
+/// `ndomains` equal-count contiguous chunks of [0, n) (0 is taken as 1).
+/// Rows keep their order: the lattice builders emit spatially sorted
+/// atoms, so only the scheduling granularity is wanted, not a permutation.
 DomainPartition even_domains(std::size_t n, std::size_t ndomains);
-
-/// Spatial domain decomposition: bin atoms on a regular fractional grid
-/// (~`target_atoms_per_cell` atoms per grid cell, default 32), stable-sort
-/// them by cell key (z-major sweep, original index breaks ties), then cut
-/// the sorted order into `ndomains` contiguous domains at grid-cell
-/// boundaries with balanced atom counts.  Non-periodic axes are binned on
-/// the positions' bounding box.  `ndomains <= 1` or `n < 2 * ndomains`
-/// degenerates to a single-domain identity partition.
-DomainPartition spatial_domains(const std::vector<Vec3>& positions,
-                                const Cell& cell, std::size_t ndomains,
-                                std::size_t target_atoms_per_cell = 32);
-
-/// Flags the rows whose sparsity pattern crosses a domain seam: row i (new
-/// index space) is a halo row when any stored column j of the symmetric
-/// half-pattern (or its mirror) lies in a different domain.  `row_ptr` /
-/// `cols` describe the half-pattern in the partition's new index space.
-/// Returns one flag per row; interior rows (all couplings inside their own
-/// domain) can be processed without touching another domain's data.
-std::vector<std::uint8_t> halo_rows(const DomainPartition& part,
-                                    const std::vector<std::size_t>& row_ptr,
-                                    const std::vector<std::uint32_t>& cols);
 
 }  // namespace tbmd::par

@@ -399,7 +399,7 @@ TEST_P(BondTablePipeline, FiniteDifferenceForcesThroughFullStep) {
   TbModel m = xwch_carbon();
   System s = structures::diamond(Element::C, 3.567, 2, 2, 2);
   structures::perturb(s, 0.06, 43);
-  TbOptions opt;
+  CalculatorSpec opt;
   opt.electronic_temperature = etemp;
   TightBindingCalculator calc(m, opt);
   const ForceResult r0 = calc.compute(s);
@@ -424,7 +424,7 @@ TEST_P(BondTablePipeline, VirialTraceMatchesIsotropicStrainDerivative) {
   TbModel m = gsp_silicon();
   System s = structures::diamond(Element::Si, 5.431, 2, 2, 2);
   structures::perturb(s, 0.04, 47);
-  TbOptions opt;
+  CalculatorSpec opt;
   opt.electronic_temperature = etemp;
   opt.skin = 0.0;  // strain changes every distance: always rebuild
   TightBindingCalculator calc(m, opt);

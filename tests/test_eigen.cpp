@@ -11,6 +11,7 @@
 #include "src/linalg/jacobi.hpp"
 #include "src/linalg/tridiagonal.hpp"
 #include "src/util/random.hpp"
+#include "tests/eigen_oracle.hpp"
 
 namespace tbmd::linalg {
 namespace {

@@ -21,6 +21,7 @@
 #include "src/tb/tb_model.hpp"
 #include "src/util/parallel.hpp"
 #include "src/util/random.hpp"
+#include "tests/eigen_oracle.hpp"
 
 namespace tbmd::linalg {
 namespace {
@@ -345,7 +346,7 @@ TEST(EighRange, BitIdenticalAcrossThreadCounts) {
 
     System cell = structures::diamond(Element::C, 3.567, 2, 2, 2);
     structures::perturb(cell, 0.1, 77);
-    tb::TbOptions opt;
+    CalculatorSpec opt;
     opt.report_eigenvalues = false;  // the production partial-spectrum path
     tb::TightBindingCalculator calc(tb::xwch_carbon(), opt);
     out.tb = calc.compute(cell);

@@ -156,8 +156,7 @@ TEST(Workflow, OrderNMdMatchesExactMdShortRun) {
   System s2 = s1;
 
   tb::TightBindingCalculator exact(tb::xwch_carbon());
-  onx::OrderNOptions oopt;
-  oopt.purification.drop_tolerance = 1e-9;
+  CalculatorSpec oopt = CalculatorSpec::order_n(1e-9);
   onx::OrderNCalculator fast(tb::xwch_carbon(), oopt);
 
   md::MdDriver d1(s1, exact, {1.0});
@@ -200,15 +199,15 @@ TEST(Workflow, PartialSpectrumReproducesFullSolverEnergiesAndForces) {
   structures::perturb(s, 0.03, 12);
 
   for (const double etemp : {0.0, 1000.0}) {
-    tb::TbOptions full_opt;
+    CalculatorSpec full_opt;
     full_opt.electronic_temperature = etemp;
-    full_opt.spectrum = tb::SpectrumMode::kFull;
+    full_opt.spectrum = SpectrumPolicy::kFull;
     tb::TightBindingCalculator full(tb::xwch_carbon(), full_opt);
 
-    tb::TbOptions part_opt;
+    CalculatorSpec part_opt;
     part_opt.electronic_temperature = etemp;
     part_opt.report_eigenvalues = false;
-    part_opt.spectrum = tb::SpectrumMode::kPartial;
+    part_opt.spectrum = SpectrumPolicy::kPartial;
     tb::TightBindingCalculator part(tb::xwch_carbon(), part_opt);
 
     const auto rf = full.compute(s);
@@ -226,7 +225,7 @@ TEST(Workflow, PartialSpectrumReproducesFullSolverEnergiesAndForces) {
 
   // kAuto with report_eigenvalues = false engages the partial path too and
   // must agree with the default full-spectrum configuration.
-  tb::TbOptions auto_opt;
+  CalculatorSpec auto_opt;
   auto_opt.report_eigenvalues = false;
   tb::TightBindingCalculator autoc(tb::xwch_carbon(), auto_opt);
   tb::TightBindingCalculator deflt(tb::xwch_carbon());

@@ -132,8 +132,7 @@ TEST(OrderNCalculator, MatchesExactEnergyAndForces) {
   structures::perturb(s, 0.04, 91);
 
   tb::TightBindingCalculator exact(m);
-  OrderNOptions opt;
-  opt.purification.drop_tolerance = 1e-8;
+  CalculatorSpec opt = CalculatorSpec::order_n(1e-8);
   OrderNCalculator fast(m, opt);
 
   const ForceResult re = exact.compute(s);
@@ -155,8 +154,7 @@ TEST(OrderNCalculator, DensityMatrixFillFractionDecreasesWithSize) {
   // pairs (not just individual orbital pairs) leave the decay range: the
   // 2- and 3-cell boxes are still block-dense, the 4-cell box is not.
   const tb::TbModel m = tb::xwch_carbon();
-  OrderNOptions opt;
-  opt.purification.drop_tolerance = 1e-4;
+  CalculatorSpec opt = CalculatorSpec::order_n(1e-4);
 
   auto fill_of = [&](int nx) {
     OrderNCalculator calc(m, opt);
@@ -178,8 +176,7 @@ TEST(OrderNCalculator, WarmStepsPerformZeroSymbolicWork) {
   const tb::TbModel m = tb::xwch_carbon();
   System s = structures::diamond(Element::C, 3.567, 2, 2, 2);
   structures::perturb(s, 0.03, 17);
-  OrderNOptions opt;
-  opt.purification.drop_tolerance = 1e-6;
+  CalculatorSpec opt = CalculatorSpec::order_n(1e-6);
   OrderNCalculator calc(m, opt);
 
   (void)calc.compute(s);
@@ -202,8 +199,7 @@ TEST(OrderNCalculator, TopologyChangeInvalidatesPatternCache) {
   // must rebuild its symbolic patterns instead of reusing stale ones.
   const tb::TbModel m = tb::xwch_carbon();
   System s = structures::diamond(Element::C, 3.567, 2, 2, 2);
-  OrderNOptions opt;
-  opt.purification.drop_tolerance = 1e-6;
+  CalculatorSpec opt = CalculatorSpec::order_n(1e-6);
   OrderNCalculator calc(m, opt);
 
   (void)calc.compute(s);
@@ -235,8 +231,7 @@ TEST(OrderNCalculator, ColdAndWarmPatternNveSlicesAreBitIdentical) {
     System s = structures::diamond(Element::C, 3.567, 2, 2, 2);
     structures::perturb(s, 0.02, 23);
     md::maxwell_boltzmann_velocities(s, 300.0, 5);
-    OrderNOptions opt;
-    opt.purification.drop_tolerance = 1e-6;
+    CalculatorSpec opt = CalculatorSpec::order_n(1e-6);
     opt.reuse_patterns = reuse;
     OrderNCalculator calc(m, opt);
     md::MdDriver driver(s, calc, {1.0});
@@ -261,11 +256,10 @@ TEST(OrderNCalculator, WorkspaceFootprintBoundedAfterAtomCountShrink) {
   // mark forever.  After computing a smaller system the footprint must
   // drop back towards what a fresh small-system calculator uses.
   const tb::TbModel m = tb::xwch_carbon();
-  OrderNOptions opt;
   // Loose tolerance: shrink behavior is tolerance-independent and the big
   // system stays cheap (the 2-cell box is the smallest admissible
   // periodic supercell, so "small" cannot go below 64 atoms).
-  opt.purification.drop_tolerance = 1e-4;
+  CalculatorSpec opt = CalculatorSpec::order_n(1e-4);
 
   System big = structures::diamond(Element::C, 3.567, 3, 3, 3);    // 216
   System small = structures::diamond(Element::C, 3.567, 2, 2, 2);  // 64
@@ -295,6 +289,17 @@ TEST(OrderNCalculator, RejectsOddElectronCount) {
   s.set_species(1, Element::B);  // 4 + 3 = 7 electrons -- unsupported
   // Species check fires first for non-carbon, so expect an Error either way.
   EXPECT_THROW((void)calc.compute(s), Error);
+}
+
+TEST(OrderNCalculator, RejectsExactSpecAndElectronicTemperature) {
+  // The purification loop fills an integer number of states at T_el = 0:
+  // neither an exact-engine spec nor a smearing request may reach it.
+  const tb::TbModel m = tb::xwch_carbon();
+  EXPECT_THROW((void)OrderNCalculator(m, CalculatorSpec::exact()), Error);
+  CalculatorSpec hot = CalculatorSpec::order_n();
+  hot.electronic_temperature = 300.0;
+  EXPECT_THROW((void)OrderNCalculator(m, hot), Error);
+  EXPECT_THROW((void)make_calculator(m, hot), Error);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
-// Tests for the parallel O(N) engine: the spatial domain partition
-// helper, thread-count invariance of the sharded purification pipeline
-// (energies and forces must be bit-identical at any OMP_NUM_THREADS, the
-// contract the checkpoint/restart guarantees rest on), layout equivalence
-// of the reorder_domains path, and the cached-spectral-bounds hoist.
+// Tests for the parallel O(N) engine: the domain partition helper,
+// thread-count invariance of the sharded purification pipeline (energies
+// and forces must be bit-identical at any OMP_NUM_THREADS, the contract the
+// checkpoint/restart guarantees rest on), assembly of a permuted atom
+// order, and the cached-spectral-bounds hoist.
 
 #include <gtest/gtest.h>
 
@@ -38,100 +38,14 @@ System perturbed_diamond(int cells, double amplitude = 0.03,
   return s;
 }
 
-void expect_partition_valid(const par::DomainPartition& p, std::size_t n) {
-  ASSERT_EQ(p.order.size(), n);
-  ASSERT_EQ(p.rank.size(), n);
-  ASSERT_GE(p.domain_ptr.size(), 2u);
-  EXPECT_EQ(p.domain_ptr.front(), 0u);
-  EXPECT_EQ(p.domain_ptr.back(), n);
-  for (std::size_t d = 0; d + 1 < p.domain_ptr.size(); ++d) {
-    EXPECT_LT(p.domain_ptr[d], p.domain_ptr[d + 1]) << "empty domain " << d;
-  }
-  // order is a permutation and rank is its inverse.
-  std::vector<std::uint32_t> sorted(p.order);
-  std::sort(sorted.begin(), sorted.end());
-  for (std::size_t k = 0; k < n; ++k) {
-    EXPECT_EQ(sorted[k], k);
-    EXPECT_EQ(p.rank[p.order[k]], k);
-  }
-}
-
 // --- partition helper ----------------------------------------------------
 
 TEST(Partition, EvenDomainsAreIdentityChunks) {
-  const par::DomainPartition p = par::even_domains(10, 3);
-  expect_partition_valid(p, 10);
-  EXPECT_TRUE(p.identity);
-  EXPECT_EQ(p.domains(), 3u);
-  for (std::size_t k = 0; k < 10; ++k) EXPECT_EQ(p.order[k], k);
-}
-
-TEST(Partition, SpatialDomainsAreADeterministicPermutation) {
-  const System s = perturbed_diamond(3);  // 216 atoms
-  const par::DomainPartition p =
-      par::spatial_domains(s.positions(), s.cell(), 4);
-  expect_partition_valid(p, s.size());
-  EXPECT_GE(p.domains(), 2u);
-
-  // Pure function of the inputs: a second call is equal field-for-field.
-  const par::DomainPartition q =
-      par::spatial_domains(s.positions(), s.cell(), 4);
-  EXPECT_EQ(p.order, q.order);
-  EXPECT_EQ(p.rank, q.rank);
-  EXPECT_EQ(p.domain_ptr, q.domain_ptr);
-  EXPECT_EQ(p.identity, q.identity);
-
-  // Domains are spatially coherent: the bounding box of one domain's
-  // atoms must be measurably smaller than the whole box (contiguous cuts
-  // of the grid-cell sweep group nearby cells).
-  const auto& pos = s.positions();
-  const auto bbox_volume = [&](std::size_t begin, std::size_t end,
-                               bool permuted) {
-    Vec3 lo{1e300, 1e300, 1e300};
-    Vec3 hi{-1e300, -1e300, -1e300};
-    for (std::size_t k = begin; k < end; ++k) {
-      const Vec3& r = pos[permuted ? p.order[k] : k];
-      lo.x = std::min(lo.x, r.x);
-      lo.y = std::min(lo.y, r.y);
-      lo.z = std::min(lo.z, r.z);
-      hi.x = std::max(hi.x, r.x);
-      hi.y = std::max(hi.y, r.y);
-      hi.z = std::max(hi.z, r.z);
-    }
-    return (hi.x - lo.x) * (hi.y - lo.y) * (hi.z - lo.z);
-  };
-  const double whole = bbox_volume(0, s.size(), false);
-  double mean_volume = 0.0;
-  for (std::size_t d = 0; d < p.domains(); ++d) {
-    mean_volume += bbox_volume(p.domain_ptr[d], p.domain_ptr[d + 1], true);
-  }
-  mean_volume /= static_cast<double>(p.domains());
-  EXPECT_LT(mean_volume, 0.75 * whole);
-}
-
-TEST(Partition, TinySystemsDegenerateToOneIdentityDomain) {
-  System s = structures::diamond(Element::C, 3.567, 1, 1, 1);  // 8 atoms
-  const par::DomainPartition p =
-      par::spatial_domains(s.positions(), s.cell(), 8);  // 8 < 2 * 8
-  expect_partition_valid(p, s.size());
-  EXPECT_TRUE(p.identity);
-  EXPECT_EQ(p.domains(), 1u);
-}
-
-TEST(Partition, HaloRowsFlagExactlyTheSeamCrossingRows) {
-  // Hand-built chain pattern on 6 rows, 2 domains [0,3) and [3,6).  The
-  // symmetric half stores j >= i: tile (2,3) is the only seam crosser, so
-  // rows 2 and 3 are halo (3 via the implicit mirror) and nothing else.
-  const par::DomainPartition part = par::even_domains(6, 2);
-  const std::vector<std::size_t> row_ptr = {0, 2, 4, 6, 8, 9, 10};
-  const std::vector<std::uint32_t> cols = {0, 1, 1, 2, 2, 3, 3, 4, 4, 5};
-  const std::vector<std::uint8_t> halo = par::halo_rows(part, row_ptr, cols);
-  ASSERT_EQ(halo.size(), 6u);
-  const std::vector<std::uint8_t> want = {0, 0, 1, 1, 0, 0};
-  for (std::size_t i = 0; i < 6; ++i) {
-    EXPECT_EQ(static_cast<int>(halo[i]), static_cast<int>(want[i]))
-        << "row " << i;
-  }
+  // Contiguous, non-empty, balanced chunks of the unpermuted rows.
+  EXPECT_EQ(par::even_domains(10, 3).domain_ptr,
+            (std::vector<std::size_t>{0, 3, 6, 10}));
+  EXPECT_EQ(par::even_domains(10, 0).domain_ptr,
+            (std::vector<std::size_t>{0, 10}));
 }
 
 // --- thread-count invariance ---------------------------------------------
@@ -144,7 +58,8 @@ struct StepRecord {
 };
 
 /// One cold + one warm step of a fresh calculator on `s` at `threads`.
-StepRecord run_steps(const System& s, int threads, const OrderNOptions& opt) {
+StepRecord run_steps(const System& s, int threads,
+                     const CalculatorSpec& opt) {
   par::set_num_threads(threads);
   const tb::TbModel m = tb::xwch_carbon();
   OrderNCalculator calc(m, opt);
@@ -181,8 +96,7 @@ TEST(ParallelOn, StepsAreBitIdenticalAcrossThreadCounts) {
   // path; EXPECT_EQ on doubles is exact equality.
   const ThreadGuard guard;
   const System s = perturbed_diamond(3);  // 216 atoms
-  OrderNOptions opt;
-  opt.purification.drop_tolerance = 1e-6;
+  CalculatorSpec opt = CalculatorSpec::order_n(1e-6);
   const StepRecord ref = run_steps(s, 1, opt);
   for (const int threads : {2, 4}) {
     const StepRecord rec = run_steps(s, threads, opt);
@@ -197,8 +111,7 @@ TEST(ParallelOn, ShardedStepsAreBitIdenticalAcrossThreadCounts) {
   // count must not leak into the numbers either.
   const ThreadGuard guard;
   const System s = perturbed_diamond(3);
-  OrderNOptions opt;
-  opt.purification.drop_tolerance = 1e-6;
+  CalculatorSpec opt = CalculatorSpec::order_n(1e-6);
   opt.domains = 4;
   const StepRecord ref = run_steps(s, 1, opt);
   for (const int threads : {2, 4}) {
@@ -212,8 +125,7 @@ TEST(ParallelOn, ShardedMatchesUnshardedBitwise) {
   const ThreadGuard guard;
   par::set_num_threads(2);
   const System s = perturbed_diamond(3);
-  OrderNOptions opt;
-  opt.purification.drop_tolerance = 1e-6;
+  CalculatorSpec opt = CalculatorSpec::order_n(1e-6);
   opt.domains = 1;
   const StepRecord plain = run_steps(s, 2, opt);
   opt.domains = 4;
@@ -225,11 +137,9 @@ TEST(ParallelOn, ShardedMatchesUnshardedBitwise) {
   OrderNCalculator calc(m, opt);
   (void)calc.compute(s);
   EXPECT_EQ(calc.domain_stats().domains, 4u);
-  EXPECT_EQ(calc.domain_stats().halo + calc.domain_stats().interior, s.size());
-  EXPECT_FALSE(calc.domain_stats().reordered);
 }
 
-// --- spatial reordering --------------------------------------------------
+// --- permuted atom order -------------------------------------------------
 
 TEST(ParallelOn, PermutedAssemblyStoresTransposedTiles) {
   // Reversing the atom order flips every stored bond (i < j becomes
@@ -288,85 +198,12 @@ TEST(ParallelOn, PermutedAssemblyStoresTransposedTiles) {
   }
 }
 
-TEST(ParallelOn, ReorderedDomainsMatchThePlainLayout) {
-  // reorder_domains permutes the working layout and scatters the forces
-  // back; the physics must be layout-independent.  The two layouts sum in
-  // different orders, so this is a tolerance check (far below the 1.5e-3
-  // eV/A force-accuracy budget), not a bitwise one.
-  const ThreadGuard guard;
-  par::set_num_threads(2);
-  const tb::TbModel m = tb::xwch_carbon();
-  const System s = perturbed_diamond(3);
-  OrderNOptions opt;
-  opt.purification.drop_tolerance = 1e-7;
-  OrderNCalculator plain(m, opt);
-  const ForceResult a = plain.compute(s);
-
-  opt.domains = 4;
-  opt.reorder_domains = true;
-  OrderNCalculator reordered(m, opt);
-  const ForceResult b = reordered.compute(s);
-  EXPECT_TRUE(reordered.last_purification().converged);
-  EXPECT_EQ(reordered.domain_stats().domains, 4u);
-
-  EXPECT_NEAR(a.energy, b.energy, 1e-7 * static_cast<double>(s.size()));
-  double worst = 0.0;
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    worst = std::max(worst, norm(a.forces[i] - b.forces[i]));
-  }
-  EXPECT_LT(worst, 1e-5);
-
-  // Deterministic within the mode: an identical second calculator
-  // reproduces the reordered run bit-for-bit (what checkpoint resume
-  // relies on).
-  OrderNCalculator again(m, opt);
-  const ForceResult c = again.compute(s);
-  EXPECT_EQ(b.energy, c.energy);
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    for (int comp = 0; comp < 3; ++comp) {
-      EXPECT_EQ(b.forces[i][comp], c.forces[i][comp]) << "atom " << i;
-    }
-  }
-}
-
-TEST(ParallelOn, ReorderScattersForcesBackToCallerOrder) {
-  // Feed the calculator a scrambled copy of the system: forces must come
-  // back in the caller's atom order, not the internal domain order.
-  const ThreadGuard guard;
-  par::set_num_threads(2);
-  const tb::TbModel m = tb::xwch_carbon();
-  const System s = perturbed_diamond(3);
-  const std::size_t n = s.size();
-  System rev(s.cell());
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t src = n - 1 - k;
-    rev.add_atom(s.species()[src], s.positions()[src]);
-  }
-
-  OrderNOptions opt;
-  opt.purification.drop_tolerance = 1e-7;
-  opt.domains = 4;
-  opt.reorder_domains = true;
-  OrderNCalculator calc(m, opt);
-  const ForceResult fr = calc.compute(rev);
-  EXPECT_TRUE(calc.domain_stats().reordered);
-
-  OrderNCalculator plain(m, OrderNOptions{});
-  const ForceResult ref = plain.compute(s);
-  double worst = 0.0;
-  for (std::size_t k = 0; k < n; ++k) {
-    worst = std::max(worst, norm(fr.forces[k] - ref.forces[n - 1 - k]));
-  }
-  EXPECT_LT(worst, 1e-5);
-}
-
 // --- cached spectral bounds ----------------------------------------------
 
 TEST(ParallelOn, CachedBoundsRefreshOnceAcrossWarmSteps) {
   const tb::TbModel m = tb::xwch_carbon();
   System s = perturbed_diamond(2, 0.03, 29);
-  OrderNOptions opt;
-  opt.purification.drop_tolerance = 1e-7;
+  CalculatorSpec opt = CalculatorSpec::order_n(1e-7);
   opt.cache_spectral_bounds = true;
   OrderNCalculator calc(m, opt);
 
@@ -398,7 +235,7 @@ TEST(ParallelOn, CachedBoundsRefreshOnceAcrossWarmSteps) {
 
   // And the accuracy is unaffected: a no-cache calculator on the same
   // positions agrees to well below the force-accuracy budget.
-  OrderNOptions base = opt;
+  CalculatorSpec base = opt;
   base.cache_spectral_bounds = false;
   OrderNCalculator ref(m, base);
   const ForceResult want = ref.compute(s);
@@ -414,8 +251,7 @@ TEST(ParallelOn, CachedBoundsRefreshOnceAcrossWarmSteps) {
 TEST(ParallelOn, CachedBoundsRefreshOnTopologyChange) {
   const tb::TbModel m = tb::xwch_carbon();
   System s = perturbed_diamond(2, 0.0, 1);
-  OrderNOptions opt;
-  opt.purification.drop_tolerance = 1e-6;
+  CalculatorSpec opt = CalculatorSpec::order_n(1e-6);
   opt.cache_spectral_bounds = true;
   OrderNCalculator calc(m, opt);
   (void)calc.compute(s);
@@ -436,10 +272,9 @@ TEST(ParallelOn, MixedPrecisionTracksFp64WithinForceBudget) {
   // 1.5e-3 eV/A force budget the MD accuracy gates are written against.
   const ThreadGuard guard;
   const System s = perturbed_diamond(3);  // 216 atoms
-  OrderNOptions opt;
-  opt.purification.drop_tolerance = 1e-6;
+  CalculatorSpec opt = CalculatorSpec::order_n(1e-6);
   const StepRecord ref = run_steps(s, 2, opt);
-  opt.purification.precision = PrecisionMode::kMixed;
+  opt.numerics.precision = PrecisionMode::kMixed;
   const StepRecord mix = run_steps(s, 2, opt);
 
   const double n = static_cast<double>(s.size());
@@ -462,20 +297,20 @@ TEST(ParallelOn, MixedPrecisionTracksFp64WithinForceBudget) {
   const tb::TbModel m = tb::xwch_carbon();
   OrderNCalculator calc(m, opt);
   (void)calc.compute(s);
-  const NumericsStats& st = calc.numerics_stats();
+  const NumericsStats& st = calc.last_purification().numerics;
   EXPECT_GT(st.fp32_iterations, 0);
   EXPECT_GT(st.fp64_iterations, 0);
   EXPECT_NE(st.trigger, PromotionTrigger::kNone);
   EXPECT_EQ(st.promoted_at, st.fp32_iterations);
 
   // ... and the pure-fp64 engine reports an all-fp64 split.
-  OrderNOptions pure;
-  pure.purification.drop_tolerance = 1e-6;
+  CalculatorSpec pure = CalculatorSpec::order_n(1e-6);
   OrderNCalculator calc64(m, pure);
   (void)calc64.compute(s);
-  EXPECT_EQ(calc64.numerics_stats().fp32_iterations, 0);
-  EXPECT_GT(calc64.numerics_stats().fp64_iterations, 0);
-  EXPECT_EQ(calc64.numerics_stats().trigger, PromotionTrigger::kNone);
+  const NumericsStats& st64 = calc64.last_purification().numerics;
+  EXPECT_EQ(st64.fp32_iterations, 0);
+  EXPECT_GT(st64.fp64_iterations, 0);
+  EXPECT_EQ(st64.trigger, PromotionTrigger::kNone);
 }
 
 TEST(ParallelOn, MixedPrecisionStepsAreBitIdenticalAcrossThreadCounts) {
@@ -484,9 +319,8 @@ TEST(ParallelOn, MixedPrecisionStepsAreBitIdenticalAcrossThreadCounts) {
   // contract extends to the mixed loop unchanged.
   const ThreadGuard guard;
   const System s = perturbed_diamond(3);
-  OrderNOptions opt;
-  opt.purification.drop_tolerance = 1e-6;
-  opt.purification.precision = PrecisionMode::kMixed;
+  CalculatorSpec opt = CalculatorSpec::order_n(1e-6);
+  opt.numerics.precision = PrecisionMode::kMixed;
   const StepRecord ref = run_steps(s, 1, opt);
   for (const int threads : {2, 4}) {
     const StepRecord rec = run_steps(s, threads, opt);

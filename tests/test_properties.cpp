@@ -45,7 +45,7 @@ TEST(Invariance, TbEnergyIndependentOfVerletSkin) {
   structures::perturb(s, 0.05, 3);
   double reference = 0.0;
   for (const double skin : {0.0, 0.3, 0.8}) {
-    tb::TbOptions opt;
+    CalculatorSpec opt;
     opt.skin = skin;
     tb::TightBindingCalculator calc(tb::gsp_silicon(), opt);
     const double e = calc.compute(s).energy;

@@ -399,10 +399,42 @@ TEST(TrajectoryCrc, ResumeDropsTornTail) {
   EXPECT_EQ(steps, (std::vector<long>{0, 1, 2, 4}));
 }
 
+TEST(TrajectoryCrc, CorruptAtomCountFailsBeforeAllocating) {
+  ScratchDir dir("tbt_natoms");
+  const std::string path = dir.file("t.tbt");
+  const System sys = two_atom_system();
+  {
+    io::BinaryTrajectoryWriter w(path, sys);
+    w.add_frame(sys, 0);
+  }
+  // The header has no CRC.  natoms (bytes 12..15) = 0xFFFFFFFF must be
+  // rejected against the bytes left in the file, not size a 16 GiB
+  // species reserve first.
+  {
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(12);
+    const char all_ones[4] = {'\xff', '\xff', '\xff', '\xff'};
+    f.write(all_ones, 4);
+  }
+  const auto expect_atom_count_error = [](const auto& open) {
+    try {
+      open();
+      ADD_FAILURE() << "expected tbmd::Error";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("atom count 4294967295"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_atom_count_error([&] { io::BinaryTrajectoryReader r(path); });
+  expect_atom_count_error(
+      [&] { (void)io::BinaryTrajectoryWriter::resume(path, sys, 10); });
+}
+
 // --- recovery ladder --------------------------------------------------------
 
-onx::OrderNOptions guarded_options() {
-  onx::OrderNOptions opt;
+CalculatorSpec guarded_options() {
+  CalculatorSpec opt = CalculatorSpec::order_n();
   opt.health.enabled = true;
   return opt;
 }
@@ -411,8 +443,8 @@ System diamond64() { return structures::diamond(Element::C, 3.567, 2, 2, 2); }
 
 TEST(RecoveryLadder, Fp64RetryRecoversMixedRun) {
   const FaultGuard guard;
-  onx::OrderNOptions opt = guarded_options();
-  opt.purification.precision = PrecisionMode::kMixed;
+  CalculatorSpec opt = guarded_options();
+  opt.numerics.precision = PrecisionMode::kMixed;
   onx::OrderNCalculator calc(tb::xwch_carbon(), opt);
   const System sys = diamond64();
   fault::arm(fault::kOnxNoConverge, 1);  // stall only the first run
@@ -474,7 +506,7 @@ TEST(RecoveryLadder, ExactFallbackWhenPurificationKeepsFailing) {
 
 TEST(RecoveryLadder, ThrowsTypedErrorWhenLadderExhausted) {
   const FaultGuard guard;
-  onx::OrderNOptions opt = guarded_options();
+  CalculatorSpec opt = guarded_options();
   opt.health.exact_fallback = false;
   onx::OrderNCalculator calc(tb::xwch_carbon(), opt);
   const System sys = diamond64();
@@ -492,7 +524,7 @@ TEST(RecoveryLadder, ThrowsTypedErrorWhenLadderExhausted) {
 
 TEST(RecoveryLadder, HealthOffCountsUnconvergedInsteadOfRetrying) {
   const FaultGuard guard;
-  onx::OrderNCalculator calc(tb::xwch_carbon(), onx::OrderNOptions{});
+  onx::OrderNCalculator calc(tb::xwch_carbon());
   const System sys = diamond64();
   fault::arm(fault::kOnxNoConverge, 1);
   const ForceResult res = calc.compute(sys);
@@ -513,7 +545,7 @@ TEST(RecoveryLadder, HealthOnIsBitIdenticalWhenNothingFails) {
   // Acceptance: with no faults armed, the guarded path must be
   // bit-identical to the unguarded engine -- the scans only read results.
   const System sys = diamond64();
-  onx::OrderNCalculator off(tb::xwch_carbon(), onx::OrderNOptions{});
+  onx::OrderNCalculator off(tb::xwch_carbon());
   onx::OrderNCalculator on(tb::xwch_carbon(), guarded_options());
   const ForceResult a = off.compute(sys);
   const ForceResult b = on.compute(sys);

@@ -184,7 +184,7 @@ TEST(TbForces, FiniteTemperatureFreeEnergyConsistent) {
   TbModel m = xwch_carbon();
   System s = structures::diamond(Element::C, 3.567, 2, 2, 2);
   structures::perturb(s, 0.06, 23);
-  TbOptions opt;
+  CalculatorSpec opt;
   opt.electronic_temperature = 2000.0;
   TightBindingCalculator calc(m, opt);
   const ForceResult r0 = calc.compute(s);
@@ -297,12 +297,18 @@ TEST(TbCalculator, EmptySystem) {
 }
 
 TEST(TbCalculator, EigenvalueReportingCanBeDisabled) {
-  TbOptions opt;
+  CalculatorSpec opt;
   opt.report_eigenvalues = false;
   TightBindingCalculator calc(xwch_carbon(), opt);
   System s = structures::dimer(Element::C, 1.4);
   const ForceResult r = calc.compute(s);
   EXPECT_TRUE(r.eigenvalues.empty());
+}
+
+TEST(TbCalculator, RejectsOrderNSpec) {
+  EXPECT_THROW((void)TightBindingCalculator(xwch_carbon(),
+                                            CalculatorSpec::order_n()),
+               Error);
 }
 
 }  // namespace

@@ -63,7 +63,7 @@ TEST(Virial, LennardJonesSignsFollowCompression) {
 TEST(Virial, TightBindingPressureMatchesVolumeDerivative) {
   System s = structures::diamond(Element::Si, 5.431, 2, 2, 2);
   structures::perturb(s, 0.02, 7);
-  tb::TbOptions opt;
+  CalculatorSpec opt;
   opt.skin = 0.0;
   tb::TightBindingCalculator calc(tb::gsp_silicon(), opt);
   const ForceResult r = calc.compute(s);
