@@ -22,7 +22,7 @@
 #include "src/md/velocities.hpp"
 #include "src/neighbor/neighbor_list.hpp"
 #include "src/onx/on_calculator.hpp"
-#include "src/onx/sp2.hpp"
+#include "src/onx/purification.hpp"
 #include "src/potentials/lennard_jones.hpp"
 #include "src/potentials/tersoff.hpp"
 #include "src/structures/builders.hpp"

@@ -4,13 +4,12 @@
 /// \brief Numerics guardrails + recovery-ladder policy of the O(N) engine.
 ///
 /// The purification loop has documented failure modes that used to pass
-/// silently into forces: purify_with_chemical_potential reports
-/// converged = false on metallic spectra, truncation can stall the
-/// canonical loop, and a corrupted tile turns the whole density matrix to
-/// NaN in two multiplies.  HealthSpec is the policy that turns those into
-/// *classified* failures: with `enabled` set, OrderNCalculator scans each
-/// step's density/energy/forces and, instead of returning garbage, walks a
-/// recovery ladder --
+/// silently into forces: canonical purification stalls (converged = false)
+/// on metallic spectra, truncation can stall it too, and a corrupted tile
+/// turns the whole density matrix to NaN in two multiplies.  HealthSpec is
+/// the policy that turns those into *classified* failures: with `enabled`
+/// set, OrderNCalculator scans each step's density/energy/forces and,
+/// instead of returning garbage, walks a recovery ladder --
 ///
 ///   (a) re-run the step fp64-only when the failing run was mixed,
 ///   (b) re-run with a tightened drop tolerance after a cold cache rebuild
@@ -38,7 +37,6 @@ enum class FailureClass : std::uint8_t {
   kNone,            ///< healthy step
   kNonFinite,       ///< NaN/Inf in the density, energy or forces
   kNonConvergence,  ///< purification exhausted its iterations / stalled
-  kMuBisectionMiss, ///< mu bisection never matched the electron count
   kForceBound,      ///< a force component exceeded HealthSpec::max_force
   kEnergyBound,     ///< |energy|/atom exceeded max_energy_per_atom
   kWatchdog,        ///< job-runner step watchdog preempted the job
@@ -52,8 +50,6 @@ enum class FailureClass : std::uint8_t {
       return "non-finite";
     case FailureClass::kNonConvergence:
       return "non-convergence";
-    case FailureClass::kMuBisectionMiss:
-      return "mu-bisection-miss";
     case FailureClass::kForceBound:
       return "force-bound";
     case FailureClass::kEnergyBound:
@@ -76,8 +72,8 @@ struct HealthSpec {
   /// Scan the density tiles, band energy and forces for NaN/Inf.
   bool check_finite = true;
 
-  /// Treat an unconverged purification (or a mu-bisection miss) as a
-  /// failure instead of using the density anyway.
+  /// Treat an unconverged purification as a failure instead of using the
+  /// density anyway.
   bool check_convergence = true;
 
   /// Per-component force sanity bound (eV/A); 0 disables the check.
@@ -92,8 +88,7 @@ struct HealthSpec {
 
   /// Rung (b): retry with drop_tolerance * tighten_factor after a cold
   /// cache rebuild (pattern cache + spectral bounds invalidated; the
-  /// loose-early schedule and sub-tile truncation are also disabled for
-  /// the retry).
+  /// loose-early schedule is also disabled for the retry).
   bool tighten_retry = true;
   double tighten_factor = 0.1;
 

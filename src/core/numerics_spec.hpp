@@ -18,10 +18,10 @@
 /// idempotency run their SpMM on fp32 tiles -- half the memory traffic
 /// exactly where the numeric phase is bandwidth-bound -- and the loop
 /// promotes the density matrix to fp64 tiles for the tight-late
-/// iterations.  Traces, the chemical-potential bisection, the final
-/// McWeeny polish and both force contractions are always fp64; convergence
-/// is never declared on fp32 tiles.  fp64 mode is bit-identical to the
-/// engine before mixed precision existed.
+/// iterations.  Traces, the final McWeeny polish and both force
+/// contractions are always fp64; convergence is never declared on fp32
+/// tiles.  fp64 mode is bit-identical to the engine before mixed precision
+/// existed.
 
 #include <algorithm>
 #include <cmath>

@@ -179,9 +179,9 @@ inline std::size_t adj_lower_bound(const BsrWorkspace::SymAdjacency& adj,
 }  // namespace
 
 void BlockSparseMatrix::refingerprint() {
-  // FNV-1a over the structural identity: any pattern, dimension or storage
-  // mode change yields a different fingerprint, so a stale BsrPattern can
-  // never validate against a rebuilt operand.
+  // FNV-1a over the structural identity: any pattern or dimension change
+  // yields a different fingerprint, so a stale BsrPattern can never
+  // validate against a rebuilt operand.
   constexpr std::uint64_t kOffset = 1469598103934665603ull;
   constexpr std::uint64_t kPrime = 1099511628211ull;
   std::uint64_t h = kOffset;
@@ -193,7 +193,6 @@ void BlockSparseMatrix::refingerprint() {
   };
   mix(n_);
   mix(bs_);
-  mix(sym_ ? 1u : 0u);
   // Variable mode: the per-row dims are part of the structure (bs_ == 0
   // there, so a variable matrix can never collide with a uniform one; the
   // loop is empty in uniform mode and fingerprints are unchanged).
@@ -251,17 +250,13 @@ void BlockSparseMatrix::index_tiles() {
   }
 }
 
-BlockSparseMatrix::BlockSparseMatrix(std::size_t n, std::size_t block_size,
-                                     bool symmetric_half)
-    : sym_(symmetric_half) {
+BlockSparseMatrix::BlockSparseMatrix(std::size_t n, std::size_t block_size) {
   set_layout(n, block_size, {});
   row_ptr_.assign(nb_ + 1, 0);
   refingerprint();
 }
 
-BlockSparseMatrix::BlockSparseMatrix(const std::vector<std::uint32_t>& dims,
-                                     bool symmetric_half)
-    : sym_(symmetric_half) {
+BlockSparseMatrix::BlockSparseMatrix(const std::vector<std::uint32_t>& dims) {
   TBMD_REQUIRE(!dims.empty(), "BlockSparseMatrix: empty block layout");
   set_layout(0, 0, dims);
   row_ptr_.assign(nb_ + 1, 0);
@@ -269,14 +264,13 @@ BlockSparseMatrix::BlockSparseMatrix(const std::vector<std::uint32_t>& dims,
 }
 
 BlockSparseMatrix BlockSparseMatrix::identity(std::size_t n,
-                                              std::size_t block_size,
-                                              bool symmetric_half) {
-  return identity_like(BlockSparseMatrix(n, block_size, symmetric_half));
+                                              std::size_t block_size) {
+  return identity_like(BlockSparseMatrix(n, block_size));
 }
 
 BlockSparseMatrix BlockSparseMatrix::identity(
-    const std::vector<std::uint32_t>& dims, bool symmetric_half) {
-  return identity_like(BlockSparseMatrix(dims, symmetric_half));
+    const std::vector<std::uint32_t>& dims) {
+  return identity_like(BlockSparseMatrix(dims));
 }
 
 BlockSparseMatrix BlockSparseMatrix::identity_like(
@@ -300,10 +294,8 @@ BlockSparseMatrix BlockSparseMatrix::identity_like(
 
 BlockSparseMatrix BlockSparseMatrix::zeros_like(
     const BlockSparseMatrix& like) {
-  if (like.uniform_blocks()) {
-    return BlockSparseMatrix(like.n_, like.bs_, like.sym_);
-  }
-  return BlockSparseMatrix(like.dims_, like.sym_);
+  if (like.uniform_blocks()) return BlockSparseMatrix(like.n_, like.bs_);
+  return BlockSparseMatrix(like.dims_);
 }
 
 BlockSparseMatrix BlockSparseMatrix::from_dense(const linalg::Matrix& a,
@@ -319,7 +311,7 @@ BlockSparseMatrix BlockSparseMatrix::from_dense(const linalg::Matrix& a,
 BlockSparseMatrix BlockSparseMatrix::from_dense(
     const linalg::Matrix& a, const std::vector<std::uint32_t>& dims,
     double drop_tolerance) {
-  BlockSparseMatrix m(dims, /*symmetric_half=*/false);
+  BlockSparseMatrix m(dims);
   TBMD_REQUIRE(a.rows() == a.cols() && a.rows() == m.n_,
                "BlockSparseMatrix: dense/layout size mismatch");
   m.fill_from_dense(a, drop_tolerance);
@@ -332,7 +324,7 @@ void BlockSparseMatrix::fill_from_dense(const linalg::Matrix& a,
   for (std::size_t bi = 0; bi < nb_; ++bi) {
     const std::size_t di = row_dim(bi);
     const std::size_t oi = row_offset(bi);
-    for (std::size_t bj = 0; bj < nb_; ++bj) {
+    for (std::size_t bj = bi; bj < nb_; ++bj) {
       const std::size_t dj = row_dim(bj);
       const std::size_t oj = row_offset(bj);
       double norm2 = 0.0;
@@ -374,7 +366,7 @@ linalg::Matrix BlockSparseMatrix::to_dense() const {
         double* arow = a.row(oi + r) + oj;
         for (std::size_t c = 0; c < dj; ++c) arow[c] = tile[dj * r + c];
       }
-      if (sym_ && bj != bi) {
+      if (bj != bi) {
         // Implicit mirror: A_JI = A_IJ^T.
         for (std::size_t r = 0; r < di; ++r) {
           for (std::size_t c = 0; c < dj; ++c) {
@@ -387,94 +379,7 @@ linalg::Matrix BlockSparseMatrix::to_dense() const {
   return a;
 }
 
-BlockSparseMatrix BlockSparseMatrix::to_symmetric_half() const {
-  TBMD_REQUIRE(prec_ == TilePrecision::kF64,
-               "to_symmetric_half: convert fp32 payloads to fp64 first");
-  if (sym_) return *this;
-  BlockSparseMatrix out = zeros_like(*this);
-  out.sym_ = true;
-  for (std::size_t bi = 0; bi < nb_; ++bi) {
-    for (std::size_t k = row_ptr_[bi]; k < row_ptr_[bi + 1]; ++k) {
-      if (col_[k] < bi) continue;  // lower half: the stored mirror's copy
-      out.col_.push_back(col_[k]);
-      const double* tile = block(k);
-      out.val_.insert(out.val_.end(), tile,
-                      tile + row_dim(bi) * row_dim(col_[k]));
-    }
-    out.row_ptr_[bi + 1] = out.col_.size();
-  }
-  out.index_tiles();
-  out.refingerprint();
-  return out;
-}
-
-BlockSparseMatrix BlockSparseMatrix::to_full() const {
-  TBMD_REQUIRE(prec_ == TilePrecision::kF64,
-               "to_full: convert fp32 payloads to fp64 first");
-  if (!sym_) return *this;
-  BlockSparseMatrix out = zeros_like(*this);
-  out.sym_ = false;
-  // Count: each stored tile lands in its own row, off-diagonal tiles also
-  // mirror into row J.
-  for (std::size_t bi = 0; bi < nb_; ++bi) {
-    out.row_ptr_[bi + 1] += row_ptr_[bi + 1] - row_ptr_[bi];
-    for (std::size_t k = row_ptr_[bi]; k < row_ptr_[bi + 1]; ++k) {
-      if (col_[k] != bi) ++out.row_ptr_[col_[k] + 1];
-    }
-  }
-  for (std::size_t bi = 0; bi < nb_; ++bi) {
-    out.row_ptr_[bi + 1] += out.row_ptr_[bi];
-  }
-  const std::size_t nblocks = out.row_ptr_[nb_];
-  out.col_.resize(nblocks);
-  // Pattern passes first, mirror then direct: for target row J the
-  // mirrored columns are all < J and arrive in ascending source-row order,
-  // then the direct pass appends columns >= J in stored order, so every
-  // row comes out sorted ...
-  std::vector<std::size_t> fill(out.row_ptr_.begin(), out.row_ptr_.end() - 1);
-  for (std::size_t bi = 0; bi < nb_; ++bi) {
-    for (std::size_t k = row_ptr_[bi]; k < row_ptr_[bi + 1]; ++k) {
-      if (col_[k] == bi) continue;
-      out.col_[fill[col_[k]]++] = static_cast<std::uint32_t>(bi);
-    }
-  }
-  for (std::size_t bi = 0; bi < nb_; ++bi) {
-    for (std::size_t k = row_ptr_[bi]; k < row_ptr_[bi + 1]; ++k) {
-      out.col_[fill[bi]++] = col_[k];
-    }
-  }
-  // ... then the values, scattered through the per-tile offsets in the
-  // same order.
-  out.index_tiles();
-  out.val_.assign(out.tile_offset(nblocks), 0.0);
-  fill.assign(out.row_ptr_.begin(), out.row_ptr_.end() - 1);
-  for (std::size_t bi = 0; bi < nb_; ++bi) {
-    const std::size_t di = row_dim(bi);
-    for (std::size_t k = row_ptr_[bi]; k < row_ptr_[bi + 1]; ++k) {
-      const std::size_t bj = col_[k];
-      if (bj == bi) continue;
-      const std::size_t dj = row_dim(bj);
-      const double* tile = block(k);
-      double* dst = out.val_.data() + out.tile_offset(fill[bj]++);
-      for (std::size_t r = 0; r < di; ++r) {
-        for (std::size_t c = 0; c < dj; ++c) dst[di * c + r] = tile[dj * r + c];
-      }
-    }
-  }
-  for (std::size_t bi = 0; bi < nb_; ++bi) {
-    for (std::size_t k = row_ptr_[bi]; k < row_ptr_[bi + 1]; ++k) {
-      const double* tile = block(k);
-      std::copy(tile, tile + row_dim(bi) * row_dim(col_[k]),
-                out.val_.begin() + static_cast<std::ptrdiff_t>(
-                                       out.tile_offset(fill[bi]++)));
-    }
-  }
-  out.refingerprint();
-  return out;
-}
-
 std::size_t BlockSparseMatrix::logical_block_count() const {
-  if (!sym_) return block_count();
   std::size_t diag = 0;
   for (std::size_t bi = 0; bi < nb_; ++bi) {
     // Columns are sorted and >= bi, so a diagonal tile is first in its row.
@@ -485,9 +390,7 @@ std::size_t BlockSparseMatrix::logical_block_count() const {
 }
 
 std::size_t BlockSparseMatrix::logical_nnz() const {
-  if (!sym_) return nnz();
-  // Half storage: every stored entry mirrors except those of diagonal
-  // tiles.
+  // Every stored entry mirrors except those of diagonal tiles.
   std::size_t diag = 0;
   for (std::size_t bi = 0; bi < nb_; ++bi) {
     const std::size_t k = row_ptr_[bi];
@@ -549,9 +452,9 @@ double BlockSparseMatrix::get(std::size_t i, std::size_t j) const {
   std::size_t bj = block_index_of(j);
   std::size_t r = i - row_offset(bi);
   std::size_t c = j - row_offset(bj);
-  // Half storage: a lower-triangle query reads the stored mirror through
-  // the symmetry A[i][j] == A[j][i].
-  if (sym_ && bj < bi) {
+  // A lower-triangle query reads the stored mirror through the symmetry
+  // A[i][j] == A[j][i].
+  if (bj < bi) {
     std::swap(bi, bj);
     std::swap(r, c);
   }
@@ -585,7 +488,6 @@ double BlockSparseMatrix::trace() const {
 
 double BlockSparseMatrix::trace_of_product(const BlockSparseMatrix& b) const {
   TBMD_REQUIRE(layout_matches(b), "trace_of_product: size/block mismatch");
-  TBMD_REQUIRE(sym_ == b.sym_, "trace_of_product: storage-mode mismatch");
   TBMD_REQUIRE(prec_ == TilePrecision::kF64 &&
                    b.prec_ == TilePrecision::kF64,
                "trace_of_product: fp64 operands only (the band-energy "
@@ -594,59 +496,36 @@ double BlockSparseMatrix::trace_of_product(const BlockSparseMatrix& b) const {
   // exactly one row) and summed serially in row order, so the trace is
   // bit-identical at any OMP_NUM_THREADS.  A reduction(+) clause would
   // group terms by thread and change the rounding with the team size.
+  //
+  // Single upper-half pass.  With implicit mirrors A_JI = A_IJ^T the two
+  // off-diagonal contributions tr(A_IJ B_JI) + tr(A_JI B_IJ) both reduce to
+  // the elementwise dot <A_IJ, B_IJ>, hence the factor 2; diagonal tiles
+  // contribute the plain tr(A_II B_II).
   std::vector<double> row_t(nb_, 0.0);
-  [[maybe_unused]] const bool par = nb_ > 64;
-  if (sym_) {
-    // Single upper-half pass.  With implicit mirrors A_JI = A_IJ^T the two
-    // off-diagonal contributions tr(A_IJ B_JI) + tr(A_JI B_IJ) both reduce
-    // to the elementwise dot <A_IJ, B_IJ>, hence the factor 2; diagonal
-    // tiles contribute the plain tr(A_II B_II).
-#pragma omp parallel for schedule(static) if (par)
-    for (std::size_t bi = 0; bi < nb_; ++bi) {
-      const std::size_t di = row_dim(bi);
-      double tr = 0.0;
-      for (std::size_t k = row_ptr_[bi]; k < row_ptr_[bi + 1]; ++k) {
-        const std::size_t bj = col_[k];
-        const double* ta = block(k);
-        const double* tb = b.find_block(bi, bj);
-        if (tb == nullptr) continue;
-        double s = 0.0;
-        if (bj == bi) {
-          for (std::size_t a = 0; a < di; ++a) {
-            for (std::size_t c = 0; c < di; ++c) {
-              s += ta[di * a + c] * tb[di * c + a];
-            }
-          }
-        } else {
-          const std::size_t sz = di * row_dim(bj);
-          for (std::size_t q = 0; q < sz; ++q) s += ta[q] * tb[q];
-          s *= 2.0;
-        }
-        tr += s;
-      }
-      row_t[bi] = tr;
-    }
-  } else {
-#pragma omp parallel for schedule(static) if (par)
-    for (std::size_t bi = 0; bi < nb_; ++bi) {
-      const std::size_t di = row_dim(bi);
-      double tr = 0.0;
-      for (std::size_t k = row_ptr_[bi]; k < row_ptr_[bi + 1]; ++k) {
-        const std::size_t dj = row_dim(col_[k]);
-        const double* ta = block(k);
-        const double* tb = b.find_block(col_[k], bi);
-        if (tb == nullptr) continue;
-        // sum_ab A_IJ[a,b] * B_JI[b,a]
-        double s = 0.0;
+#pragma omp parallel for schedule(static) if (nb_ > 64)
+  for (std::size_t bi = 0; bi < nb_; ++bi) {
+    const std::size_t di = row_dim(bi);
+    double tr = 0.0;
+    for (std::size_t k = row_ptr_[bi]; k < row_ptr_[bi + 1]; ++k) {
+      const std::size_t bj = col_[k];
+      const double* ta = block(k);
+      const double* tb = b.find_block(bi, bj);
+      if (tb == nullptr) continue;
+      double s = 0.0;
+      if (bj == bi) {
         for (std::size_t a = 0; a < di; ++a) {
-          for (std::size_t c = 0; c < dj; ++c) {
-            s += ta[dj * a + c] * tb[di * c + a];
+          for (std::size_t c = 0; c < di; ++c) {
+            s += ta[di * a + c] * tb[di * c + a];
           }
         }
-        tr += s;
+      } else {
+        const std::size_t sz = di * row_dim(bj);
+        for (std::size_t q = 0; q < sz; ++q) s += ta[q] * tb[q];
+        s *= 2.0;
       }
-      row_t[bi] = tr;
+      tr += s;
     }
+    row_t[bi] = tr;
   }
   double t = 0.0;
   for (std::size_t bi = 0; bi < nb_; ++bi) t += row_t[bi];
@@ -672,11 +551,10 @@ const T* BlockSparseMatrix::tile_data(std::size_t k) const {
 }
 
 template <typename T>
-void BlockSparseMatrix::assemble(BsrWorkspace& ws, bool symmetric_half) {
+void BlockSparseMatrix::assemble(BsrWorkspace& ws) {
   const std::vector<std::vector<T>>& staged = staging<T>(ws);
   TBMD_REQUIRE(ws.row_cols.size() >= nb_ && staged.size() >= nb_,
                "bsr_assemble: workspace rows missing");
-  sym_ = symmetric_half;
   // A reused output may carry payloads of the other precision from a
   // previous life.
   if constexpr (std::is_same_v<T, float>) {
@@ -711,10 +589,10 @@ void BlockSparseMatrix::assemble(BsrWorkspace& ws, bool symmetric_half) {
 }
 
 void bsr_assemble(const std::vector<std::uint32_t>& dims, BsrWorkspace& ws,
-                  BlockSparseMatrix& out, bool symmetric_half) {
+                  BlockSparseMatrix& out) {
   TBMD_REQUIRE(!dims.empty(), "bsr_assemble: empty block layout");
   out.set_layout(0, 0, dims);
-  out.assemble<double>(ws, symmetric_half);
+  out.assemble<double>(ws);
 }
 
 void BsrWorkspace::shrink(const BsrShrinkPolicy& policy) {
@@ -838,7 +716,7 @@ void BlockSparseMatrix::combine_tiles(double alpha, const BlockSparseMatrix& b,
     }
   }
   out.set_layout(n_, bs_, dims_);
-  out.assemble<T>(ws, sym_);
+  out.assemble<T>(ws);
 }
 
 void BlockSparseMatrix::combine_into(double alpha, const BlockSparseMatrix& b,
@@ -846,7 +724,6 @@ void BlockSparseMatrix::combine_into(double alpha, const BlockSparseMatrix& b,
                                      BlockSparseMatrix& out,
                                      BsrWorkspace& ws) const {
   TBMD_REQUIRE(layout_matches(b), "combine: size/block mismatch");
-  TBMD_REQUIRE(sym_ == b.sym_, "combine: storage-mode mismatch");
   TBMD_REQUIRE(prec_ == b.prec_, "combine: tile-precision mismatch");
   TBMD_REQUIRE(&out != this && &out != &b,
                "combine_into: output must not alias an operand");
@@ -1069,7 +946,7 @@ void BlockSparseMatrix::multiply_sym_tiles(const BlockSparseMatrix& b,
     }
   }
   out.set_layout(n_, bs_, dims_);
-  out.assemble<T>(ws, true);
+  out.assemble<T>(ws);
 }
 
 void BlockSparseMatrix::multiply_sym_into(const BlockSparseMatrix& b,
@@ -1078,8 +955,6 @@ void BlockSparseMatrix::multiply_sym_into(const BlockSparseMatrix& b,
                                           BsrWorkspace& ws,
                                           BsrPattern* pattern) const {
   TBMD_REQUIRE(layout_matches(b), "multiply_sym: size/block mismatch");
-  TBMD_REQUIRE(sym_ && b.sym_,
-               "multiply_sym: operands must be symmetric-half");
   TBMD_REQUIRE(prec_ == b.prec_, "multiply_sym: tile-precision mismatch");
   TBMD_REQUIRE(&out != this && &out != &b,
                "multiply_sym_into: output must not alias an operand");
@@ -1093,83 +968,45 @@ void BlockSparseMatrix::multiply_sym_into(const BlockSparseMatrix& b,
 linalg::SpectralBounds BlockSparseMatrix::gershgorin_bounds() const {
   TBMD_REQUIRE(prec_ == TilePrecision::kF64,
                "gershgorin_bounds: fp64 payloads only (H is never demoted)");
-  if (sym_) {
-    // Upper-half pass: an off-diagonal tile (I, J) contributes its row
-    // sums to the radii of block row I and -- through the implicit mirror
-    // A_JI = A_IJ^T -- its column sums to the radii of block row J.
-    std::vector<double> diag(n_, 0.0), radius(n_, 0.0);
-    for (std::size_t bi = 0; bi < nb_; ++bi) {
-      const std::size_t di = row_dim(bi);
-      const std::size_t oi = row_offset(bi);
-      for (std::size_t k = row_ptr_[bi]; k < row_ptr_[bi + 1]; ++k) {
-        const std::size_t bj = col_[k];
-        const std::size_t dj = row_dim(bj);
-        const std::size_t oj = row_offset(bj);
-        const double* tile = block(k);
-        for (std::size_t r = 0; r < di; ++r) {
-          for (std::size_t c = 0; c < dj; ++c) {
-            const double v = tile[dj * r + c];
-            if (bj == bi) {
-              if (c == r) {
-                diag[oi + r] = v;
-              } else {
-                radius[oi + r] += std::fabs(v);
-              }
-            } else {
-              radius[oi + r] += std::fabs(v);
-              radius[oj + c] += std::fabs(v);
-            }
-          }
-        }
-      }
-    }
-    linalg::SpectralBounds bounds;
-    for (std::size_t i = 0; i < n_; ++i) {
-      const double lo = diag[i] - radius[i];
-      const double hi = diag[i] + radius[i];
-      if (i == 0) {
-        bounds.lo = lo;
-        bounds.hi = hi;
-      } else {
-        bounds.lo = std::min(bounds.lo, lo);
-        bounds.hi = std::max(bounds.hi, hi);
-      }
-    }
-    return bounds;
-  }
-  linalg::SpectralBounds bounds;
-  bool first = true;
-  std::vector<double> diag(max_bs_), radius(max_bs_);
+  // Upper-half pass: an off-diagonal tile (I, J) contributes its row sums
+  // to the radii of block row I and -- through the implicit mirror
+  // A_JI = A_IJ^T -- its column sums to the radii of block row J.
+  std::vector<double> diag(n_, 0.0), radius(n_, 0.0);
   for (std::size_t bi = 0; bi < nb_; ++bi) {
     const std::size_t di = row_dim(bi);
-    std::fill(diag.begin(), diag.end(), 0.0);
-    std::fill(radius.begin(), radius.end(), 0.0);
+    const std::size_t oi = row_offset(bi);
     for (std::size_t k = row_ptr_[bi]; k < row_ptr_[bi + 1]; ++k) {
       const std::size_t bj = col_[k];
       const std::size_t dj = row_dim(bj);
+      const std::size_t oj = row_offset(bj);
       const double* tile = block(k);
       for (std::size_t r = 0; r < di; ++r) {
         for (std::size_t c = 0; c < dj; ++c) {
           const double v = tile[dj * r + c];
-          if (bj == bi && c == r) {
-            diag[r] = v;
+          if (bj == bi) {
+            if (c == r) {
+              diag[oi + r] = v;
+            } else {
+              radius[oi + r] += std::fabs(v);
+            }
           } else {
-            radius[r] += std::fabs(v);
+            radius[oi + r] += std::fabs(v);
+            radius[oj + c] += std::fabs(v);
           }
         }
       }
     }
-    for (std::size_t r = 0; r < di; ++r) {
-      const double lo = diag[r] - radius[r];
-      const double hi = diag[r] + radius[r];
-      if (first) {
-        bounds.lo = lo;
-        bounds.hi = hi;
-        first = false;
-      } else {
-        bounds.lo = std::min(bounds.lo, lo);
-        bounds.hi = std::max(bounds.hi, hi);
-      }
+  }
+  linalg::SpectralBounds bounds;
+  for (std::size_t i = 0; i < n_; ++i) {
+    const double lo = diag[i] - radius[i];
+    const double hi = diag[i] + radius[i];
+    if (i == 0) {
+      bounds.lo = lo;
+      bounds.hi = hi;
+    } else {
+      bounds.lo = std::min(bounds.lo, lo);
+      bounds.hi = std::max(bounds.hi, hi);
     }
   }
   return bounds;

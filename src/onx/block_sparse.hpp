@@ -13,14 +13,13 @@
 /// linalg::gemm_micro_add_t micro-kernel (fully unrolled for bs == 4).
 ///
 /// Symmetric-half storage.  Every operand of the purification loop (H, P
-/// and its polynomials) is symmetric, so the engine's production mode
-/// stores only the upper block triangle: tiles (I, J) with J >= I, the
-/// mirror tile A_JI == A_IJ^T implicit.  That halves memory and -- because
-/// the product of two commuting symmetric matrices is symmetric -- halves
-/// the SpMM flops: multiply_sym_into() computes only the upper half of
-/// C = A * B, reading lower-half operand tiles through the transposed
-/// micro-kernel (linalg::gemm_micro_add_t).  Mixed full/half algebra is
-/// rejected; to_full() / to_symmetric_half() convert explicitly.
+/// and its polynomials) is symmetric, so the matrix stores only the upper
+/// block triangle: tiles (I, J) with J >= I, the mirror tile
+/// A_JI == A_IJ^T implicit.  That halves memory and -- because the product
+/// of two commuting symmetric matrices is symmetric -- halves the SpMM
+/// flops: multiply_sym_into() computes only the upper half of C = A * B,
+/// reading lower-half operand tiles through the transposed micro-kernel
+/// (linalg::gemm_micro_add_t).  This is the only storage mode.
 ///
 /// Pattern reuse.  multiply_sym_into() is split into a symbolic phase
 /// (Gustavson discovery of the output block pattern -- no flops) and a
@@ -38,10 +37,9 @@
 /// exact).  Discarding such a tile perturbs the matrix by no more than the
 /// bs^2 scalar entries of magnitude tol the element-wise criterion already
 /// tolerates dropping; the criterion reduces to |v| > tol exactly at
-/// bs == 1.  For symmetric operands the Frobenius criterion is itself
-/// symmetric (||A_IJ||_F == ||A_JI^T||_F), so truncation preserves
-/// symmetric sparsity patterns -- and in half storage, symmetry of the
-/// pattern is structural.
+/// bs == 1.  The Frobenius criterion is itself symmetric
+/// (||A_IJ||_F == ||A_JI^T||_F), so dropping a stored tile drops its
+/// implicit mirror with it: symmetry of the pattern is structural.
 ///
 /// Block size is a runtime parameter: bs == 4 is the production path for
 /// the sp models, and bs == 1 degenerates to scalar-granular tiles.
@@ -177,46 +175,44 @@ struct BsrWorkspace {
   [[nodiscard]] std::size_t footprint_bytes() const;
 };
 
-/// Square block-CSR sparse matrix (block columns sorted within each block
-/// row; tiles stored dense, row-major).  In symmetric-half mode only tiles
-/// (I, J) with J >= I are stored and the mirror A_JI = A_IJ^T is implicit.
+/// Square symmetric block-CSR sparse matrix (block columns sorted within
+/// each block row; tiles stored dense, row-major).  Only tiles (I, J) with
+/// J >= I are stored; the mirror A_JI = A_IJ^T is implicit.
 class BlockSparseMatrix {
  public:
   BlockSparseMatrix() = default;
 
   /// n x n zero matrix with bs x bs tiles; bs must divide n.
-  BlockSparseMatrix(std::size_t n, std::size_t block_size,
-                    bool symmetric_half = false);
+  BlockSparseMatrix(std::size_t n, std::size_t block_size);
 
   /// Zero matrix with per-block-row tile dimensions (tile (I, J) is
   /// dims[I] x dims[J]).  A dims vector whose entries all agree is
   /// normalized to uniform mode, so homogeneous layouts keep the unrolled
   /// fast paths.
-  explicit BlockSparseMatrix(const std::vector<std::uint32_t>& dims,
-                             bool symmetric_half = false);
+  explicit BlockSparseMatrix(const std::vector<std::uint32_t>& dims);
 
-  /// Identity (diagonal tiles only; valid in both storage modes).
+  /// Identity (diagonal tiles only).
   [[nodiscard]] static BlockSparseMatrix identity(std::size_t n,
-                                                  std::size_t block_size,
-                                                  bool symmetric_half = false);
+                                                  std::size_t block_size);
 
   /// Identity on a variable block layout.
   [[nodiscard]] static BlockSparseMatrix identity(
-      const std::vector<std::uint32_t>& dims, bool symmetric_half = false);
+      const std::vector<std::uint32_t>& dims);
 
-  /// Identity sharing `like`'s dimension, block layout and storage mode --
-  /// what the purification workspaces rebuild their cached I from when the
-  /// operand layout changes.
+  /// Identity sharing `like`'s dimension and block layout -- what the
+  /// purification workspaces rebuild their cached I from when the operand
+  /// layout changes.
   [[nodiscard]] static BlockSparseMatrix identity_like(
       const BlockSparseMatrix& like);
 
-  /// Empty (all-zero) matrix sharing `like`'s dimension, block layout and
-  /// storage mode.
+  /// Empty (all-zero) matrix sharing `like`'s dimension and block layout.
   [[nodiscard]] static BlockSparseMatrix zeros_like(
       const BlockSparseMatrix& like);
 
-  /// Convert from dense, dropping tiles with Frobenius norm <=
-  /// drop_tolerance (diagonal tiles with any nonzero entry are kept).
+  /// Convert from a dense symmetric matrix: the upper block triangle of `a`
+  /// is tiled, dropping tiles with Frobenius norm <= drop_tolerance
+  /// (diagonal tiles with any nonzero entry are kept).  The lower triangle
+  /// is not read; the caller asserts A == A^T.
   [[nodiscard]] static BlockSparseMatrix from_dense(const linalg::Matrix& a,
                                                     std::size_t block_size,
                                                     double drop_tolerance = 0.0);
@@ -226,15 +222,8 @@ class BlockSparseMatrix {
       const linalg::Matrix& a, const std::vector<std::uint32_t>& dims,
       double drop_tolerance = 0.0);
 
+  /// Dense copy with the implicit mirrors written out.
   [[nodiscard]] linalg::Matrix to_dense() const;
-
-  /// Half-stored view of a full-stored symmetric matrix (keeps the upper
-  /// block triangle; the caller asserts A == A^T -- the lower half is
-  /// simply discarded).
-  [[nodiscard]] BlockSparseMatrix to_symmetric_half() const;
-
-  /// Mirror-expand a half-stored matrix back to full storage.
-  [[nodiscard]] BlockSparseMatrix to_full() const;
 
   [[nodiscard]] std::size_t size() const { return n_; }
 
@@ -242,7 +231,6 @@ class BlockSparseMatrix {
   /// there).
   [[nodiscard]] std::size_t block_size() const { return bs_; }
   [[nodiscard]] std::size_t block_rows() const { return nb_; }
-  [[nodiscard]] bool symmetric() const { return sym_; }
 
   /// All block rows share one tile edge (bs_ is meaningful)?
   [[nodiscard]] bool uniform_blocks() const { return dims_.empty(); }
@@ -271,10 +259,10 @@ class BlockSparseMatrix {
     return n_ == b.n_ && bs_ == b.bs_ && dims_ == b.dims_;
   }
 
-  /// Stored tiles (half storage counts the upper triangle only).
+  /// Stored tiles (the upper triangle only).
   [[nodiscard]] std::size_t block_count() const { return col_.size(); }
 
-  /// Logical tiles: stored tiles plus the implicit mirrors in half mode.
+  /// Logical tiles: stored tiles plus their implicit mirrors.
   [[nodiscard]] std::size_t logical_block_count() const;
 
   /// Scalar type of the tile payloads (kF64 unless this matrix was
@@ -298,50 +286,45 @@ class BlockSparseMatrix {
     return prec_ == TilePrecision::kF32 ? val32_.size() : val_.size();
   }
 
-  /// Logical scalar entries: stored tile areas plus the implicit mirrors
-  /// in half mode.
+  /// Logical scalar entries: stored tile areas plus the implicit mirrors.
   [[nodiscard]] std::size_t logical_nnz() const;
 
-  /// Fraction of *logical* entries relative to a dense matrix (half
-  /// storage counts each mirrored tile once per side, so the fraction is
-  /// comparable across storage modes).
+  /// Fraction of *logical* entries relative to a dense matrix (each
+  /// off-diagonal tile counts once per side).
   [[nodiscard]] double fill_fraction() const {
     return n_ == 0 ? 0.0
                    : static_cast<double>(logical_nnz()) /
                          (static_cast<double>(n_) * static_cast<double>(n_));
   }
 
-  /// Fingerprint of the block pattern (FNV-1a over dimensions, storage
-  /// mode, row offsets and column indices) -- the key the BsrPattern cache
+  /// Fingerprint of the block pattern (FNV-1a over dimensions, row
+  /// offsets and column indices) -- the key the BsrPattern cache
   /// validates against.  Recomputed whenever the structure is rebuilt.
   [[nodiscard]] std::uint64_t pattern_fingerprint() const {
     return pattern_fingerprint_;
   }
 
   /// Tile (bi, bj) (binary search within the block row); nullptr if
-  /// absent.  Half storage holds bj >= bi only: mirrored positions return
+  /// absent.  Only bj >= bi is stored: mirrored positions return
   /// nullptr -- fetch the stored (bj, bi) tile and transpose, as get()
   /// does, or keep queries in the upper triangle (the bond table's half
   /// pairs always have i < j, so the force contraction needs no mirror).
   [[nodiscard]] const double* find_block(std::size_t bi, std::size_t bj) const;
 
-  /// Scalar element lookup (mirror-aware in half storage); 0 for absent
-  /// entries.
+  /// Scalar element lookup (mirror-aware); 0 for absent entries.
   [[nodiscard]] double get(std::size_t i, std::size_t j) const;
 
   /// Sum of diagonal entries.
   [[nodiscard]] double trace() const;
 
-  /// tr(A * B); both must have the same size, block size and storage mode.
-  /// The symmetric-half case runs a single upper-half pass with 2x weight
-  /// on off-diagonal tiles: tr(A_IJ B_JI) + tr(A_JI B_IJ) collapses to
-  /// twice the elementwise tile dot product when the mirrors are implicit
-  /// transposes, so the estimate costs half the full-pattern walk.
+  /// tr(A * B); both must have the same size and block layout.  A single
+  /// upper-half pass with 2x weight on off-diagonal tiles:
+  /// tr(A_IJ B_JI) + tr(A_JI B_IJ) collapses to twice the elementwise tile
+  /// dot product when the mirrors are implicit transposes.
   [[nodiscard]] double trace_of_product(const BlockSparseMatrix& b) const;
 
   /// Linear combination alpha*this + beta*b (block-pattern union), dropping
   /// tiles with Frobenius norm <= drop_tolerance (diagonal tiles kept).
-  /// Operands must share the storage mode; the result inherits it.
   [[nodiscard]] BlockSparseMatrix combine(double alpha,
                                           const BlockSparseMatrix& b,
                                           double beta,
@@ -354,10 +337,9 @@ class BlockSparseMatrix {
                     double drop_tolerance, BlockSparseMatrix& out,
                     BsrWorkspace& ws) const;
 
-  /// Symmetric-half product C = this * b with tile-level Frobenius
-  /// truncation (both operands and the result half-stored; this and b must
-  /// commute so that C is symmetric -- true for the purification
-  /// polynomials, which are all polynomials of the same H).  Gustavson
+  /// Symmetric product C = this * b with tile-level Frobenius truncation
+  /// (this and b must commute so that C is symmetric -- true for the
+  /// purification polynomials, which are all polynomials of the same H).  Gustavson
   /// row-merge over block rows, OpenMP-parallel; only the upper block
   /// triangle of C is computed, with mirrored operand tiles read through
   /// the transposed micro-kernel.  When `pattern` is non-null the symbolic
@@ -404,15 +386,14 @@ class BlockSparseMatrix {
 
  private:
   friend void bsr_assemble(const std::vector<std::uint32_t>& dims,
-                           BsrWorkspace& ws, BlockSparseMatrix& out,
-                           bool symmetric_half);
+                           BsrWorkspace& ws, BlockSparseMatrix& out);
 
   /// Recompute pattern_fingerprint_ from the current structure; every
   /// builder calls this exactly once after the pattern is final.
   void refingerprint();
 
-  /// Adopt a block layout (dimension, tile dims, row offsets; storage mode
-  /// and tiles untouched): n x n with bs x bs tiles when `dims` is empty,
+  /// Adopt a block layout (dimension, tile dims, row offsets; tiles
+  /// untouched): n x n with bs x bs tiles when `dims` is empty,
   /// else the per-row `dims`, normalized to uniform when all agree.
   void set_layout(std::size_t n, std::size_t bs,
                   const std::vector<std::uint32_t>& dims);
@@ -426,7 +407,8 @@ class BlockSparseMatrix {
     return dims_.empty() ? bs_ * bs_ * k : val_ptr_[k];
   }
 
-  /// from_dense() body: tile the square dense `a` onto this (empty) layout.
+  /// from_dense() body: tile the upper block triangle of the square dense
+  /// `a` onto this (empty) layout.
   void fill_from_dense(const linalg::Matrix& a, double drop_tolerance);
 
   /// Block row containing scalar row `i`.
@@ -447,7 +429,7 @@ class BlockSparseMatrix {
   /// Set the structure and T payloads from the staging rows of `ws`
   /// (layout already set; clears the other precision's payloads).
   template <typename T>
-  void assemble(BsrWorkspace& ws, bool symmetric_half);
+  void assemble(BsrWorkspace& ws);
   template <typename T>
   void combine_tiles(double alpha, const BlockSparseMatrix& b, double beta,
                      double drop_tolerance, BlockSparseMatrix& out,
@@ -461,7 +443,6 @@ class BlockSparseMatrix {
   std::size_t bs_ = 1;      ///< uniform tile edge (0: variable mode)
   std::size_t max_bs_ = 1;  ///< widest tile edge (== bs_ when uniform)
   std::size_t nb_ = 0;      ///< block rows
-  bool sym_ = false;        ///< symmetric-half storage (tiles J >= I only)
   std::vector<std::size_t> row_ptr_;   ///< nb + 1 block-row offsets
   std::vector<std::uint32_t> col_;     ///< block-column index per tile
   std::vector<double> val_;            ///< dense row-major tile payloads
@@ -474,11 +455,11 @@ class BlockSparseMatrix {
 };
 
 /// Direct mutable access for assembly code (onx Hamiltonian builder): set
-/// the structure in one shot from per-row staging buffers in `ws`.  Tile
-/// (I, J) in the staging rows is dims[I] x dims[J]; a dims vector whose
-/// entries all agree yields the uniform layout, exactly as the
-/// constructors normalize it.
+/// the structure in one shot from per-row staging buffers in `ws`.  Row I
+/// stages only columns J >= I; tile (I, J) is dims[I] x dims[J].  A dims
+/// vector whose entries all agree yields the uniform layout, exactly as
+/// the constructors normalize it.
 void bsr_assemble(const std::vector<std::uint32_t>& dims, BsrWorkspace& ws,
-                  BlockSparseMatrix& out, bool symmetric_half = false);
+                  BlockSparseMatrix& out);
 
 }  // namespace tbmd::onx

@@ -85,8 +85,7 @@ void build_block_hamiltonian(const tb::TbModel& model, const System& system,
       for (std::size_t i = 0; i < n; ++i) assemble_row(i);
     }
   }
-  bsr_assemble(tb::orbital_block_dims(model, system), ws, out,
-               /*symmetric_half=*/true);
+  bsr_assemble(tb::orbital_block_dims(model, system), ws, out);
 }
 
 BlockSparseMatrix build_block_hamiltonian(const tb::TbModel& model,
@@ -379,9 +378,7 @@ ForceResult OrderNCalculator::compute(const System& system) {
         // used (historical behavior) but never silently -- it is counted
         // and logged so long sweeps can audit how often it happened.
         ++recovery_stats_.unconverged_steps;
-        recovery_stats_.last_failure = last_.mu_miss
-                                           ? FailureClass::kMuBisectionMiss
-                                           : FailureClass::kNonConvergence;
+        recovery_stats_.last_failure = FailureClass::kNonConvergence;
         io::log_warn("OrderNCalculator: purification did not converge (",
                      last_.iterations, " iterations, idempotency error ",
                      last_.idempotency_error,
@@ -408,8 +405,7 @@ ForceResult OrderNCalculator::compute(const System& system) {
     }
     if (fail == FailureClass::kNone && health.check_convergence &&
         !last_.converged) {
-      fail = last_.mu_miss ? FailureClass::kMuBisectionMiss
-                           : FailureClass::kNonConvergence;
+      fail = FailureClass::kNonConvergence;
     }
     if (fail == FailureClass::kNone) {
       // Bounds on the *total* per-atom forces and energy (band +
@@ -500,8 +496,9 @@ PurificationResult OrderNCalculator::exact_step_density(const System& system,
   // O(N^3) for one step: densify the already-assembled blocked H,
   // diagonalize, and occupy the lowest n_occupied states (T = 0 aufbau,
   // the same filling the canonical purification targets).  The density
-  // goes back onto the blocked substrate with no truncation so the
-  // existing sparse force contraction serves this rung unchanged.
+  // goes back onto the blocked substrate (upper block triangle) with no
+  // truncation so the existing sparse force contraction serves this rung
+  // unchanged.
   const linalg::Matrix hd = hamiltonian_.to_dense();
   const linalg::SymmetricEigenSolution eig = linalg::eigh(hd);
   std::vector<double> weights(eig.values.size(), 0.0);
@@ -513,10 +510,8 @@ PurificationResult OrderNCalculator::exact_step_density(const System& system,
   const linalg::Matrix p = tb::density_matrix(eig.vectors, weights);
 
   PurificationResult out;
-  out.density =
-      BlockSparseMatrix::from_dense(p, tb::orbital_block_dims(model_, system),
-                                    0.0)
-          .to_symmetric_half();
+  out.density = BlockSparseMatrix::from_dense(
+      p, tb::orbital_block_dims(model_, system), 0.0);
   out.band_energy = 2.0 * band;
   out.converged = true;
   out.iterations = 0;

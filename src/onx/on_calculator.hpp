@@ -23,7 +23,7 @@ namespace tbmd::onx {
 /// bond table's hopping blocks ARE the BSR tiles, so assembly is a scatter
 /// with no per-element index bookkeeping, and because half pairs are
 /// stored with i < j, no tile is ever transposed on the way in.  `out` and
-/// `ws` are reused across calls.  (Use .to_full() for a full-stored view.)
+/// `ws` are reused across calls.
 void build_block_hamiltonian(const tb::TbModel& model, const System& system,
                              const tb::BondTable& table,
                              BlockSparseMatrix& out, BsrWorkspace& ws);

@@ -4,10 +4,8 @@
 #include <cmath>
 #include <functional>
 #include <limits>
-#include <optional>
 #include <utility>
 
-#include "src/onx/sp2.hpp"
 #include "src/util/error.hpp"
 #include "src/util/fault_point.hpp"
 
@@ -30,14 +28,14 @@ struct Poly {
   double c0, c1, c2;
 };
 
-/// McWeeny's 3 P^2 - 2 P^3: the grand-canonical update and every method's
-/// final polish at the tight tolerance.
+/// McWeeny's 3 P^2 - 2 P^3: every method's final polish at the tight
+/// tolerance.
 constexpr Poly kMcWeeny{0.0, 3.0, -2.0};
 
 /// What sets one purification method apart from the others; the driver
 /// below owns everything else.
 struct Method {
-  /// Seed coefficients for the half-stored H and its spectral enclosure.
+  /// Seed coefficients for H and its spectral enclosure.
   std::function<Seed(const BlockSparseMatrix&, const linalg::SpectralBounds&)>
       seed;
   /// The update reads P^3 (a second SpMM per iteration).
@@ -47,20 +45,15 @@ struct Method {
   std::function<Poly(const Traces&)> step;
 };
 
-/// Range guard shared by every entry point (`n_occupied` is empty for a
-/// grand-canonical run, whose electron count is an output).  Returns true,
-/// with `out` holding the converged empty density, when there is nothing
-/// to purify.
-bool nothing_to_purify(const BlockSparseMatrix& h,
-                       std::optional<int> n_occupied,
+/// Range guard shared by every entry point.  Returns true, with `out`
+/// holding the converged empty density, when there is nothing to purify.
+bool nothing_to_purify(const BlockSparseMatrix& h, int n_occupied,
                        PurificationResult& out) {
   const std::size_t n = h.size();
-  TBMD_REQUIRE(!n_occupied || (*n_occupied >= 0 &&
-                               static_cast<std::size_t>(*n_occupied) <= n),
+  TBMD_REQUIRE(n_occupied >= 0 && static_cast<std::size_t>(n_occupied) <= n,
                "purification: occupied count out of range");
-  if (n != 0 && n_occupied.value_or(1) != 0) return false;
-  out.density = h.uniform_blocks() ? BlockSparseMatrix(n, h.block_size(), true)
-                                   : BlockSparseMatrix(h.block_dims(), true);
+  if (n != 0 && n_occupied != 0) return false;
+  out.density = BlockSparseMatrix::zeros_like(h);
   out.converged = true;
   return true;
 }
@@ -85,8 +78,8 @@ void apply(const Poly& u, double drop, PurificationWorkspace& ws) {
 
 /// The one purification loop: seeding, drop schedule, the fp32 phase and
 /// its promotion triggers, fp64 convergence/stagnation, and the hand-back.
-PurificationResult purify(const BlockSparseMatrix& h,
-                          std::optional<int> n_occupied, const Method& method,
+PurificationResult purify(const BlockSparseMatrix& h, int n_occupied,
+                          const Method& method,
                           const PurificationOptions& options,
                           PurificationWorkspace* workspace) {
   PurificationResult out;
@@ -103,24 +96,12 @@ PurificationResult purify(const BlockSparseMatrix& h,
   // density matrix (the non-finite drill).
   const bool inject_stall = fault::fire(fault::kOnxNoConverge);
 
-  // The loop runs entirely in symmetric-half storage; a full-stored
-  // operand (convenience callers) is halved on entry.
-  BlockSparseMatrix h_half_storage;
-  const BlockSparseMatrix* hp = &h;
-  if (!h.symmetric()) {
-    h_half_storage = h.to_symmetric_half();
-    hp = &h_half_storage;
-  }
-  const BlockSparseMatrix& hh = *hp;
-
   const linalg::SpectralBounds bounds =
-      options.have_bounds ? options.bounds : hh.gershgorin_bounds();
-  const Seed seed = method.seed(hh, bounds);
-  if (!ws.eye.symmetric() || !ws.eye.layout_matches(hh)) {
-    ws.eye = BlockSparseMatrix::identity_like(hh);
-  }
-  hh.combine_into(seed.h, ws.eye, seed.eye, options.drop_tolerance, ws.p,
-                  ws.scratch);
+      options.have_bounds ? options.bounds : h.gershgorin_bounds();
+  const Seed seed = method.seed(h, bounds);
+  if (!ws.eye.layout_matches(h)) ws.eye = BlockSparseMatrix::identity_like(h);
+  h.combine_into(seed.h, ws.eye, seed.eye, options.drop_tolerance, ws.p,
+                 ws.scratch);
 
   if (fault::fire(fault::kOnxNanTile) && !ws.p.values().empty()) {
     ws.p.values_mutable()[0] = std::numeric_limits<double>::quiet_NaN();
@@ -215,12 +196,11 @@ PurificationResult purify(const BlockSparseMatrix& h,
     ws.p.convert_precision(TilePrecision::kF64);
   }
 
-  // Band energy through the symmetric-half trace_of_product specialization
-  // (single upper-half pass, 2x off-diagonal weight).
-  out.band_energy = 2.0 * ws.p.trace_of_product(hh);
+  // Band energy through the single upper-half trace_of_product pass.
+  out.band_energy = 2.0 * ws.p.trace_of_product(h);
   out.fill_fraction = ws.p.fill_fraction();
   out.density = std::move(ws.p);
-  ws.p = BlockSparseMatrix::zeros_like(hh);
+  ws.p = BlockSparseMatrix::zeros_like(h);
   if (inject_stall) out.converged = false;
   return out;
 }
@@ -255,25 +235,6 @@ PurificationResult palser_manolopoulos(const BlockSparseMatrix& h,
   return purify(h, n_occupied, pm, options, workspace);
 }
 
-PurificationResult purify_grand_canonical(const BlockSparseMatrix& h,
-                                          double mu,
-                                          const PurificationOptions& options,
-                                          PurificationWorkspace* workspace) {
-  // Step-function seed X0 = 1/2 I + (mu I - H) / (2 W).  W is the largest
-  // distance from mu to the spectral enclosure, so every eigenvalue of X0
-  // lands in [0, 1] with the occupied/empty split exactly at 1/2; the
-  // trace-free McWeeny polynomial then sharpens the step without moving it.
-  const Method mcweeny{
-      [mu](const BlockSparseMatrix& /*hh*/, const linalg::SpectralBounds& b) {
-        const double w = std::max({b.hi - mu, mu - b.lo, 1e-12});
-        return Seed{-0.5 / w, 0.5 + 0.5 * mu / w};
-      },
-      true, [](const Traces& /*t*/) { return kMcWeeny; }};
-  PurificationResult out = purify(h, std::nullopt, mcweeny, options, workspace);
-  out.mu = mu;
-  return out;
-}
-
 PurificationResult sp2_purification(const BlockSparseMatrix& h,
                                     int n_occupied,
                                     const PurificationOptions& options,
@@ -294,60 +255,6 @@ PurificationResult sp2_purification(const BlockSparseMatrix& h,
         return Poly{2.0, -1.0, 0.0};
       }};
   return purify(h, n_occupied, sp2, options, workspace);
-}
-
-PurificationResult purify_with_chemical_potential(
-    const BlockSparseMatrix& h, int n_occupied,
-    const PurificationOptions& options, PurificationWorkspace* workspace) {
-  PurificationResult empty;
-  if (nothing_to_purify(h, n_occupied, empty)) return empty;
-
-  // tr P(mu) counts the eigenvalues below mu, a step-wise nondecreasing
-  // function of mu: plain bisection between the Gershgorin bounds brackets
-  // the Fermi level.  Accept when the count lands within a quarter state —
-  // tighter than any truncation noise, loose enough that gapped systems
-  // terminate in a handful of purification runs.
-  // One Gershgorin pass serves the whole bisection: both the mu bracket
-  // and every grand-canonical run's seed below read the same enclosure.
-  PurificationOptions opts = options;
-  if (!opts.have_bounds) {
-    opts.bounds = h.symmetric() ? h.gershgorin_bounds()
-                                : h.to_symmetric_half().gershgorin_bounds();
-    opts.have_bounds = true;
-  }
-  double lo = opts.bounds.lo;
-  double hi = opts.bounds.hi;
-  const double target = static_cast<double>(n_occupied);
-
-  PurificationResult best;
-  double best_miss = 1e300;
-  for (int step = 0; step < 48; ++step) {
-    const double mu = 0.5 * (lo + hi);
-    PurificationResult r = purify_grand_canonical(h, mu, opts, workspace);
-    const double count = r.density.trace();
-    const double miss = std::fabs(count - target);
-    if (miss < best_miss) {
-      best_miss = miss;
-      best = std::move(r);
-    }
-    if (best_miss <= 0.25 && best.converged) break;
-    if (count < target) {
-      lo = mu;
-    } else {
-      hi = mu;
-    }
-    if (hi - lo < 1e-12 * std::max(1.0, std::fabs(hi) + std::fabs(lo))) {
-      break;
-    }
-  }
-  // A count that never matched (mu trapped inside a band at T = 0) is a
-  // metallic failure mode: report the closest run, unconverged, and marked
-  // so the guardrails classify it as a mu miss rather than a plain stall.
-  if (best_miss > 0.25) {
-    best.converged = false;
-    best.mu_miss = true;
-  }
-  return best;
 }
 
 }  // namespace tbmd::onx

@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file purification.hpp
-/// \brief Density-matrix purification: canonical Palser-Manolopoulos,
-/// grand-canonical McWeeny at fixed or bisected mu, and SP2 (sp2.hpp).
+/// \brief Density-matrix purification: canonical Palser-Manolopoulos and
+/// SP2.
 ///
 /// The O(N) alternative to exact diagonalization: starting from a linear
 /// map of H whose spectrum lies in [0, 1] and whose trace equals the number
@@ -16,18 +16,17 @@
 /// one tile per atom pair: 4x4 for sp models, mixed 1/4/9 tiles for
 /// multi-species s/sp/spd models) in symmetric-half storage:
 /// H, P and every polynomial of P are symmetric, so only upper-half tiles
-/// are stored and multiplied (multiply_sym_into — half the memory and
-/// flops of the full-pattern engine).  Each multiply's symbolic phase is
-/// cached in the workspace PatternCache keyed on operand-pattern
+/// are stored and multiplied (multiply_sym_into).  Each multiply's symbolic
+/// phase is cached in the workspace PatternCache keyed on operand-pattern
 /// fingerprints: along an MD trajectory the bond topology is unchanged on
 /// almost every step, so steady-state steps re-run only the numeric phase
 /// on frozen patterns (bit-identical to a cold run).
 ///
-/// All methods share one iteration driver: seeding from the spectral
+/// Both methods share one iteration driver: seeding from the spectral
 /// bounds, the drop schedule, the fp32 phase with its promotion triggers,
 /// fp64 convergence/stagnation and the density hand-back.  A method only
 /// chooses its seed map and its polynomial update.  OrderNCalculator runs
-/// canonical PM; the grand-canonical entry points are library API.
+/// canonical PM; SP2 is library API (exp_a1's purifier ablation).
 
 #include <cstdint>
 
@@ -51,11 +50,11 @@ struct PurificationOptions : NumericsSpec {
 
   /// Optional caller-supplied spectral enclosure of H.  When `have_bounds`
   /// is set the driver seeds from `bounds` instead of running its own
-  /// Gershgorin pass -- callers that purify the same H repeatedly (the
-  /// chemical-potential bisection, OrderNCalculator's cached-bounds mode)
-  /// hoist the O(nnz) estimate out of the loop.  The interval must enclose
-  /// the true spectrum; a wider interval only flattens the initial seed's
-  /// slope, it never breaks correctness.
+  /// Gershgorin pass -- callers that purify a slowly changing H repeatedly
+  /// (OrderNCalculator's cached-bounds mode) hoist the O(nnz) estimate out
+  /// of the loop.  The interval must enclose the true spectrum; a wider
+  /// interval only flattens the initial seed's slope, it never breaks
+  /// correctness.
   bool have_bounds = false;
   linalg::SpectralBounds bounds{};
 };
@@ -83,23 +82,14 @@ struct NumericsStats {
 
 /// Result of a purification run.
 struct PurificationResult {
-  /// Spinless P on the blocked substrate, symmetric-half stored
-  /// (eigenvalues in [0,1], tr = n_occ).  Use density.to_full() for a
-  /// full-stored view.
+  /// Spinless P on the blocked substrate (eigenvalues in [0,1],
+  /// tr = n_occ).
   BlockSparseMatrix density;
   double band_energy = 0.0;      ///< 2 tr(P H)  (spin degeneracy)
   int iterations = 0;
   bool converged = false;
-  /// Set (with converged = false) when purify_with_chemical_potential's
-  /// bisection never matched the electron count -- the metallic failure
-  /// mode, distinguished from a plain stall so the guardrails can classify
-  /// it as FailureClass::kMuBisectionMiss.
-  bool mu_miss = false;
   double idempotency_error = 0.0;  ///< final tr(P - P^2)
   double fill_fraction = 0.0;      ///< logical nnz(P) / N^2
-  /// Chemical potential used (grand-canonical runs only; the canonical
-  /// Palser-Manolopoulos iteration never forms an explicit mu).
-  double mu = 0.0;
   /// fp32/fp64 iteration split and promotion trigger (mixed mode; all
   /// zeros in fp64 mode except fp64_iterations).
   NumericsStats numerics;
@@ -153,9 +143,8 @@ struct PurificationWorkspace {
   PatternCache patterns;
 };
 
-/// Canonical Palser-Manolopoulos purification of the (symmetric) blocked
-/// Hamiltonian `h` with `n_occupied` doubly-occupied states.  Half-stored
-/// operands run directly; full-stored ones are converted on entry.
+/// Canonical Palser-Manolopoulos purification of the blocked Hamiltonian
+/// `h` with `n_occupied` doubly-occupied states.
 ///
 /// Converges for systems with a HOMO-LUMO gap; metallic spectra stall (the
 /// result reports converged = false).  `workspace` is optional; passing a
@@ -166,29 +155,14 @@ struct PurificationWorkspace {
     const PurificationOptions& options = {},
     PurificationWorkspace* workspace = nullptr);
 
-/// Grand-canonical McWeeny purification at fixed chemical potential `mu`:
-/// start from the Gershgorin-scaled step-function seed
-///   X0 = 1/2 I + (mu I - H) / (2 W),  W = max(hi - mu, mu - lo),
-/// and iterate X <- 3 X^2 - 2 X^3, which drives every eigenvalue
-/// monotonically to 1 (below mu) or 0 (above mu).  Unlike the canonical
-/// loop the electron count is an *output* (tr P), so this is the building
-/// block for fractional-occupation / Fermi-level searches on systems whose
-/// integer filling is not known a priori.  result.mu echoes `mu`.
-[[nodiscard]] PurificationResult purify_grand_canonical(
-    const BlockSparseMatrix& h, double mu,
-    const PurificationOptions& options = {},
-    PurificationWorkspace* workspace = nullptr);
-
-/// Chemical-potential search: bisect mu within the Gershgorin bounds of
-/// `h` until the grand-canonical purification at mu yields
-/// tr(P) = n_occupied (within 0.25 states), then return that run's result
-/// (result.mu holds the located Fermi level).  Needs a gap at the Fermi
-/// level to land on an integer count — metallic spectra at T = 0 report
-/// converged = false when the count cannot be matched.  Finite-T
-/// (Fermi-Dirac) occupations inside the O(N) loop are out of scope here;
-/// the exact-diagonalization path owns fractional occupation (see
-/// tb::occupy in src/tb/occupations.hpp).
-[[nodiscard]] PurificationResult purify_with_chemical_potential(
+/// SP2 (second-order spectral projection) purification, the
+/// trace-correcting alternative to Palser-Manolopoulos: starting from a
+/// linear map of H with spectrum in [0, 1], repeatedly apply X^2 or
+/// 2X - X^2, choosing whichever moves the trace towards the occupation
+/// count.  Each iteration needs ONE sparse multiply (PM needs two), at the
+/// cost of more iterations -- an ablation axis exp_a1 measures.  Options,
+/// result and workspace semantics match palser_manolopoulos().
+[[nodiscard]] PurificationResult sp2_purification(
     const BlockSparseMatrix& h, int n_occupied,
     const PurificationOptions& options = {},
     PurificationWorkspace* workspace = nullptr);

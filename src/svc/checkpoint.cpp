@@ -42,6 +42,8 @@ struct Cursor {
     pos += sizeof(T);
     return value;
   }
+
+  [[nodiscard]] std::size_t remaining() const { return size - pos; }
 };
 
 std::vector<std::uint8_t> serialize_payload(const Checkpoint& ck) {
@@ -118,7 +120,14 @@ Checkpoint parse_payload(Cursor& c) {
   ck.system = std::move(sys);
 
   ck.thermostat_target = c.get<double>();
+  // A CRC-valid payload can still carry a count its writer never meant: it
+  // must fail against the doubles actually left before it sizes the
+  // allocation.
   const auto nstate = c.get<std::uint32_t>();
+  TBMD_REQUIRE(nstate <= c.remaining() / sizeof(double),
+               "checkpoint: thermostat state count " + std::to_string(nstate) +
+                   " exceeds the " + std::to_string(c.remaining()) +
+                   " bytes left in '" + c.path + "'");
   ck.thermostat_state.resize(nstate);
   for (double& s : ck.thermostat_state) s = c.get<double>();
 

@@ -1,11 +1,12 @@
 // Tests for the blocked-sparse (BSR) substrate of the O(N) engine: dense
-// round trips, algebra against the dense references, tile-threshold
-// truncation symmetry, the symmetric-half storage mode (round trips, half
-// SpMM, frozen-pattern reuse, workspace shrink), and the shared
-// purification driver (SP2, its mixed-precision phase, the entry guards).
+// round trips through symmetric-half storage, algebra against the dense
+// references, tile-threshold truncation symmetry, the half SpMM with
+// frozen-pattern reuse and workspace shrink, and the shared purification
+// driver (SP2, its mixed-precision phase, the entry guards).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -15,7 +16,7 @@
 #include "src/neighbor/neighbor_list.hpp"
 #include "src/onx/block_sparse.hpp"
 #include "src/onx/on_calculator.hpp"
-#include "src/onx/sp2.hpp"
+#include "src/onx/purification.hpp"
 #include "src/structures/builders.hpp"
 #include "src/tb/hamiltonian.hpp"
 #include "src/tb/occupations.hpp"
@@ -73,6 +74,40 @@ TEST(BlockSparse, DenseRoundTrip) {
   EXPECT_EQ(b.block_size(), 4u);
   EXPECT_EQ(b.block_rows(), 6u);
   EXPECT_LT(linalg::max_abs(b.to_dense() - a), 1e-15);
+
+  // dense -> half -> dense must be an identity for any symmetric operand at
+  // every admissible block size, with mirror-aware element access and fill
+  // accounting that counts each mirrored tile once per side.
+  for (const std::uint64_t seed : {4u, 5u, 6u}) {
+    for (const std::size_t bs : {1u, 2u, 4u}) {
+      const linalg::Matrix d = random_block_symmetric(24, bs, seed, 0.5);
+      const BlockSparseMatrix half = BlockSparseMatrix::from_dense(d, bs);
+      // Reference tile counts from the dense pattern.
+      const std::size_t nb = 24 / bs;
+      std::size_t tiles = 0, upper = 0;
+      for (std::size_t bi = 0; bi < nb; ++bi) {
+        for (std::size_t bj = 0; bj < nb; ++bj) {
+          if (d(bs * bi, bs * bj) == 0.0) continue;
+          ++tiles;
+          if (bj >= bi) ++upper;
+        }
+      }
+      EXPECT_EQ(half.block_count(), upper) << "bs " << bs << " seed " << seed;
+      EXPECT_EQ(half.logical_block_count(), tiles);
+      EXPECT_EQ(half.logical_nnz(), tiles * bs * bs);
+      EXPECT_DOUBLE_EQ(half.fill_fraction(),
+                       static_cast<double>(tiles * bs * bs) / (24.0 * 24.0));
+      EXPECT_LT(linalg::max_abs(half.to_dense() - d), 1e-15)
+          << "bs " << bs << " seed " << seed;
+      // Mirror-aware scalar lookup covers the implicit lower triangle.
+      for (std::size_t i = 0; i < 24; i += 5) {
+        for (std::size_t j = 0; j < 24; j += 3) {
+          EXPECT_DOUBLE_EQ(half.get(i, j), d(i, j)) << i << "," << j;
+        }
+      }
+      EXPECT_DOUBLE_EQ(half.trace(), linalg::trace(d));
+    }
+  }
 }
 
 TEST(BlockSparse, IdentityAndTrace) {
@@ -152,11 +187,14 @@ TEST(BlockSparse, TileTruncationDropsWholeTilesSymmetrically) {
   fill_tile(1, 2, 1e-9);   // weak: dropped whole
   const BlockSparseMatrix b = BlockSparseMatrix::from_dense(a, 4, 1e-6);
   EXPECT_NE(b.find_block(0, 1), nullptr);
-  EXPECT_NE(b.find_block(1, 0), nullptr);
   EXPECT_EQ(b.find_block(1, 2), nullptr);
-  EXPECT_EQ(b.find_block(2, 1), nullptr);
   EXPECT_EQ(b.find_block(0, 2), nullptr);
-  EXPECT_EQ(b.block_count(), 5u);
+  EXPECT_EQ(b.block_count(), 4u);
+  EXPECT_EQ(b.logical_block_count(), 5u);
+  // Mirrors follow their stored tile: (1, 0) reads the strong tile, (2, 1)
+  // is gone with the weak one.
+  EXPECT_DOUBLE_EQ(b.get(4, 1), a(4, 1));
+  EXPECT_DOUBLE_EQ(b.get(8, 5), 0.0);
 
   // The same symmetry must hold through combine() of symmetric
   // operands: pattern and values stay exactly symmetric.
@@ -182,37 +220,7 @@ TEST(BlockSparse, DiagonalTilesSurviveTruncation) {
   EXPECT_NEAR(b.trace(), 8e-9, 1e-20);  // trace exact despite truncation
 }
 
-// --- symmetric-half storage ----------------------------------------------
-
-TEST(BlockSparseSym, HalfRoundTripsOnRandomPatterns) {
-  // full -> half -> full -> dense must be an identity for any symmetric
-  // operand at every admissible block size, with mirror-aware element
-  // access and mode-independent fill accounting.
-  for (const std::uint64_t seed : {4u, 5u, 6u}) {
-    for (const std::size_t bs : {1u, 2u, 4u}) {
-      const linalg::Matrix a = random_block_symmetric(24, bs, seed, 0.5);
-      const BlockSparseMatrix full = BlockSparseMatrix::from_dense(a, bs);
-      const BlockSparseMatrix half = full.to_symmetric_half();
-      EXPECT_TRUE(half.symmetric());
-      EXPECT_LE(half.block_count(), full.block_count());
-      EXPECT_EQ(half.logical_block_count(), full.block_count());
-      EXPECT_DOUBLE_EQ(half.fill_fraction(), full.fill_fraction());
-      EXPECT_LT(linalg::max_abs(half.to_dense() - a), 1e-15)
-          << "bs " << bs << " seed " << seed;
-      const BlockSparseMatrix back = half.to_full();
-      EXPECT_FALSE(back.symmetric());
-      EXPECT_EQ(back.block_count(), full.block_count());
-      EXPECT_LT(linalg::max_abs(back.to_dense() - a), 1e-15);
-      // Mirror-aware scalar lookup covers the implicit lower triangle.
-      for (std::size_t i = 0; i < 24; i += 5) {
-        for (std::size_t j = 0; j < 24; j += 3) {
-          EXPECT_DOUBLE_EQ(half.get(i, j), a(i, j)) << i << "," << j;
-        }
-      }
-      EXPECT_DOUBLE_EQ(half.trace(), full.trace());
-    }
-  }
-}
+// --- symmetric-half SpMM ---------------------------------------------------
 
 TEST(BlockSparseSym, TransposedMicroKernelMatchesGenericReference) {
   // All four transpose combinations of gemm_micro_add_t against a plain
@@ -324,14 +332,11 @@ TEST(BlockSparseSym, MultiplySymMatchesDenseGemm) {
       if (n % bs != 0) continue;
       const linalg::Matrix a = random_symmetric(n, 300 + n + bs);
       const linalg::Matrix a2 = linalg::matmul(a, a);
-      const BlockSparseMatrix ha =
-          BlockSparseMatrix::from_dense(a, bs).to_symmetric_half();
-      const BlockSparseMatrix ha2 =
-          BlockSparseMatrix::from_dense(a2, bs).to_symmetric_half();
+      const BlockSparseMatrix ha = BlockSparseMatrix::from_dense(a, bs);
+      const BlockSparseMatrix ha2 = BlockSparseMatrix::from_dense(a2, bs);
       BlockSparseMatrix out;
       BsrWorkspace ws;
       ha.multiply_sym_into(ha, 0.0, out, ws);
-      EXPECT_TRUE(out.symmetric());
       EXPECT_LT(linalg::max_abs(out.to_dense() - a2), 1e-12)
           << "n " << n << " bs " << bs;
       ha2.multiply_sym_into(ha, 0.0, out, ws);
@@ -345,38 +350,41 @@ TEST(BlockSparseSym, MultiplySymMatchesDenseGemm) {
 TEST(BlockSparseSym, AlgebraMatchesDenseInHalfStorage) {
   const linalg::Matrix a = random_symmetric(32, 41);
   const linalg::Matrix b = random_symmetric(32, 42);
-  const BlockSparseMatrix ha =
-      BlockSparseMatrix::from_dense(a, 4).to_symmetric_half();
-  const BlockSparseMatrix hb =
-      BlockSparseMatrix::from_dense(b, 4).to_symmetric_half();
-  // combine stays in half storage.
+  const BlockSparseMatrix ha = BlockSparseMatrix::from_dense(a, 4);
+  const BlockSparseMatrix hb = BlockSparseMatrix::from_dense(b, 4);
   const BlockSparseMatrix hc = ha.combine(2.0, hb, -0.5);
-  EXPECT_TRUE(hc.symmetric());
   EXPECT_LT(linalg::max_abs(hc.to_dense() - (a * 2.0 + b * (-0.5))), 1e-13);
-  // Specialized single-upper-pass trace of product (2x off-diagonal).
+  // Single upper-half trace of product (2x off-diagonal).
   EXPECT_NEAR(ha.trace_of_product(hb), linalg::trace_of_product(a, b), 1e-11);
-  const BlockSparseMatrix fa = BlockSparseMatrix::from_dense(a, 4);
-  const BlockSparseMatrix fb = BlockSparseMatrix::from_dense(b, 4);
-  EXPECT_DOUBLE_EQ(ha.trace_of_product(hb), fa.trace_of_product(fb));
-  // Gershgorin interval equals the full-storage one.
+  // The upper-half Gershgorin pass sums each row's radius in column order,
+  // exactly as a dense row scan does.
+  double lo = 0.0, hi = 0.0;
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    double radius = 0.0;
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      if (j != i) radius += std::fabs(a(i, j));
+    }
+    lo = i == 0 ? a(i, i) - radius : std::min(lo, a(i, i) - radius);
+    hi = i == 0 ? a(i, i) + radius : std::max(hi, a(i, i) + radius);
+  }
   const auto [hlo, hhi] = ha.gershgorin_bounds();
-  const auto [flo, fhi] = fa.gershgorin_bounds();
-  EXPECT_DOUBLE_EQ(hlo, flo);
-  EXPECT_DOUBLE_EQ(hhi, fhi);
-  // Mixed-mode algebra is rejected rather than silently wrong.
-  EXPECT_THROW((void)ha.combine(1.0, fb, 1.0), Error);
-  EXPECT_THROW((void)ha.trace_of_product(fb), Error);
+  EXPECT_DOUBLE_EQ(hlo, lo);
+  EXPECT_DOUBLE_EQ(hhi, hi);
+  // Operands on another block layout are rejected rather than silently
+  // wrong.
+  const BlockSparseMatrix other = BlockSparseMatrix::from_dense(b, 2);
+  EXPECT_THROW((void)ha.combine(1.0, other, 1.0), Error);
+  EXPECT_THROW((void)ha.trace_of_product(other), Error);
   BlockSparseMatrix out;
   BsrWorkspace ws;
-  EXPECT_THROW(ha.multiply_sym_into(fb, 0.0, out, ws), Error);
+  EXPECT_THROW(ha.multiply_sym_into(other, 0.0, out, ws), Error);
 }
 
 TEST(BlockSparseSym, TruncationDropsMirrorPairsStructurally) {
   // In half storage a dropped upper tile removes the mirror by
   // construction: the truncated product is exactly symmetric.
   const linalg::Matrix s = random_block_symmetric(24, 4, 51, 0.4);
-  const BlockSparseMatrix hs =
-      BlockSparseMatrix::from_dense(s, 4).to_symmetric_half();
+  const BlockSparseMatrix hs = BlockSparseMatrix::from_dense(s, 4);
   BsrWorkspace ws;
   BlockSparseMatrix exact;
   hs.multiply_sym_into(hs, 0.0, exact, ws);
@@ -396,8 +404,7 @@ TEST(BlockSparseSym, TruncationDropsMirrorPairsStructurally) {
 
 TEST(BlockSparseSym, PatternCacheSkipsSymbolicPhaseAndStaysBitIdentical) {
   const linalg::Matrix a = random_symmetric(48, 61);
-  const BlockSparseMatrix ha =
-      BlockSparseMatrix::from_dense(a, 4).to_symmetric_half();
+  const BlockSparseMatrix ha = BlockSparseMatrix::from_dense(a, 4);
   BsrWorkspace ws;
   BsrPattern pat;
   BlockSparseMatrix cold, warm;
@@ -435,8 +442,7 @@ TEST(BlockSparseSym, WorkspaceShrinkReleasesStagingMemory) {
   // across system-size changes.  shrink() must bound the footprint by the
   // policy size while keeping the workspace usable.
   const linalg::Matrix big = random_symmetric(96, 71, 0.3);
-  const BlockSparseMatrix hb =
-      BlockSparseMatrix::from_dense(big, 4).to_symmetric_half();
+  const BlockSparseMatrix hb = BlockSparseMatrix::from_dense(big, 4);
   BsrWorkspace ws;
   BlockSparseMatrix out;
   hb.multiply_sym_into(hb, 0.0, out, ws);
@@ -449,8 +455,7 @@ TEST(BlockSparseSym, WorkspaceShrinkReleasesStagingMemory) {
 
   // Still fully functional after the shrink (buffers regrow on demand).
   const linalg::Matrix small = random_symmetric(8, 72);
-  const BlockSparseMatrix hs =
-      BlockSparseMatrix::from_dense(small, 4).to_symmetric_half();
+  const BlockSparseMatrix hs = BlockSparseMatrix::from_dense(small, 4);
   hs.multiply_sym_into(hs, 0.0, out, ws);
   EXPECT_LT(linalg::max_abs(out.to_dense() - linalg::matmul(small, small)),
             1e-12);
@@ -463,8 +468,7 @@ TEST(BlockSparseSym, WorkspaceShrinkReleasesStagingMemory) {
 
 TEST(BlockSparseSym, PrecisionConversionRoundTripsExactly) {
   const linalg::Matrix a = random_symmetric(24, 77);
-  const BlockSparseMatrix h =
-      BlockSparseMatrix::from_dense(a, 4).to_symmetric_half();
+  const BlockSparseMatrix h = BlockSparseMatrix::from_dense(a, 4);
 
   // Copying conversion: the fp32 twin shares the structure bit-for-bit
   // (patterns are structure-only, so the fingerprint must not move).
@@ -505,8 +509,7 @@ TEST(BlockSparseSym, PrecisionConversionRoundTripsExactly) {
 
 TEST(BlockSparseSym, Fp32MultiplyTracksFp64AndReusesPatterns) {
   const linalg::Matrix a = random_symmetric(48, 83);
-  const BlockSparseMatrix h =
-      BlockSparseMatrix::from_dense(a, 4).to_symmetric_half();
+  const BlockSparseMatrix h = BlockSparseMatrix::from_dense(a, 4);
   BsrWorkspace ws;
   BlockSparseMatrix ref;
   h.multiply_sym_into(h, 1e-8, ref, ws);
@@ -558,9 +561,6 @@ TEST_P(Sp2OnBsr, IdempotentWithExactTraceOnDiamond) {
   const PurificationResult r = sp2_purification(h, nocc, opt, &ws);
   ASSERT_TRUE(r.converged);
   EXPECT_EQ(r.density.block_size(), 4u);
-  // The engine runs -- and hands back -- symmetric-half storage.
-  EXPECT_TRUE(h.symmetric());
-  EXPECT_TRUE(r.density.symmetric());
 
   // Trace pins the electron count.
   EXPECT_NEAR(r.density.trace(), static_cast<double>(nocc), 1e-5);
@@ -616,7 +616,7 @@ class PurificationGuards : public ::testing::TestWithParam<Purifier> {};
 
 TEST_P(PurificationGuards, TrivialAndOutOfRangeOccupations) {
   const Purifier purify = GetParam();
-  const BlockSparseMatrix h = BlockSparseMatrix::identity(8, 4, true);
+  const BlockSparseMatrix h = BlockSparseMatrix::identity(8, 4);
 
   // No electrons: the converged empty density on h's layout.
   const PurificationResult none = purify(h, 0, {}, nullptr);
@@ -624,12 +624,11 @@ TEST_P(PurificationGuards, TrivialAndOutOfRangeOccupations) {
   EXPECT_DOUBLE_EQ(none.band_energy, 0.0);
   EXPECT_EQ(none.density.size(), 8u);
   EXPECT_EQ(none.density.block_size(), 4u);
-  EXPECT_TRUE(none.density.symmetric());
   EXPECT_EQ(none.density.block_count(), 0u);
 
   // Empty operand.
   const PurificationResult empty =
-      purify(BlockSparseMatrix(0, 4, true), 0, {}, nullptr);
+      purify(BlockSparseMatrix(0, 4), 0, {}, nullptr);
   EXPECT_TRUE(empty.converged);
   EXPECT_EQ(empty.density.size(), 0u);
 
@@ -640,8 +639,7 @@ TEST_P(PurificationGuards, TrivialAndOutOfRangeOccupations) {
 
 INSTANTIATE_TEST_SUITE_P(Methods, PurificationGuards,
                          ::testing::Values(&palser_manolopoulos,
-                                           &sp2_purification,
-                                           &purify_with_chemical_potential));
+                                           &sp2_purification));
 
 }  // namespace
 }  // namespace tbmd::onx

@@ -1,10 +1,11 @@
 // Tests for the variable-block-row (mixed-tile) mode of BlockSparseMatrix:
-// uniform normalization, dense round trips, algebra against the dense
-// reference, symmetric-half storage with frozen-pattern reuse (the algebra
-// on both tile precisions), and the rectangular truncation criterion.
+// uniform normalization, dense round trips through symmetric-half storage,
+// algebra against the dense reference with frozen-pattern reuse (on both
+// tile precisions), and the rectangular truncation criterion.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -89,44 +90,43 @@ TEST(BlockSparseVar, IdentityAndIdentityLike) {
       EXPECT_EQ(id.get(i, j), i == j ? 1.0 : 0.0);
     }
   }
-  const BlockSparseMatrix half = BlockSparseMatrix::identity(dims, true);
-  const BlockSparseMatrix like = BlockSparseMatrix::identity_like(half);
-  EXPECT_TRUE(like.symmetric());
-  EXPECT_EQ(like.pattern_fingerprint(), half.pattern_fingerprint());
+  const BlockSparseMatrix like = BlockSparseMatrix::identity_like(id);
+  EXPECT_EQ(like.pattern_fingerprint(), id.pattern_fingerprint());
   EXPECT_NEAR(like.trace(), static_cast<double>(n), 1e-15);
 }
 
 TEST(BlockSparseVar, DenseRoundTrip) {
   const auto dims = mixed_dims();
-  const linalg::Matrix a = random_var_symmetric(dims, 3);
-  const BlockSparseMatrix b = BlockSparseMatrix::from_dense(a, dims);
-  EXPECT_FALSE(b.uniform_blocks());
-  EXPECT_LT(linalg::max_abs(b.to_dense() - a), 1e-15);
-
-  // Entrywise lookup agrees on both triangles.
-  for (std::size_t i = 0; i < a.rows(); i += 3) {
-    for (std::size_t j = 0; j < a.cols(); j += 2) {
-      EXPECT_EQ(b.get(i, j), a(i, j));
-    }
+  std::vector<std::size_t> off(dims.size() + 1, 0);
+  for (std::size_t bi = 0; bi < dims.size(); ++bi) {
+    off[bi + 1] = off[bi] + dims[bi];
   }
-}
+  for (const std::uint64_t seed : {3u, 7u}) {
+    const linalg::Matrix a = random_var_symmetric(dims, seed);
+    const BlockSparseMatrix b = BlockSparseMatrix::from_dense(a, dims);
+    EXPECT_FALSE(b.uniform_blocks());
+    EXPECT_LT(linalg::max_abs(b.to_dense() - a), 1e-15) << "seed " << seed;
 
-TEST(BlockSparseVar, HalfStorageRoundTrip) {
-  const auto dims = mixed_dims();
-  const linalg::Matrix a = random_var_symmetric(dims, 7);
-  const BlockSparseMatrix full = BlockSparseMatrix::from_dense(a, dims);
-  const BlockSparseMatrix half = full.to_symmetric_half();
-  EXPECT_TRUE(half.symmetric());
-  EXPECT_LT(half.block_count(), full.block_count());
-  EXPECT_LT(linalg::max_abs(half.to_dense() - a), 1e-15);
-  const BlockSparseMatrix back = half.to_full();
-  EXPECT_FALSE(back.symmetric());
-  EXPECT_LT(linalg::max_abs(back.to_dense() - a), 1e-15);
-  EXPECT_EQ(back.block_count(), full.block_count());
-  // Mirror-aware scalar lookups on the half form.
-  for (std::size_t i = 0; i < a.rows(); i += 2) {
-    for (std::size_t j = 0; j < a.cols(); j += 3) {
-      EXPECT_EQ(half.get(i, j), a(i, j));
+    // Only the upper block triangle is stored; the fill accounting counts
+    // each mirrored tile once per side.
+    std::size_t tiles = 0, upper = 0, entries = 0;
+    for (std::size_t bi = 0; bi < dims.size(); ++bi) {
+      for (std::size_t bj = 0; bj < dims.size(); ++bj) {
+        if (a(off[bi], off[bj]) == 0.0) continue;
+        ++tiles;
+        entries += std::size_t{dims[bi]} * dims[bj];
+        if (bj >= bi) ++upper;
+      }
+    }
+    EXPECT_EQ(b.block_count(), upper) << "seed " << seed;
+    EXPECT_EQ(b.logical_block_count(), tiles);
+    EXPECT_EQ(b.logical_nnz(), entries);
+
+    // Mirror-aware entrywise lookup agrees on both triangles.
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+      for (std::size_t j = 0; j < a.cols(); ++j) {
+        EXPECT_EQ(b.get(i, j), a(i, j)) << i << "," << j;
+      }
     }
   }
 }
@@ -139,8 +139,6 @@ TEST(BlockSparseVar, TraceOfProductMatchesDense) {
   const BlockSparseMatrix ba = BlockSparseMatrix::from_dense(a, dims);
   const BlockSparseMatrix bc = BlockSparseMatrix::from_dense(c, dims);
   EXPECT_NEAR(ba.trace_of_product(bc), ref, 1e-11);
-  EXPECT_NEAR(ba.to_symmetric_half().trace_of_product(bc.to_symmetric_half()),
-              ref, 1e-11);
 }
 
 // The algebra suites below run on both tile precisions: fp64 against the
@@ -176,13 +174,11 @@ TEST_P(BlockSparseVarAlgebra, CombineMatchesDense) {
 TEST_P(BlockSparseVarAlgebra, SymmetricHalfMultiplyMatchesFull) {
   const auto dims = mixed_dims();
   const linalg::Matrix a = random_var_symmetric(dims, 37);
-  const BlockSparseMatrix full = BlockSparseMatrix::from_dense(a, dims);
   const BlockSparseMatrix half =
-      full.to_symmetric_half().to_precision(GetParam());
+      BlockSparseMatrix::from_dense(a, dims).to_precision(GetParam());
   BlockSparseMatrix out;
   BsrWorkspace ws;
   half.multiply_sym_into(half, 0.0, out, ws, nullptr);
-  EXPECT_TRUE(out.symmetric());
   EXPECT_EQ(out.precision(), GetParam());
   const linalg::Matrix ref = linalg::matmul(a, a);
   EXPECT_LT(linalg::max_abs(out.to_dense() - ref), bound(1e-12));
@@ -191,9 +187,8 @@ TEST_P(BlockSparseVarAlgebra, SymmetricHalfMultiplyMatchesFull) {
 TEST_P(BlockSparseVarAlgebra, FrozenPatternReuseIsBitIdentical) {
   const auto dims = mixed_dims();
   const linalg::Matrix a = random_var_symmetric(dims, 41);
-  const BlockSparseMatrix half = BlockSparseMatrix::from_dense(a, dims)
-                                     .to_symmetric_half()
-                                     .to_precision(GetParam());
+  const BlockSparseMatrix half =
+      BlockSparseMatrix::from_dense(a, dims).to_precision(GetParam());
   BsrWorkspace ws;
   BsrPattern pattern;
   BlockSparseMatrix cold, warm;
@@ -230,7 +225,8 @@ TEST(BlockSparseVar, RectTruncationDropsSmallTiles) {
   a(0, 0) = 1.0;
   a(4, 4) = 1.0;
   const BlockSparseMatrix kept = BlockSparseMatrix::from_dense(a, dims, 0.0);
-  EXPECT_EQ(kept.block_count(), 4u);  // two diagonal + both mirrors
+  EXPECT_EQ(kept.block_count(), 3u);          // two diagonal + one upper
+  EXPECT_EQ(kept.logical_block_count(), 4u);  // ... and its mirror
   const BlockSparseMatrix trunc =
       BlockSparseMatrix::from_dense(a, dims, eps);
   EXPECT_EQ(trunc.block_count(), 2u);  // diagonal tiles only
@@ -239,11 +235,19 @@ TEST(BlockSparseVar, RectTruncationDropsSmallTiles) {
 TEST(BlockSparseVar, GershgorinContainsSpectrumEdges) {
   const auto dims = mixed_dims();
   const linalg::Matrix a = random_var_symmetric(dims, 43);
-  const BlockSparseMatrix full = BlockSparseMatrix::from_dense(a, dims);
-  const auto bf = full.gershgorin_bounds();
-  const auto bh = full.to_symmetric_half().gershgorin_bounds();
-  EXPECT_NEAR(bf.lo, bh.lo, 1e-12);
-  EXPECT_NEAR(bf.hi, bh.hi, 1e-12);
+  const auto bf = BlockSparseMatrix::from_dense(a, dims).gershgorin_bounds();
+  // The upper-half pass (mirrored column sums) matches a dense row scan.
+  double lo = 0.0, hi = 0.0;
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    double radius = 0.0;
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      if (j != i) radius += std::fabs(a(i, j));
+    }
+    lo = i == 0 ? a(i, i) - radius : std::min(lo, a(i, i) - radius);
+    hi = i == 0 ? a(i, i) + radius : std::max(hi, a(i, i) + radius);
+  }
+  EXPECT_NEAR(bf.lo, lo, 1e-12);
+  EXPECT_NEAR(bf.hi, hi, 1e-12);
   // Row sums bound the spectrum: check against the largest |row sum|.
   double max_abs_row = 0.0;
   for (std::size_t i = 0; i < a.rows(); ++i) {

@@ -14,7 +14,7 @@
 #include "src/md/velocities.hpp"
 #include "src/neighbor/neighbor_list.hpp"
 #include "src/onx/on_calculator.hpp"
-#include "src/onx/sp2.hpp"
+#include "src/onx/purification.hpp"
 #include "src/potentials/lennard_jones.hpp"
 #include "src/structures/builders.hpp"
 #include "src/tb/hamiltonian.hpp"
@@ -37,7 +37,7 @@ TEST(Sp2, MatchesExactBandEnergyOnGappedSystem) {
   onx::PurificationOptions opt;
   opt.drop_tolerance = 0.0;
   const auto sp2 = onx::sp2_purification(
-      onx::BlockSparseMatrix::from_dense(hd, 4).to_symmetric_half(),
+      onx::BlockSparseMatrix::from_dense(hd, 4),
       s.total_valence_electrons() / 2, opt);
   ASSERT_TRUE(sp2.converged);
   EXPECT_NEAR(sp2.band_energy, occ.band_energy, 1e-5);

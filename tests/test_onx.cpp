@@ -1,10 +1,13 @@
 // Tests for the O(N) layer: blocked Hamiltonian assembly,
-// Palser-Manolopoulos purification vs exact diagonalization, and the
-// OrderNCalculator against TightBindingCalculator.
+// Palser-Manolopoulos purification vs exact diagonalization, the
+// OrderNCalculator against TightBindingCalculator, and O(N) forces against
+// finite differences of the O(N) energy.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/linalg/blas.hpp"
@@ -23,11 +26,6 @@
 
 namespace tbmd::onx {
 namespace {
-
-/// Symmetric-half BSR operand (4x4 tiles) of a dense sp Hamiltonian.
-BlockSparseMatrix half_blocks(const linalg::Matrix& h) {
-  return BlockSparseMatrix::from_dense(h, 4).to_symmetric_half();
-}
 
 /// Blocked Hamiltonian straight from the model, as the engine assembles it.
 BlockSparseMatrix block_hamiltonian(const tb::TbModel& m, const System& s) {
@@ -48,8 +46,7 @@ TEST(BlockHamiltonian, MatchesDenseAssembly) {
   list.build(s.positions(), s.cell(), {m.cutoff(), 0.3});
   const linalg::Matrix dense = tb::build_hamiltonian(m, s, list);
   const BlockSparseMatrix h = block_hamiltonian(m, s);
-  EXPECT_TRUE(h.symmetric());
-  EXPECT_LT(linalg::max_abs(h.to_full().to_dense() - dense), 1e-13);
+  EXPECT_LT(linalg::max_abs(h.to_dense() - dense), 1e-13);
   EXPECT_LT(h.fill_fraction(), 0.5);  // genuinely sparse
 }
 
@@ -65,7 +62,7 @@ TEST(Purification, MatchesExactDensityMatrixOnGappedSystem) {
   PurificationOptions opt;
   opt.drop_tolerance = 0.0;  // exact arithmetic
   const PurificationResult pm =
-      palser_manolopoulos(half_blocks(hd), nocc, opt);
+      palser_manolopoulos(BlockSparseMatrix::from_dense(hd, 4), nocc, opt);
   ASSERT_TRUE(pm.converged);
 
   // Compare against rho/2 from diagonalization.
@@ -92,7 +89,7 @@ TEST(Purification, IdempotentResult) {
   const PurificationResult pm = palser_manolopoulos(
       block_hamiltonian(m, s), s.total_valence_electrons() / 2, {});
   ASSERT_TRUE(pm.converged);
-  const linalg::Matrix p = pm.density.to_full().to_dense();
+  const linalg::Matrix p = pm.density.to_dense();
   EXPECT_NEAR(linalg::trace(p) - linalg::trace(linalg::matmul(p, p)), 0.0,
               1e-5);
 }
@@ -112,8 +109,9 @@ TEST_P(PurificationTruncation, EnergyErrorBoundedByTolerance) {
 
   PurificationOptions opt;
   opt.drop_tolerance = drop;
-  const PurificationResult pm = palser_manolopoulos(
-      half_blocks(hd), s.total_valence_electrons() / 2, opt);
+  const PurificationResult pm =
+      palser_manolopoulos(BlockSparseMatrix::from_dense(hd, 4),
+                          s.total_valence_electrons() / 2, opt);
   ASSERT_TRUE(pm.converged) << "drop = " << drop;
   // Energy error per atom grows with truncation but stays controlled.
   const double err = std::fabs(pm.band_energy - occ.band_energy) /
@@ -145,6 +143,53 @@ TEST(OrderNCalculator, MatchesExactEnergyAndForces) {
   }
   EXPECT_LT(worst, 5e-3);
 }
+
+// Forces are -dE/dx of the energy the O(N) engine itself reports: central
+// differences (h = 1e-5 A) on atoms 0, N/2 and N-1 of the two periodic
+// TbForceConsistency cases.  Untruncated (drop 0) the purified density is
+// the exact projector, so the gap is finite-difference noise; at the
+// library default drop 1e-7 it measures how far truncation moves E off the
+// surface the Hellmann-Feynman contraction differentiates.  Coarser drops
+// are not gated: at 1e-6 on C the difference quotient itself changes with
+// h (truncation makes E non-smooth there).
+class OrderNForceConsistency
+    : public ::testing::TestWithParam<std::tuple<int, double>> {};
+
+TEST_P(OrderNForceConsistency, AnalyticMatchesFiniteDifference) {
+  const auto [scenario, drop] = GetParam();
+  const bool carbon = scenario == 0;
+  const tb::TbModel m = carbon ? tb::xwch_carbon() : tb::gsp_silicon();
+  System s = carbon ? structures::diamond(Element::C, 3.567, 2, 2, 2)
+                    : structures::diamond(Element::Si, 5.431, 2, 2, 2);
+  structures::perturb(s, carbon ? 0.08 : 0.10, carbon ? 7 : 13);
+
+  OrderNCalculator calc(m, CalculatorSpec::order_n(drop));
+  const ForceResult r0 = calc.compute(s);
+  ASSERT_TRUE(calc.last_purification().converged);
+  const double bound = drop == 0.0 ? 1e-6 : 5e-4;
+  constexpr double h = 1e-5;
+  for (const std::size_t atom : {std::size_t{0}, s.size() / 2, s.size() - 1}) {
+    for (int axis = 0; axis < 3; ++axis) {
+      const Vec3 dr{axis == 0 ? h : 0.0, axis == 1 ? h : 0.0,
+                    axis == 2 ? h : 0.0};
+      s.positions()[atom] += dr;
+      const double ep = calc.compute(s).energy;
+      s.positions()[atom] -= 2.0 * dr;
+      const double em = calc.compute(s).energy;
+      s.positions()[atom] += dr;
+      EXPECT_NEAR(r0.forces[atom][axis], -(ep - em) / (2.0 * h), bound)
+          << "atom " << atom << " axis " << axis;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PeriodicCases, OrderNForceConsistency,
+    ::testing::Combine(::testing::Values(0, 1), ::testing::Values(0.0, 1e-7)),
+    [](const ::testing::TestParamInfo<std::tuple<int, double>>& info) {
+      return std::string(std::get<0>(info.param) == 0 ? "C64" : "Si64") +
+             (std::get<1>(info.param) == 0.0 ? "_drop0" : "_drop1em7");
+    });
 
 TEST(OrderNCalculator, DensityMatrixFillFractionDecreasesWithSize) {
   // Nearsightedness: with truncation, the fill *fraction* of the density
@@ -189,8 +234,6 @@ TEST(OrderNCalculator, WarmStepsPerformZeroSymbolicWork) {
   EXPECT_EQ(calc.topology_version(), topo);
   EXPECT_EQ(warm.symbolic_builds, cold.symbolic_builds);
   EXPECT_GT(warm.numeric_reuses, cold.numeric_reuses);
-  // Steady state never materializes a full-pattern density matrix.
-  EXPECT_TRUE(calc.last_purification().density.symmetric());
 }
 
 TEST(OrderNCalculator, TopologyChangeInvalidatesPatternCache) {

@@ -1,8 +1,7 @@
 // Tests for the O(N) layer on mixed orbital blocks (bs in {1, 4, 9}):
 // blocked Hamiltonian assembly against the dense reference on a
 // multi-species system, the Hellmann-Feynman contraction over mixed tiles,
-// and the grand-canonical purification path (fixed-mu McWeeny + the
-// chemical-potential bisection).
+// and canonical purification on a variable block layout.
 
 #include <gtest/gtest.h>
 
@@ -134,11 +133,10 @@ TEST(MixedBlocks, BlockHamiltonianMatchesDense) {
 
   const linalg::Matrix hd = tb::build_hamiltonian(m, s, list);
   const BlockSparseMatrix hb = build_block_hamiltonian(m, s, table);
-  EXPECT_TRUE(hb.symmetric());
   EXPECT_FALSE(hb.uniform_blocks());
   EXPECT_EQ(hb.block_rows(), s.size());
   ASSERT_EQ(hb.size(), hd.rows());
-  const linalg::Matrix back = hb.to_full().to_dense();
+  const linalg::Matrix back = hb.to_dense();
   for (std::size_t i = 0; i < hb.size(); ++i) {
     for (std::size_t j = 0; j < hb.size(); ++j) {
       EXPECT_NEAR(back(i, j), hd(i, j), 1e-13) << i << "," << j;
@@ -166,7 +164,7 @@ TEST(MixedBlocks, BandForcesSparseMatchesDenseContraction) {
 
   const std::vector<std::uint32_t> dims = tb::orbital_block_dims(m, s);
   const BlockSparseMatrix p_bsr =
-      BlockSparseMatrix::from_dense(rho * 0.5, dims).to_symmetric_half();
+      BlockSparseMatrix::from_dense(rho * 0.5, dims);
   Mat3 w_bsr{};
   const std::vector<Vec3> f_bsr = band_forces_sparse(table, p_bsr, &w_bsr);
 
@@ -200,100 +198,6 @@ TEST(MixedBlocks, PurificationRunsOnVariableLayout) {
   EXPECT_FALSE(r.density.uniform_blocks());
   EXPECT_EQ(r.density.size(), hb.size());
   EXPECT_NEAR(r.density.trace(), static_cast<double>(nocc), 1e-6);
-}
-
-TEST(GrandCanonical, FixedMuCountsStatesBelowMu) {
-  // Gapped reference system: 64-atom diamond carbon.  With mu inside the
-  // gap the McWeeny projection must converge to the aufbau density.
-  const tb::TbModel m = tb::xwch_carbon();
-  System s = structures::diamond(Element::C, 3.567, 2, 2, 2);
-  NeighborList list;
-  list.build(s.positions(), s.cell(), {m.cutoff(), 0.3});
-  const linalg::Matrix hd = tb::build_hamiltonian(m, s, list);
-  const auto eig = linalg::eigh(hd);
-  const int nocc = s.total_valence_electrons() / 2;
-  const double homo = eig.values[nocc - 1];
-  const double lumo = eig.values[nocc];
-  ASSERT_GT(lumo - homo, 0.5);  // diamond gap
-
-  const BlockSparseMatrix hb =
-      BlockSparseMatrix::from_dense(hd, tb::orbital_block_dims(m, s))
-          .to_symmetric_half();
-
-  PurificationOptions opt;
-  opt.drop_tolerance = 0.0;
-  const double mu = 0.5 * (homo + lumo);
-  const PurificationResult r = purify_grand_canonical(hb, mu, opt);
-  ASSERT_TRUE(r.converged);
-  EXPECT_DOUBLE_EQ(r.mu, mu);
-  EXPECT_NEAR(r.density.trace(), static_cast<double>(nocc), 1e-5);
-
-  const auto occ = tb::occupy(eig.values, s.total_valence_electrons(), 0.0);
-  EXPECT_NEAR(r.band_energy, occ.band_energy, 1e-4);
-}
-
-TEST(GrandCanonical, ChemicalPotentialSearchFindsTheGap) {
-  const tb::TbModel m = tb::xwch_carbon();
-  System s = structures::diamond(Element::C, 3.567, 2, 2, 2);
-  NeighborList list;
-  list.build(s.positions(), s.cell(), {m.cutoff(), 0.3});
-  const linalg::Matrix hd = tb::build_hamiltonian(m, s, list);
-  const auto eig = linalg::eigh(hd);
-  const int nocc = s.total_valence_electrons() / 2;
-
-  const BlockSparseMatrix hb =
-      BlockSparseMatrix::from_dense(hd, tb::orbital_block_dims(m, s))
-          .to_symmetric_half();
-
-  PurificationOptions opt;
-  opt.drop_tolerance = 0.0;
-  PurificationWorkspace ws;
-  const PurificationResult r =
-      purify_with_chemical_potential(hb, nocc, opt, &ws);
-  ASSERT_TRUE(r.converged);
-  // The located Fermi level must separate HOMO and LUMO...
-  EXPECT_GT(r.mu, eig.values[nocc - 1]);
-  EXPECT_LT(r.mu, eig.values[nocc]);
-  // ... and the run at that mu reproduces the canonical result.
-  EXPECT_NEAR(r.density.trace(), static_cast<double>(nocc), 0.25);
-  const auto occ = tb::occupy(eig.values, s.total_valence_electrons(), 0.0);
-  EXPECT_NEAR(r.band_energy, occ.band_energy, 1e-3);
-}
-
-TEST(GrandCanonical, ChemicalPotentialSearchUnderMixedPrecision) {
-  // The mu-bisection drives purification runs whose loose-early
-  // iterations live on fp32 tiles: the located Fermi level must still
-  // land in the gap and the band energy must stay inside the force-
-  // accuracy budget, with the density handed back as an fp64 artifact.
-  const tb::TbModel m = tb::xwch_carbon();
-  System s = structures::diamond(Element::C, 3.567, 2, 2, 2);  // C64
-  NeighborList list;
-  list.build(s.positions(), s.cell(), {m.cutoff(), 0.3});
-  const linalg::Matrix hd = tb::build_hamiltonian(m, s, list);
-  const auto eig = linalg::eigh(hd);
-  const int nocc = s.total_valence_electrons() / 2;
-
-  const BlockSparseMatrix hb =
-      BlockSparseMatrix::from_dense(hd, tb::orbital_block_dims(m, s))
-          .to_symmetric_half();
-
-  PurificationOptions opt;
-  opt.drop_tolerance = 1e-7;
-  opt.precision = PrecisionMode::kMixed;
-  PurificationWorkspace ws;
-  const PurificationResult r =
-      purify_with_chemical_potential(hb, nocc, opt, &ws);
-  ASSERT_TRUE(r.converged);
-  EXPECT_GT(r.mu, eig.values[nocc - 1]);
-  EXPECT_LT(r.mu, eig.values[nocc]);
-  EXPECT_NEAR(r.density.trace(), static_cast<double>(nocc), 0.25);
-  const auto occ = tb::occupy(eig.values, s.total_valence_electrons(), 0.0);
-  EXPECT_NEAR(r.band_energy, occ.band_energy, 2e-3);
-
-  // The winning run spent iterations on fp32 tiles, and promotion always
-  // happened before convergence was declared (fp64 density out).
-  EXPECT_GT(r.numerics.fp32_iterations, 0);
-  EXPECT_EQ(r.density.precision(), TilePrecision::kF64);
 }
 
 }  // namespace

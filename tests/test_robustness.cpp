@@ -9,8 +9,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -319,6 +321,49 @@ TEST(CheckpointCrc, InjectedCrashBeforeRenameKeepsPrimary) {
   expect_same_checkpoint(svc::read_checkpoint_with_fallback(path, &used_prev),
                          small_checkpoint(2));
   EXPECT_FALSE(used_prev);
+}
+
+TEST(CheckpointCrc, CorruptStateCountFailsBeforeAllocating) {
+  ScratchDir dir("ck_nstate");
+  const std::string path = dir.file("a.ckpt");
+  svc::write_checkpoint(path, small_checkpoint(2));
+  svc::write_checkpoint(path, small_checkpoint(4));  // rotates step 2 -> .prev
+
+  // Patch the thermostat-state count to 0xFFFFFFFF and re-seal the CRC, so
+  // the payload passes its checksum and only the count is wrong.  Offset:
+  // 8 header bytes, then step, total_steps, natoms (24), the cell (72 + 3),
+  // two atoms of 50 bytes each and the thermostat target (8).
+  std::vector<char> bytes;
+  {
+    std::ifstream is(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(is), {});
+  }
+  constexpr std::size_t kStateCountAt = 8 + 24 + 75 + 2 * 50 + 8;
+  ASSERT_GT(bytes.size(), kStateCountAt + 4);
+  std::uint32_t count = 0;
+  std::memcpy(&count, bytes.data() + kStateCountAt, sizeof(count));
+  ASSERT_EQ(count, 2u);  // small_checkpoint's two thermostat doubles
+  count = 0xFFFFFFFFu;
+  std::memcpy(bytes.data() + kStateCountAt, &count, sizeof(count));
+  const std::uint32_t crc = crc32(bytes.data() + 8, bytes.size() - 12);
+  std::memcpy(bytes.data() + bytes.size() - 4, &crc, sizeof(crc));
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+
+  // A typed error naming the count, not a 32 GiB resize ...
+  try {
+    (void)svc::read_checkpoint(path);
+    ADD_FAILURE() << "expected tbmd::Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("state count 4294967295"),
+              std::string::npos)
+        << e.what();
+  }
+  // ... so the fallback reader recovers the rotated step-2 checkpoint.
+  bool used_prev = false;
+  expect_same_checkpoint(svc::read_checkpoint_with_fallback(path, &used_prev),
+                         small_checkpoint(2));
+  EXPECT_TRUE(used_prev);
 }
 
 // --- trajectory frame CRC ---------------------------------------------------
