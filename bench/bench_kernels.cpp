@@ -334,13 +334,16 @@ void BM_TbOnStep(benchmark::State& state) {
 BENCHMARK(BM_TbOnStep)->Arg(64)->Arg(216)->Unit(benchmark::kMillisecond);
 
 void BM_SkBlockWithDerivative(benchmark::State& state) {
+  // One carbon-carbon 4x4 block plus its three derivative blocks.
   const tb::TbModel m = tb::xwch_carbon();
   const Vec3 bond{0.8, 0.9, 0.7};
-  tb::SkBlock block;
-  tb::SkBlockDerivative deriv;
+  double block[16];
+  double deriv[48];
   for (auto _ : state) {
-    tb::sk_block_with_derivative(m, bond, block, deriv);
-    benchmark::DoNotOptimize(deriv.d[2][3][3]);
+    tb::sk_pair_block_into(m.pair(0, 0), 4, 4, bond, norm(bond), block, deriv);
+    benchmark::DoNotOptimize(block);
+    benchmark::DoNotOptimize(deriv);
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_SkBlockWithDerivative);

@@ -49,7 +49,7 @@ Fit fit_quadratic(const std::vector<double>& a, const std::vector<double>& e) {
 
 double free_atom_energy(const tb::TbModel& m) {
   // sp-valent atom with 4 electrons: s^2 p^2 configuration.
-  double e = 2.0 * m.e_s + 2.0 * m.e_p;
+  double e = 2.0 * m.onsite_energy(0, 0) + 2.0 * m.onsite_energy(0, 1);
   if (m.repulsion_kind == tb::RepulsionKind::kEmbeddedPolynomial) {
     e += tb::evaluate_polynomial(m.embed_coeff, 0.0).value;
   }

@@ -48,9 +48,7 @@ std::string CalculatorSpec::fingerprint() const {
     // form contributes to the identity (and a triggered retry rung does
     // change results -- the ladder knobs are all relevant then).
     if (health.enabled) {
-      os << ";health=1;hfin=" << (health.check_finite ? 1 : 0)
-         << ";hconv=" << (health.check_convergence ? 1 : 0)
-         << ";hmaxf=" << health.max_force
+      os << ";health=1;hmaxf=" << health.max_force
          << ";hmaxe=" << health.max_energy_per_atom
          << ";hfp64=" << (health.fp64_retry ? 1 : 0)
          << ";htight=" << (health.tighten_retry ? 1 : 0)

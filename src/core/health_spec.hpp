@@ -64,17 +64,12 @@ enum class FailureClass : std::uint8_t {
 /// docs).  Carried by value on CalculatorSpec and parsed from JobSpec
 /// files (`health`, `max_force`, `health_*` keys).
 struct HealthSpec {
-  /// Master switch.  Off (default): no scans, no retries, bit-identical
-  /// to the unguarded engine; unconverged purifications are only counted
-  /// and logged.
+  /// Master switch.  On: every step's density tiles, band energy and
+  /// forces are scanned for NaN/Inf, and an unconverged purification is a
+  /// failure instead of a density used anyway.  Off (default): no scans,
+  /// no retries, bit-identical to the unguarded engine; unconverged
+  /// purifications are only counted and logged.
   bool enabled = false;
-
-  /// Scan the density tiles, band energy and forces for NaN/Inf.
-  bool check_finite = true;
-
-  /// Treat an unconverged purification as a failure instead of using the
-  /// density anyway.
-  bool check_convergence = true;
 
   /// Per-component force sanity bound (eV/A); 0 disables the check.
   double max_force = 0.0;

@@ -309,7 +309,7 @@ inline void micro_add_square(bool transpose_a, bool transpose_b,
 
 void gemm_micro_add(std::size_t bs, const double* a, const double* b,
                     double* c) {
-  // bs == 4 tested first: the legacy sp models make it by far the hottest
+  // bs == 4 tested first: the sp models (C, Si) make it by far the hottest
   // tile edge, so it pays exactly one predicted branch.
   if (bs == 4) {
     // Fully unrolled 4x4x4: each output row is accumulated in four scalars

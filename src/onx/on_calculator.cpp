@@ -102,9 +102,8 @@ std::vector<Vec3> band_forces_sparse(const tb::BondTable& table,
                                      Mat3* virial) {
   TBMD_REQUIRE(table.has_derivatives(),
                "band_forces_sparse: bond table was built without derivatives");
-  // One block row per atom (true for the legacy uniform 4x4 layout and
-  // for every per-atom variable layout, including all-equal dims that
-  // normalized to uniform storage).
+  // One block row per atom (true for every per-atom layout, including
+  // all-equal dims that normalized to uniform storage).
   TBMD_REQUIRE(p.size() == table.orbital_count() &&
                    p.block_rows() == table.atoms(),
                "band_forces_sparse: density matrix layout does not match "
@@ -147,25 +146,12 @@ std::vector<Vec3> band_forces_sparse(const tb::BondTable& table,
       }
       const double* d = table.derivative(q, 0);
       Vec3 dedd{};
-      if (sz == 16) {
-        // Compile-time trip counts keep the uniform sp contraction's code
-        // generation (and thus its floating-point summation order)
-        // bit-identical to the pre-variable-block kernel.
-        for (std::size_t ab = 0; ab < 16; ++ab) {
-          const double rho_ab = rho[ab];
-          if (rho_ab == 0.0) continue;
-          dedd.x += 2.0 * rho_ab * d[ab];
-          dedd.y += 2.0 * rho_ab * d[16 + ab];
-          dedd.z += 2.0 * rho_ab * d[32 + ab];
-        }
-      } else {
-        for (std::size_t ab = 0; ab < sz; ++ab) {
-          const double rho_ab = rho[ab];
-          if (rho_ab == 0.0) continue;
-          dedd.x += 2.0 * rho_ab * d[ab];
-          dedd.y += 2.0 * rho_ab * d[sz + ab];
-          dedd.z += 2.0 * rho_ab * d[2 * sz + ab];
-        }
+      for (std::size_t ab = 0; ab < sz; ++ab) {
+        const double rho_ab = rho[ab];
+        if (rho_ab == 0.0) continue;
+        dedd.x += 2.0 * rho_ab * d[ab];
+        dedd.y += 2.0 * rho_ab * d[sz + ab];
+        dedd.z += 2.0 * rho_ab * d[2 * sz + ab];
       }
       dedd_bond[q] = dedd;
       if (virial != nullptr) w -= outer(table.bond(q), dedd);
@@ -300,7 +286,7 @@ ForceResult OrderNCalculator::compute(const System& system) {
   // sized for the historical maximum forever; the pattern cache is keyed
   // on the topology stamp, which an atom-count change always bumps.
   if (n < last_atoms_) {
-    std::size_t max_bs = tb::TbModel::kOrbitalsPerAtom;
+    std::size_t max_bs = 1;
     for (const tb::SpeciesParams& sp : model_.species) {
       max_bs = std::max(max_bs, static_cast<std::size_t>(sp.orbitals));
     }
@@ -389,22 +375,18 @@ ForceResult OrderNCalculator::compute(const System& system) {
 
     // --- classify this attempt -----------------------------------------
     FailureClass fail = FailureClass::kNone;
-    if (health.check_finite) {
-      if (!std::isfinite(last_.band_energy) ||
-          !std::isfinite(rep.energy)) {
-        fail = FailureClass::kNonFinite;
-      }
-      if (fail == FailureClass::kNone) {
-        for (const double v : last_.density.values()) {
-          if (!std::isfinite(v)) {
-            fail = FailureClass::kNonFinite;
-            break;
-          }
+    if (!std::isfinite(last_.band_energy) || !std::isfinite(rep.energy)) {
+      fail = FailureClass::kNonFinite;
+    }
+    if (fail == FailureClass::kNone) {
+      for (const double v : last_.density.values()) {
+        if (!std::isfinite(v)) {
+          fail = FailureClass::kNonFinite;
+          break;
         }
       }
     }
-    if (fail == FailureClass::kNone && health.check_convergence &&
-        !last_.converged) {
+    if (fail == FailureClass::kNone && !last_.converged) {
       fail = FailureClass::kNonConvergence;
     }
     if (fail == FailureClass::kNone) {
@@ -418,9 +400,8 @@ ForceResult OrderNCalculator::compute(const System& system) {
       }
       for (std::size_t i = 0; fail == FailureClass::kNone && i < n; ++i) {
         const Vec3 f = result.forces[i] + rep.forces[i];
-        if (health.check_finite && (!std::isfinite(f.x) ||
-                                    !std::isfinite(f.y) ||
-                                    !std::isfinite(f.z))) {
+        if (!std::isfinite(f.x) || !std::isfinite(f.y) ||
+            !std::isfinite(f.z)) {
           fail = FailureClass::kNonFinite;
         } else if (health.max_force > 0.0 &&
                    (std::fabs(f.x) > health.max_force ||

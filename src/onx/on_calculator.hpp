@@ -18,7 +18,7 @@ namespace tbmd::onx {
 
 /// Assemble the Hamiltonian directly in symmetric-half block-CSR form
 /// (one orbs(i) x orbs(j) tile per atom pair with j >= i: uniform 4x4 for
-/// the legacy sp models, mixed 1/4/9 tiles for multi-species models) from
+/// the sp models, mixed 1/4/9 tiles for multi-species models) from
 /// a prebuilt bond table -- the
 /// bond table's hopping blocks ARE the BSR tiles, so assembly is a scatter
 /// with no per-element index bookkeeping, and because half pairs are

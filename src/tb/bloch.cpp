@@ -18,29 +18,33 @@ Vec3 fractional_to_k(const Cell& cell, const Vec3& k_frac) {
 
 BlochMatrix build_bloch_hamiltonian(const TbModel& model, const System& system,
                                     const Vec3& k) {
-  check_species(model, system);
-  TBMD_REQUIRE(!model.multi_species(),
-               "bloch: k-space assembly still assumes the legacy uniform sp "
-               "block (multi-species models are real-space only for now)");
+  const std::vector<std::uint32_t> dims = orbital_block_dims(model, system);
   const Cell& cell = system.cell();
   TBMD_REQUIRE(cell.periodic(), "bloch: system must be periodic");
 
   const std::size_t n = system.size();
-  const std::size_t norb = 4 * n;
+  std::vector<std::size_t> spi(n);
+  std::vector<std::size_t> off(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    spi[i] = static_cast<std::size_t>(
+        model.species_index(system.species()[i]));
+    off[i + 1] = off[i] + dims[i];
+  }
+  const std::size_t norb = off[n];
   BlochMatrix h{linalg::Matrix(norb, norb, 0.0),
                 linalg::Matrix(norb, norb, 0.0)};
 
   // On-site terms.
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t o = 4 * i;
-    h.real(o, o) = model.e_s;
-    h.real(o + 1, o + 1) = model.e_p;
-    h.real(o + 2, o + 2) = model.e_p;
-    h.real(o + 3, o + 3) = model.e_p;
+    for (std::uint32_t q = 0; q < dims[i]; ++q) {
+      h.real(off[i] + q, off[i] + q) =
+          model.onsite_energy(spi[i], static_cast<int>(q));
+    }
   }
 
-  // Image range: enough lattice translations to cover the hopping cutoff.
-  const double rc = model.hopping.r_cut;
+  // Image range: enough lattice translations to cover the model cutoff,
+  // which bounds every pair's hopping cutoff.
+  const double rc = model.cutoff();
   const auto heights = cell.heights();
   int range[3];
   for (int a = 0; a < 3; ++a) {
@@ -50,8 +54,12 @@ BlochMatrix build_bloch_hamiltonian(const TbModel& model, const System& system,
   }
 
   const auto& pos = system.positions();
+  double b[81];
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
+      const PairParams& pp = model.pair(spi[i], spi[j]);
+      const int bsi = static_cast<int>(dims[i]);
+      const int bsj = static_cast<int>(dims[j]);
       for (int n1 = -range[0]; n1 <= range[0]; ++n1) {
         for (int n2 = -range[1]; n2 <= range[1]; ++n2) {
           for (int n3 = -range[2]; n3 <= range[2]; ++n3) {
@@ -59,17 +67,15 @@ BlochMatrix build_bloch_hamiltonian(const TbModel& model, const System& system,
             const Vec3 d =
                 pos[j] + cell.shift_vector(n1, n2, n3) - pos[i];
             const double r = norm(d);
-            if (r >= rc || r < 1e-9) continue;
-            const SkBlock b = sk_block(model, d);
+            if (r >= pp.hopping.r_cut || r < 1e-9) continue;
+            sk_pair_block_into(pp, bsi, bsj, d, r, b, nullptr);
             const double phase = dot(k, d);
             const double c = std::cos(phase);
             const double s = std::sin(phase);
-            const std::size_t oi = 4 * i;
-            const std::size_t oj = 4 * j;
-            for (int a = 0; a < 4; ++a) {
-              for (int q = 0; q < 4; ++q) {
-                h.real(oi + a, oj + q) += c * b.h[a][q];
-                h.imag(oi + a, oj + q) += s * b.h[a][q];
+            for (int a = 0; a < bsi; ++a) {
+              for (int q = 0; q < bsj; ++q) {
+                h.real(off[i] + a, off[j] + q) += c * b[bsj * a + q];
+                h.imag(off[i] + a, off[j] + q) += s * b[bsj * a + q];
               }
             }
           }
@@ -141,7 +147,7 @@ KGridResult kgrid_band_energy(const TbModel& model, const System& system,
 
   // Collect the sampled spectrum; every level carries weight 2/Nk.
   std::vector<double> levels;
-  levels.reserve(kpts.size() * 4 * system.size());
+  levels.reserve(kpts.size() * orbital_count(model, system));
   for (const Vec3& k : kpts) {
     const auto eps = bloch_eigenvalues(model, system, k);
     levels.insert(levels.end(), eps.begin(), eps.end());

@@ -16,44 +16,35 @@ void BondTable::build(const TbModel& model, const System& system,
   check_species(model, system);
   const auto& pairs = list.half_pairs();
   const auto& pos = system.positions();
-  const bool multi = model.multi_species();
-  // Topology-change detection: a different pair count, atom count or block
-  // layout is a change outright; otherwise the batched pass below compares
-  // every bond's endpoints and hopping_zero flag against the previous
-  // build (reading the old SoA values just before overwriting them).
-  const bool same_shape = nbonds_ == pairs.size() &&
-                          natoms_ == system.size() && uniform_ == !multi;
+  // Topology-change detection: a different pair count or atom count is a
+  // change outright; otherwise the batched pass below compares every
+  // bond's endpoints and hopping_zero flag against the previous build
+  // (reading the old SoA values just before overwriting them).
+  const bool same_shape = nbonds_ == pairs.size() && natoms_ == system.size();
   int topo_changed = same_shape ? 0 : 1;
   nbonds_ = pairs.size();
   TBMD_REQUIRE(list.size() == system.size(),
                "BondTable: neighbor list was built for a different system");
 
-  // Per-atom species and orbital layout.  Legacy models keep the uniform
-  // 4-orbital block; multi-species models read the species table (a
-  // species swap at fixed geometry changes block shapes, so it counts as a
-  // topology change too).
+  // Per-atom species and orbital layout (a species swap at fixed geometry
+  // changes block shapes, so it counts as a topology change too).
   if (natoms_ != system.size()) atom_orbs_.clear();
   natoms_ = system.size();
   atom_orbs_.resize(natoms_, 0);
   atom_orb_off_.resize(natoms_ + 1);
-  if (multi) {
-    spi_.resize(natoms_);
-    const auto& species = system.species();
-    for (std::size_t a = 0; a < natoms_; ++a) {
-      spi_[a] = model.species_index(species[a]);
-      const auto orbs = static_cast<std::uint8_t>(
-          model.orbitals(static_cast<std::size_t>(spi_[a])));
-      if (same_shape && atom_orbs_[a] != orbs) topo_changed = 1;
-      atom_orbs_[a] = orbs;
-    }
-  } else {
-    std::fill(atom_orbs_.begin(), atom_orbs_.end(), std::uint8_t{4});
+  spi_.resize(natoms_);
+  const auto& species = system.species();
+  for (std::size_t a = 0; a < natoms_; ++a) {
+    spi_[a] = model.species_index(species[a]);
+    const auto orbs = static_cast<std::uint8_t>(
+        model.orbitals(static_cast<std::size_t>(spi_[a])));
+    if (same_shape && atom_orbs_[a] != orbs) topo_changed = 1;
+    atom_orbs_[a] = orbs;
   }
   atom_orb_off_[0] = 0;
   for (std::size_t a = 0; a < natoms_; ++a) {
     atom_orb_off_[a + 1] = atom_orb_off_[a] + atom_orbs_[a];
   }
-  uniform_ = !multi;
 
   const bool blocks = mode != Mode::kRepulsiveOnly;
   const bool derivs = mode == Mode::kBlocksAndDerivatives;
@@ -62,19 +53,14 @@ void BondTable::build(const TbModel& model, const System& system,
   j_.resize(nbonds_);
   bond_.resize(nbonds_);
   r_.resize(nbonds_);
-  std::size_t hdoubles = 16 * nbonds_;
-  if (uniform_) {
-    hoff_.clear();
-  } else {
-    hoff_.resize(nbonds_ + 1);
-    hoff_[0] = 0;
-    for (std::size_t p = 0; p < nbonds_; ++p) {
-      const NeighborPair& pr = pairs[p];
-      hoff_[p + 1] = hoff_[p] + static_cast<std::size_t>(atom_orbs_[pr.i]) *
-                                    static_cast<std::size_t>(atom_orbs_[pr.j]);
-    }
-    hdoubles = hoff_[nbonds_];
+  hoff_.resize(nbonds_ + 1);
+  hoff_[0] = 0;
+  for (std::size_t p = 0; p < nbonds_; ++p) {
+    const NeighborPair& pr = pairs[p];
+    hoff_[p + 1] = hoff_[p] + static_cast<std::size_t>(atom_orbs_[pr.i]) *
+                                  static_cast<std::size_t>(atom_orbs_[pr.j]);
   }
+  const std::size_t hdoubles = hoff_[nbonds_];
   h_.resize(blocks ? hdoubles : 0);
   dh_.resize(derivs ? 3 * hdoubles : 0);
   hop_zero_.resize(nbonds_);
@@ -127,14 +113,9 @@ void BondTable::build(const TbModel& model, const System& system,
     }
     const Vec3 b = pos[pr.j] + pr.shift - pos[pr.i];
     const double r = norm(b);
-    const PairParams* pp = nullptr;
-    double hop_cut = model.hopping.r_cut;
-    if (multi) {
-      pp = &model.pair(static_cast<std::size_t>(spi_[pr.i]),
-                       static_cast<std::size_t>(spi_[pr.j]));
-      hop_cut = pp->hopping.r_cut;
-    }
-    const std::uint8_t hz = r >= hop_cut ? 1 : 0;
+    const PairParams& pp = model.pair(static_cast<std::size_t>(spi_[pr.i]),
+                                      static_cast<std::size_t>(spi_[pr.j]));
+    const std::uint8_t hz = r >= pp.hopping.r_cut ? 1 : 0;
     if (same_shape && (i_[p] != static_cast<std::uint32_t>(pr.i) ||
                        j_[p] != static_cast<std::uint32_t>(pr.j) ||
                        hop_zero_[p] != hz)) {
@@ -145,22 +126,15 @@ void BondTable::build(const TbModel& model, const System& system,
     bond_[p] = b;
     r_[p] = r;
     if (blocks) {
-      if (multi) {
-        sk_pair_block_into(*pp, atom_orbs_[pr.i], atom_orbs_[pr.j], b, r,
-                           h_.data() + hoff_[p],
-                           derivs ? dh_.data() + 3 * hoff_[p] : nullptr);
-      } else {
-        sk_block_into(model, b, r, h_.data() + 16 * p,
-                      derivs ? dh_.data() + 48 * p : nullptr);
-      }
+      sk_pair_block_into(pp, atom_orbs_[pr.i], atom_orbs_[pr.j], b, r,
+                         h_.data() + hoff_[p],
+                         derivs ? dh_.data() + 3 * hoff_[p] : nullptr);
     }
     hop_zero_[p] = hz;
     if (rep) {
-      const RadialScaling& rsc = multi ? pp->repulsive : model.repulsive;
-      const double phi0 = multi ? pp->phi0 : model.phi0;
-      const RadialValue rv = evaluate_scaling(rsc, r);
-      rep_val_[p] = phi0 * rv.value;
-      rep_der_[p] = phi0 * rv.derivative;
+      const RadialValue rv = evaluate_scaling(pp.repulsive, r);
+      rep_val_[p] = pp.phi0 * rv.value;
+      rep_der_[p] = pp.phi0 * rv.derivative;
     }
   }
   if (topo_changed != 0 || topology_version_ == 0) ++topology_version_;

@@ -19,11 +19,9 @@
 ///   * optionally its derivative (3x that, [gamma][alpha][beta]),
 ///   * the repulsive pair function phi(r) = phi0 * s_rep(r) and phi'(r).
 ///
-/// Legacy single-element sp models store a uniform 16-double (4x4) block
-/// per bond at stride 16 -- byte-for-byte the pre-refactor layout.
-/// Multi-species models have per-bond block shapes (1, 4 or 9 orbitals per
-/// endpoint), so the blocks live at offsets from a per-bond prefix array
-/// and per-atom orbital offsets are tabulated for the assembly consumers.
+/// Block shapes vary per bond (1, 4 or 9 orbitals per endpoint), so the
+/// blocks live at offsets from a per-bond prefix array and per-atom orbital
+/// offsets are tabulated for the assembly consumers.
 /// Consumers (build_hamiltonian, band_forces, repulsive_energy_forces and
 /// the onx sparse assembly / sparse forces) then contract straight from the
 /// table.  A per-atom CSR adjacency (sorted by neighbor index) lets
@@ -47,7 +45,7 @@ class BondTable {
   /// What the batched pass evaluates.  Geometry and the per-atom adjacency
   /// are always tabulated; the hopping blocks (+ the 3x larger dB/dd
   /// arrays) and the repulsive phi(r), phi'(r) are independent radial
-  /// evaluations (model.hopping vs model.repulsive scalings), so each is
+  /// evaluations (each pair's hopping vs repulsive scaling), so each is
   /// only computed for the modes whose consumers read it.
   enum class Mode {
     kRepulsiveOnly,         ///< geometry + phi/phi' (repulsive term only)
@@ -131,9 +129,6 @@ class BondTable {
   [[nodiscard]] const Vec3& bond(std::size_t p) const { return bond_[p]; }
   [[nodiscard]] double length(std::size_t p) const { return r_[p]; }
 
-  /// True when every bond stores the uniform 4x4 sp block (legacy models).
-  [[nodiscard]] bool uniform_blocks() const { return uniform_; }
-
   /// Orbitals on the two endpoints of bond p (block(p) is orbs_i x orbs_j).
   [[nodiscard]] int orbs_i(std::size_t p) const { return atom_orbs_[i_[p]]; }
   [[nodiscard]] int orbs_j(std::size_t p) const { return atom_orbs_[j_[p]]; }
@@ -153,15 +148,14 @@ class BondTable {
   }
 
   /// Hopping block of bond p: row-major [alpha][beta], orbs_i(p) x
-  /// orbs_j(p) doubles (16 at stride 16 for the uniform sp layout).
+  /// orbs_j(p) doubles.
   [[nodiscard]] const double* block(std::size_t p) const {
-    return h_.data() + (uniform_ ? 16 * p : hoff_[p]);
+    return h_.data() + hoff_[p];
   }
 
   /// dB/dd_gamma of bond p: orbs_i x orbs_j doubles [alpha][beta]; all
   /// three components of one bond are contiguous ([gamma][alpha][beta]).
   [[nodiscard]] const double* derivative(std::size_t p, int gamma) const {
-    if (uniform_) return dh_.data() + 48 * p + 16 * gamma;
     const std::size_t sz = hoff_[p + 1] - hoff_[p];
     return dh_.data() + 3 * hoff_[p] + sz * static_cast<std::size_t>(gamma);
   }
@@ -194,11 +188,10 @@ class BondTable {
   std::size_t nbonds_ = 0;
   std::size_t natoms_ = 0;
   std::uint64_t topology_version_ = 0;
-  bool uniform_ = true;
   std::vector<std::uint32_t> i_, j_;
   std::vector<Vec3> bond_;
   std::vector<double> r_;
-  std::vector<double> h_;   ///< 16 per bond (uniform) / hoff_ offsets
+  std::vector<double> h_;   ///< blocks at hoff_ offsets
   std::vector<double> dh_;  ///< 3x the block size (kBlocksAndDerivatives)
   std::vector<std::uint8_t> hop_zero_;
   std::vector<double> rep_val_, rep_der_;
@@ -206,8 +199,8 @@ class BondTable {
   std::vector<std::size_t> adj_ptr_;
   std::vector<std::uint8_t> atom_orbs_;     ///< orbitals per atom
   std::vector<std::size_t> atom_orb_off_;   ///< prefix sums, natoms + 1
-  std::vector<std::size_t> hoff_;  ///< per-bond block offsets (variable)
-  std::vector<int> spi_;           ///< per-atom species index (variable)
+  std::vector<std::size_t> hoff_;  ///< per-bond block offsets, nbonds + 1
+  std::vector<int> spi_;           ///< per-atom species index
 
   /// Verlet-skin bond reuse state: the positions each atom's incident
   /// bonds were last evaluated at, the per-build moved flags, and the

@@ -50,29 +50,14 @@ std::vector<Vec3> band_forces(const BondTable& table, const linalg::Matrix& rho,
       const double* d = table.derivative(p, 0);  // [gamma][alpha][beta]
       Vec3 dedd{};
       double sx = 0.0, sy = 0.0, sz = 0.0;
-      if (sz_b == 16) {
-        // Compile-time trip counts keep the uniform sp contraction's code
-        // generation (and thus its floating-point summation order)
-        // bit-identical to the pre-variable-block kernel.
-        for (int a = 0; a < 4; ++a) {
-          const double* rrow = rho.row(oi + a) + oj;
-          for (int b = 0; b < 4; ++b) rb[4 * a + b] = rrow[b];
-        }
-        for (int ab = 0; ab < 16; ++ab) {
-          sx += rb[ab] * d[ab];
-          sy += rb[ab] * d[16 + ab];
-          sz += rb[ab] * d[32 + ab];
-        }
-      } else {
-        for (int a = 0; a < bsi; ++a) {
-          const double* rrow = rho.row(oi + a) + oj;
-          for (int b = 0; b < bsj; ++b) rb[bsj * a + b] = rrow[b];
-        }
-        for (int ab = 0; ab < sz_b; ++ab) {
-          sx += rb[ab] * d[ab];
-          sy += rb[ab] * d[sz_b + ab];
-          sz += rb[ab] * d[2 * sz_b + ab];
-        }
+      for (int a = 0; a < bsi; ++a) {
+        const double* rrow = rho.row(oi + a) + oj;
+        for (int b = 0; b < bsj; ++b) rb[bsj * a + b] = rrow[b];
+      }
+      for (int ab = 0; ab < sz_b; ++ab) {
+        sx += rb[ab] * d[ab];
+        sy += rb[ab] * d[sz_b + ab];
+        sz += rb[ab] * d[2 * sz_b + ab];
       }
       dedd.x = 2.0 * sx;
       dedd.y = 2.0 * sy;

@@ -12,7 +12,7 @@ void check_species(const TbModel& model, const System& system) {
                  "system contains an element not covered by TB model '" +
                      model.name + "'");
   }
-  TBMD_REQUIRE(!model.multi_species() ||
+  TBMD_REQUIRE(model.species_count() <= 1 ||
                    model.repulsion_kind == RepulsionKind::kPairSum,
                "multi-species models require the pair-sum repulsion (the "
                "embedded polynomial has no per-species coefficients)");

@@ -18,9 +18,9 @@ class BondTable;
 /// Assemble the dense tight-binding Hamiltonian from a prebuilt bond table
 /// (the step-pipeline hot path: the table's blocks are shared with the
 /// force contraction and the repulsive term).  Orbital (i, alpha) maps to
-/// row table.orbital_offset(i) + alpha (= 4*i + alpha for the legacy sp
-/// models).  `model` supplies the on-site energies; the hopping blocks
-/// come from the table.
+/// row table.orbital_offset(i) + alpha (= 4*i + alpha for the sp models,
+/// carbon and silicon).  `model` supplies the on-site energies; the
+/// hopping blocks come from the table.
 [[nodiscard]] linalg::Matrix build_hamiltonian(const TbModel& model,
                                                const System& system,
                                                const BondTable& table);
@@ -36,8 +36,8 @@ class BondTable;
 void check_species(const TbModel& model, const System& system);
 
 /// Per-atom orbital counts of `system` under `model` -- the BSR block
-/// dimensions of the system's Hamiltonian (all 4 for the legacy sp
-/// models).  This is the authoritative source the block-sparse layer's
+/// dimensions of the system's Hamiltonian (all 4 for the sp models).
+/// This is the authoritative source the block-sparse layer's
 /// converters take their block structure from.
 [[nodiscard]] std::vector<std::uint32_t> orbital_block_dims(
     const TbModel& model, const System& system);

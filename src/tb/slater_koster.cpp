@@ -1,5 +1,6 @@
 #include "src/tb/slater_koster.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -7,78 +8,12 @@ namespace tbmd::tb {
 
 namespace {
 
-/// Fill the angular part A(alpha, beta) evaluated with bond integrals
-/// (vss, vsp, vpp_sigma, vpp_pi) and direction cosines u.
-void fill_angular(const BondIntegrals& v, const double u[3], double a[4][4]) {
-  a[0][0] = v.sss;
-  for (int b = 0; b < 3; ++b) {
-    a[0][b + 1] = u[b] * v.sps;
-    a[b + 1][0] = -u[b] * v.sps;
-  }
-  const double dv = v.pps - v.ppp;
-  for (int p = 0; p < 3; ++p) {
-    for (int q = 0; q < 3; ++q) {
-      a[p + 1][q + 1] = u[p] * u[q] * dv + (p == q ? v.ppp : 0.0);
-    }
-  }
-}
-
-}  // namespace
-
-void sk_block_into(const TbModel& model, const Vec3& bond, double r, double* h,
-                   double* d) {
-  const RadialValue s = evaluate_scaling(model.hopping, r);
-  if (s.value == 0.0 && s.derivative == 0.0) {
-    std::memset(h, 0, 16 * sizeof(double));
-    if (d != nullptr) std::memset(d, 0, 48 * sizeof(double));
-    return;
-  }
-
-  const double u[3] = {bond.x / r, bond.y / r, bond.z / r};
-  double ang[4][4];
-  fill_angular(model.bonds, u, ang);
-  // The radial-scaling sweeps below are elementwise over the flat 16-entry
-  // tile -- independent output lanes, one multiply(-pair) each -- so
-  // `omp simd` vectorizes them without touching any element's own
-  // arithmetic (the same j-lane argument as the block-sparse micro
-  // kernels; fp64 bit pattern unchanged).
-  const double* af = &ang[0][0];
-#pragma omp simd
-  for (int q = 0; q < 16; ++q) h[q] = s.value * af[q];
-  if (d == nullptr) return;
-
-  // dB/dd_g = s'(r) u_g A + s(r) dA/dd_g, with
-  // du_a/dd_g = (delta_ag - u_a u_g) / r.
-  const BondIntegrals& v = model.bonds;
-  const double dv = v.pps - v.ppp;
-  for (int g = 0; g < 3; ++g) {
-    double* dg = d + 16 * g;
-    // Radial part.
-    const double sg = s.derivative * u[g];
-#pragma omp simd
-    for (int q = 0; q < 16; ++q) dg[q] = sg * af[q];
-    // Angular part.
-    auto du = [&](int a) { return ((a == g ? 1.0 : 0.0) - u[a] * u[g]) / r; };
-    for (int b = 0; b < 3; ++b) {
-      dg[b + 1] += s.value * v.sps * du(b);
-      dg[4 * (b + 1)] -= s.value * v.sps * du(b);
-    }
-    for (int p = 0; p < 3; ++p) {
-      for (int q = 0; q < 3; ++q) {
-        dg[4 * (p + 1) + q + 1] += s.value * dv * (du(p) * u[q] + u[p] * du(q));
-      }
-    }
-  }
-}
-
-namespace {
-
 /// First-order dual number over the three direction cosines (l, m, n):
 /// value plus gradient.  The spd angular table below is written once in
 /// terms of these, so every entry's gradient w.r.t. u is produced by the
 /// arithmetic itself instead of a hand-derived (and hand-maintained)
-/// formula.  Only the multi-species path pays for this; the legacy sp
-/// models keep the scalar kernel above.
+/// formula.  Only shell blocks that touch a d shell pay for this; the s
+/// and p shells use the closed form in sp_shells().
 struct D3 {
   double v = 0.0;
   double g[3] = {0.0, 0.0, 0.0};
@@ -196,36 +131,72 @@ void dd_angular(const D3& l, const D3& m, const D3& n, double vs, double vp,
   }
 }
 
-/// Assemble the full bsi x bsj angular block (values + u-gradients) of an
-/// ordered pair from the tables above.  Shell blocks with the bra angular
-/// momentum above the ket's are produced by the Hermiticity identity
-/// B_{beta alpha}(u) = B~_{alpha beta}(-u) with the reversed-slot
-/// integrals, so transpose consistency of the two bond orderings holds by
-/// construction.
-void pair_angular(const SkIntegrals& v, int bsi, int bsj, const double u[3],
-                  D3 a[9][9]) {
+/// The s and p shell blocks of a bsi x bsj block in closed form (the
+/// header's formulas): `ni`, `nj` (1 or 4) are the s/p orbitals on each
+/// end, `ld` the block's row stride (bsj) and `sz` its size.
+void sp_shells(const SkIntegrals& v, int ni, int nj, int ld, std::size_t sz,
+               const double u[3], double r, const RadialValue& s, double* h,
+               double* d) {
+  double a[4][4];
+  a[0][0] = v.sss;
+  for (int b = 0; b < 3; ++b) {
+    a[0][b + 1] = u[b] * v.sps;
+    a[b + 1][0] = -u[b] * v.pss;
+  }
+  const double dv = v.pps - v.ppp;
+  for (int p = 0; p < 3; ++p) {
+    for (int q = 0; q < 3; ++q) {
+      a[p + 1][q + 1] = u[p] * u[q] * dv + (p == q ? v.ppp : 0.0);
+    }
+  }
+  for (int i = 0; i < ni; ++i) {
+    for (int j = 0; j < nj; ++j) h[ld * i + j] = s.value * a[i][j];
+  }
+  if (d == nullptr) return;
+
+  // dB/dd_g = s'(r) u_g A + s(r) dA/dd_g, with
+  // du_a/dd_g = (delta_ag - u_a u_g) / r.
+  for (int g = 0; g < 3; ++g) {
+    double* dg = d + sz * static_cast<std::size_t>(g);
+    // Radial part.
+    const double sg = s.derivative * u[g];
+    for (int i = 0; i < ni; ++i) {
+      for (int j = 0; j < nj; ++j) dg[ld * i + j] = sg * a[i][j];
+    }
+    // Angular part.
+    auto du = [&](int c) { return ((c == g ? 1.0 : 0.0) - u[c] * u[g]) / r; };
+    if (nj == 4) {
+      for (int b = 0; b < 3; ++b) dg[b + 1] += s.value * v.sps * du(b);
+    }
+    if (ni == 4) {
+      for (int b = 0; b < 3; ++b) dg[ld * (b + 1)] -= s.value * v.pss * du(b);
+    }
+    if (ni == 4 && nj == 4) {
+      for (int p = 0; p < 3; ++p) {
+        for (int q = 0; q < 3; ++q) {
+          dg[ld * (p + 1) + q + 1] +=
+              s.value * dv * (du(p) * u[q] + u[p] * du(q));
+        }
+      }
+    }
+  }
+}
+
+/// The shell blocks that touch a d shell (s-d, p-d, d-s, d-p, d-d) of a
+/// bsi x bsj block with bsi == 9 or bsj == 9, from the dual-number tables
+/// above.  Blocks with the bra angular momentum above the ket's are
+/// produced by the Hermiticity identity B_{beta alpha}(u) =
+/// B~_{alpha beta}(-u) with the reversed-slot integrals, so transpose
+/// consistency of the two bond orderings holds by construction.
+void d_shells(const SkIntegrals& v, int bsi, int bsj, std::size_t sz,
+              const double u[3], double r, const RadialValue& s, double* h,
+              double* d) {
   const D3 l = {u[0], {1.0, 0.0, 0.0}};
   const D3 m = {u[1], {0.0, 1.0, 0.0}};
   const D3 n = {u[2], {0.0, 0.0, 1.0}};
   const D3 lr = -l, mr = -m, nr = -n;  // reversed bond direction
 
-  a[0][0] = {v.sss, {0.0, 0.0, 0.0}};
-  const D3 uu[3] = {l, m, n};
-  if (bsj >= 4) {
-    for (int b = 0; b < 3; ++b) a[0][1 + b] = v.sps * uu[b];
-  }
-  if (bsi >= 4) {
-    const D3 ur[3] = {lr, mr, nr};
-    for (int b = 0; b < 3; ++b) a[1 + b][0] = v.pss * ur[b];
-  }
-  if (bsi >= 4 && bsj >= 4) {
-    const double dv = v.pps - v.ppp;
-    for (int p = 0; p < 3; ++p) {
-      for (int q = 0; q < 3; ++q) {
-        a[1 + p][1 + q] = dv * (uu[p] * uu[q]) + (p == q ? v.ppp : 0.0);
-      }
-    }
-  }
+  D3 a[9][9];
   if (bsj == 9) {
     D3 f[5];
     sd_angular(l, m, n, f);
@@ -250,10 +221,26 @@ void pair_angular(const SkIntegrals& v, int bsi, int bsj, const double u[3],
       }
     }
     if (bsj == 9) {
-      D3 h[5][5];
-      dd_angular(l, m, n, v.dds, v.ddp, v.ddd, h);
+      D3 e[5][5];
+      dd_angular(l, m, n, v.dds, v.ddp, v.ddd, e);
       for (int p = 0; p < 5; ++p) {
-        for (int q = 0; q < 5; ++q) a[4 + p][4 + q] = h[p][q];
+        for (int q = 0; q < 5; ++q) a[4 + p][4 + q] = e[p][q];
+      }
+    }
+  }
+
+  // dB/dd_g = s'(r) u_g A + s(r) sum_a (dA/du_a)(delta_ag - u_a u_g) / r:
+  // the projector removes the radial component of the cosine gradient.
+  // Rows of the s/p shells carry d entries only from column 4 on.
+  for (int i = 0; i < bsi; ++i) {
+    for (int j = i < 4 ? 4 : 0; j < bsj; ++j) {
+      const D3& e = a[i][j];
+      h[bsj * i + j] = s.value * e.v;
+      if (d == nullptr) continue;
+      const double gu = e.g[0] * u[0] + e.g[1] * u[1] + e.g[2] * u[2];
+      for (int g = 0; g < 3; ++g) {
+        d[sz * static_cast<std::size_t>(g) + bsj * i + j] =
+            s.derivative * u[g] * e.v + s.value * (e.g[g] - gu * u[g]) / r;
       }
     }
   }
@@ -272,37 +259,11 @@ void sk_pair_block_into(const PairParams& pair, int bsi, int bsj,
   }
 
   const double u[3] = {bond.x / r, bond.y / r, bond.z / r};
-  D3 ang[9][9];
-  pair_angular(pair.integrals, bsi, bsj, u, ang);
-
-  for (int a = 0; a < bsi; ++a) {
-    for (int b = 0; b < bsj; ++b) h[bsj * a + b] = s.value * ang[a][b].v;
+  sp_shells(pair.integrals, std::min(bsi, 4), std::min(bsj, 4), bsj, sz, u, r,
+            s, h, d);
+  if (bsi == 9 || bsj == 9) {
+    d_shells(pair.integrals, bsi, bsj, sz, u, r, s, h, d);
   }
-  if (d == nullptr) return;
-
-  // dB/dd_g = s'(r) u_g A + s(r) sum_a (dA/du_a)(delta_ag - u_a u_g) / r:
-  // the projector removes the radial component of the cosine gradient.
-  for (int a = 0; a < bsi; ++a) {
-    for (int b = 0; b < bsj; ++b) {
-      const D3& e = ang[a][b];
-      const double gu = e.g[0] * u[0] + e.g[1] * u[1] + e.g[2] * u[2];
-      for (int g = 0; g < 3; ++g) {
-        d[sz * g + bsj * a + b] =
-            s.derivative * u[g] * e.v + s.value * (e.g[g] - gu * u[g]) / r;
-      }
-    }
-  }
-}
-
-SkBlock sk_block(const TbModel& model, const Vec3& bond) {
-  SkBlock out;
-  sk_block_into(model, bond, norm(bond), &out.h[0][0], nullptr);
-  return out;
-}
-
-void sk_block_with_derivative(const TbModel& model, const Vec3& bond,
-                              SkBlock& block, SkBlockDerivative& deriv) {
-  sk_block_into(model, bond, norm(bond), &block.h[0][0], &deriv.d[0][0][0]);
 }
 
 }  // namespace tbmd::tb

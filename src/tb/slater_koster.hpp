@@ -1,29 +1,31 @@
 #pragma once
 
 /// \file slater_koster.hpp
-/// \brief Two-center Slater-Koster blocks (sp and spd) and their analytic
-/// derivatives with respect to the bond vector.
+/// \brief Two-center Slater-Koster blocks (s, sp and spd species) and their
+/// analytic derivatives with respect to the bond vector.
 ///
 /// Orbital order within an atom:
 ///   [s, p_x, p_y, p_z, d_xy, d_yz, d_zx, d_{x2-y2}, d_{3z2-r2}]
 /// truncated to the species' orbital count (1, 4 or 9).
 ///
 /// For a bond vector d = r_j - r_i with length r and direction cosines
-/// u = d/r, the legacy sp block B(alpha, beta) = <i,alpha| H |j,beta> is
+/// u = d/r, the s and p shells of the block B(alpha, beta) =
+/// <i,alpha| H |j,beta> are
 ///   B(s , s ) =  V_sss(r)
 ///   B(s , pb) =  u_b V_sps(r)
-///   B(pa, s ) = -u_a V_sps(r)
+///   B(pa, s ) = -u_a V_pss(r)
 ///   B(pa, pb) =  u_a u_b (V_pps(r) - V_ppp(r)) + delta_ab V_ppp(r)
-/// where all four integrals share the model's radial scaling s(r):
-/// V_x(r) = V_x(r0) * s(r).
+/// where all integrals of a pair share its radial scaling s(r):
+/// V_x(r) = V_x(r0) * s(r).  These four shell blocks and their derivatives
+/// are evaluated in closed form.
 ///
-/// The multi-species evaluator sk_pair_block_into generalizes this to the
-/// full spd table of Slater & Koster (1954).  Blocks with the bra shell
-/// higher than the ket shell are evaluated through the Hermiticity
-/// identity B_{beta alpha}(u) = B~_{alpha beta}(-u), with B~ drawing on the
-/// reversed-slot integrals (pss, dss, dps, dpp) of the ordered pair -- so
-/// an A-B block is always the transpose of the B-A block of the reversed
-/// bond, which the heteronuclear regression tests assert.
+/// Shell blocks that touch a d shell follow the full spd table of Slater &
+/// Koster (1954).  Those with the bra shell higher than the ket shell are
+/// evaluated through the Hermiticity identity B_{beta alpha}(u) =
+/// B~_{alpha beta}(-u), with B~ drawing on the reversed-slot integrals
+/// (pss, dss, dps, dpp) of the ordered pair -- so an A-B block is always
+/// the transpose of the B-A block of the reversed bond, which the
+/// heteronuclear regression tests assert.
 
 #include "src/geom/vec3.hpp"
 #include "src/tb/radial.hpp"
@@ -31,44 +33,16 @@
 
 namespace tbmd::tb {
 
-/// 4x4 hopping block.
-struct SkBlock {
-  double h[4][4] = {};
-};
-
-/// Derivative of the hopping block with respect to the bond vector
-/// components: d[gamma][alpha][beta] = dB(alpha,beta)/dd_gamma.
-struct SkBlockDerivative {
-  double d[3][4][4] = {};
-};
-
-/// Evaluate the hopping block for bond vector `bond` (= r_j - r_i).
-/// Returns an all-zero block at or beyond the hopping cutoff.
-[[nodiscard]] SkBlock sk_block(const TbModel& model, const Vec3& bond);
-
-/// Evaluate both the block and its derivative.  The derivative combines the
-/// radial derivative (along u) and the rotation of the direction cosines.
-void sk_block_with_derivative(const TbModel& model, const Vec3& bond,
-                              SkBlock& block, SkBlockDerivative& deriv);
-
-/// Low-level batched-evaluation primitive: write the 4x4 block (row-major,
-/// 16 doubles, layout [alpha][beta]) for a bond of length r = |bond| into
-/// `h`, and, when `d` is non-null, the three derivative blocks into `d`
-/// (48 doubles, layout [gamma][alpha][beta]).  Zero-fills at or beyond the
-/// hopping cutoff.  BondTable streams through this to build its
-/// structure-of-arrays storage without intermediate struct copies.
-void sk_block_into(const TbModel& model, const Vec3& bond, double r, double* h,
-                   double* d);
-
-/// Variable-block primitive for multi-species models: write the bsi x bsj
-/// hopping block of the ordered pair (bra species with bsi orbitals, ket
-/// species with bsj orbitals) for bond vector `bond` = r_j - r_i of length
-/// r into `h` (row-major, bsi * bsj doubles, layout [alpha][beta]) and,
-/// when `d` is non-null, the three derivative blocks dB/dd_gamma into `d`
-/// (3 * bsi * bsj doubles, layout [gamma][alpha][beta]).  All integrals
-/// share the pair's radial scaling; zero-fills at or beyond its cutoff.
-/// The derivatives are analytic (the angular table is evaluated in
-/// first-order dual numbers over the direction cosines).
+/// Write the bsi x bsj hopping block of the ordered pair (bra species with
+/// bsi orbitals, ket species with bsj orbitals) for bond vector `bond` =
+/// r_j - r_i of length r into `h` (row-major, bsi * bsj doubles, layout
+/// [alpha][beta]) and, when `d` is non-null, the three derivative blocks
+/// dB/dd_gamma into `d` (3 * bsi * bsj doubles, layout
+/// [gamma][alpha][beta]).  All integrals share the pair's radial scaling;
+/// zero-fills at or beyond its cutoff.  The derivatives are analytic (the
+/// d-shell angular table is evaluated in first-order dual numbers over the
+/// direction cosines).  BondTable streams through this to build its
+/// structure-of-arrays storage without intermediate copies.
 void sk_pair_block_into(const PairParams& pair, int bsi, int bsj,
                         const Vec3& bond, double r, double* h, double* d);
 

@@ -17,14 +17,7 @@ PairParams PairParams::reversed() const {
   return r;
 }
 
-bool TbModel::uniform_sp() const {
-  if (species.empty()) return true;
-  return std::all_of(species.begin(), species.end(),
-                     [](const SpeciesParams& s) { return s.orbitals == 4; });
-}
-
 int TbModel::species_index(Element e) const {
-  if (species.empty()) return e == element ? 0 : -1;
   for (std::size_t s = 0; s < species.size(); ++s) {
     if (species[s].element == e) return static_cast<int>(s);
   }
@@ -32,13 +25,11 @@ int TbModel::species_index(Element e) const {
 }
 
 int TbModel::orbitals(std::size_t s) const {
-  if (species.empty()) return kOrbitalsPerAtom;
   TBMD_REQUIRE(s < species.size(), "TbModel::orbitals: species out of range");
   return species[s].orbitals;
 }
 
 double TbModel::onsite_energy(std::size_t s, int orb) const {
-  if (species.empty()) return orb == 0 ? e_s : e_p;
   TBMD_REQUIRE(s < species.size(),
                "TbModel::onsite_energy: species out of range");
   const SpeciesParams& sp = species[s];
@@ -80,9 +71,6 @@ void TbModel::set_pair(std::size_t bra, std::size_t ket, const PairParams& p) {
 }
 
 double TbModel::cutoff() const {
-  if (species.empty()) {
-    return hopping.r_cut > repulsive.r_cut ? hopping.r_cut : repulsive.r_cut;
-  }
   double c = 0.0;
   for (const PairParams& p : pairs) {
     c = std::max({c, p.hopping.r_cut, p.repulsive.r_cut});
@@ -93,26 +81,34 @@ double TbModel::cutoff() const {
 TbModel xwch_carbon() {
   TbModel m;
   m.name = "xwch-carbon";
-  m.element = Element::C;
-  m.e_s = -2.99;
-  m.e_p = 3.71;
+  SpeciesParams c;
+  c.element = Element::C;
+  c.orbitals = 4;
+  c.e_s = -2.99;
+  c.e_p = 3.71;
+  m.set_species({c});
 
-  m.bonds = {-5.0, 4.7, 5.5, -1.55};
-  m.hopping.r0 = 1.536329;
-  m.hopping.n = 2.0;
-  m.hopping.nc = 6.5;
-  m.hopping.rc = 2.18;
-  m.hopping.r_taper = 2.45;
-  m.hopping.r_cut = 2.6;
+  PairParams p;
+  p.integrals.sss = -5.0;
+  p.integrals.sps = 4.7;
+  p.integrals.pps = 5.5;
+  p.integrals.ppp = -1.55;
+  p.hopping.r0 = 1.536329;
+  p.hopping.n = 2.0;
+  p.hopping.nc = 6.5;
+  p.hopping.rc = 2.18;
+  p.hopping.r_taper = 2.45;
+  p.hopping.r_cut = 2.6;
 
   m.repulsion_kind = RepulsionKind::kEmbeddedPolynomial;
-  m.phi0 = 8.18555;
-  m.repulsive.r0 = 1.64;  // d0
-  m.repulsive.n = 3.30304;   // m
-  m.repulsive.nc = 8.6655;   // mc
-  m.repulsive.rc = 2.1052;   // dc
-  m.repulsive.r_taper = 2.45;
-  m.repulsive.r_cut = 2.6;
+  p.phi0 = 8.18555;
+  p.repulsive.r0 = 1.64;  // d0
+  p.repulsive.n = 3.30304;   // m
+  p.repulsive.nc = 8.6655;   // mc
+  p.repulsive.rc = 2.1052;   // dc
+  p.repulsive.r_taper = 2.45;
+  p.repulsive.r_cut = 2.6;
+  m.set_pair(0, 0, p);
   m.embed_coeff = {-2.5909765118191, 0.5721151498619, -1.7896349903996e-3,
                    2.3539221516757e-5, -1.24251169551587e-7};
   return m;
@@ -121,33 +117,40 @@ TbModel xwch_carbon() {
 TbModel gsp_silicon() {
   TbModel m;
   m.name = "gsp-silicon";
-  m.element = Element::Si;
-  m.e_s = -5.25;
-  m.e_p = 1.20;
+  SpeciesParams si;
+  si.element = Element::Si;
+  si.orbitals = 4;
+  si.e_s = -5.25;
+  si.e_p = 1.20;
+  m.set_species({si});
 
-  m.bonds = {-1.938, 1.745, 3.050, -1.075};
-  m.hopping.r0 = 2.360352;
-  m.hopping.n = 2.0;
-  m.hopping.nc = 6.48;
-  m.hopping.rc = 3.67;
-  m.hopping.r_taper = 3.4;
-  m.hopping.r_cut = 3.8;
+  PairParams p;
+  p.integrals.sss = -1.938;
+  p.integrals.sps = 1.745;
+  p.integrals.pps = 3.050;
+  p.integrals.ppp = -1.075;
+  p.hopping.r0 = 2.360352;
+  p.hopping.n = 2.0;
+  p.hopping.nc = 6.48;
+  p.hopping.rc = 3.67;
+  p.hopping.r_taper = 3.4;
+  p.hopping.r_cut = 3.8;
 
   m.repulsion_kind = RepulsionKind::kPairSum;
-  m.phi0 = 3.4581;
-  m.repulsive.r0 = 2.360352;
-  m.repulsive.n = 4.54;
-  m.repulsive.nc = 6.48;
-  m.repulsive.rc = 3.67;
-  m.repulsive.r_taper = 3.4;
-  m.repulsive.r_cut = 3.8;
+  p.phi0 = 3.4581;
+  p.repulsive.r0 = 2.360352;
+  p.repulsive.n = 4.54;
+  p.repulsive.nc = 6.48;
+  p.repulsive.rc = 3.67;
+  p.repulsive.r_taper = 3.4;
+  p.repulsive.r_cut = 3.8;
+  m.set_pair(0, 0, p);
   return m;
 }
 
 TbModel kirchhoff_gold() {
   TbModel m;
   m.name = "kirchhoff-gold";
-  m.element = Element::Au;
   m.repulsion_kind = RepulsionKind::kPairSum;
 
   SpeciesParams au;

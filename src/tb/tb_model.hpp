@@ -1,25 +1,29 @@
 #pragma once
 
 /// \file tb_model.hpp
-/// \brief Empirical sp3 tight-binding model definitions.
+/// \brief Orthogonal two-center tight-binding model definitions.
 ///
 /// A TbModel bundles everything the Hamiltonian builder and force engine
-/// need: on-site energies, the four two-center bond integrals at the
-/// reference distance with their Goodwin-Skinner-Pettifor radial scaling,
-/// and the repulsive functional.
+/// need: a species table (element, orbital count and on-site energies per
+/// species) and an ordered-pair table holding each pair's Slater-Koster
+/// integrals at the reference distance, their Goodwin-Skinner-Pettifor
+/// radial scaling and the repulsive pair function.  Every model -- one
+/// element or several, s, sp or spd -- is described this way.
 ///
-/// Two classic single-element parameterizations ship with the library:
-///   * xwch_carbon()  - Xu, Wang, Chan & Ho, J. Phys.: Condens. Matter 4,
-///                      6047 (1992): orthogonal sp3 carbon with an
-///                      embedded-polynomial repulsion.
-///   * gsp_silicon()  - Goodwin, Skinner & Pettifor, Europhys. Lett. 9, 701
-///                      (1989): orthogonal sp3 silicon with a pair-sum
-///                      repulsion.
+/// Shipped parameterizations:
+///   * xwch_carbon()    - Xu, Wang, Chan & Ho, J. Phys.: Condens. Matter 4,
+///                        6047 (1992): orthogonal sp3 carbon with an
+///                        embedded-polynomial repulsion.
+///   * gsp_silicon()    - Goodwin, Skinner & Pettifor, Europhys. Lett. 9,
+///                        701 (1989): orthogonal sp3 silicon with a pair-sum
+///                        repulsion.
+///   * kirchhoff_gold() - orthogonal spd gold (see its declaration).
 ///
-/// Both models truncate their radial functions with a smooth C^1 cutoff
+/// All models truncate their radial functions with a smooth C^1 cutoff
 /// taper between r_taper and r_cut (the original papers splice polynomial
-/// tails over a similar window; the substitution is documented in
-/// DESIGN.md and validated by the cohesion tests).
+/// tails over a similar window; the cohesion checks in
+/// tests/test_tb_forces.cpp and bench/exp_t1_cohesive.cpp validate the
+/// substitution).
 
 #include <array>
 #include <cstddef>
@@ -41,14 +45,6 @@ struct RadialScaling {
   double rc = 2.18;     ///< screening length (A)
   double r_taper = 2.45;  ///< taper start (A)
   double r_cut = 2.6;     ///< hard cutoff (A)
-};
-
-/// The four sp3 two-center bond integrals at the reference distance r0 (eV).
-struct BondIntegrals {
-  double sss = 0.0;  ///< V_ss_sigma
-  double sps = 0.0;  ///< V_sp_sigma
-  double pps = 0.0;  ///< V_pp_sigma
-  double ppp = 0.0;  ///< V_pp_pi
 };
 
 /// How the repulsive energy is assembled from the pair function phi(r).
@@ -83,7 +79,7 @@ struct SkIntegrals {
   double ddd = 0.0;  ///< V_dd_delta
 };
 
-/// One species of a multi-element model: which element it represents, how
+/// One species of a model: which element it represents, how
 /// many orbitals it carries (1 = s, 4 = sp, 9 = spd; this is the BSR block
 /// dimension of its atoms) and the on-site energies of the shells present.
 struct SpeciesParams {
@@ -113,54 +109,28 @@ struct PairParams {
   [[nodiscard]] PairParams reversed() const;
 };
 
-/// Complete tight-binding model.
-///
-/// Two layers of description coexist:
-///   * The legacy single-element sp3 fields (element, e_s/e_p, bonds,
-///     hopping, ...) -- used whenever `species` is empty.  The shipped
-///     carbon and silicon models live here and keep their fast, fully
-///     unrolled 4x4 code paths.
-///   * The multi-species extension: a species table (each with its own
-///     orbital count, 1/4/9) plus an ns x ns table of ordered-pair
-///     parameters with heteronuclear SK integrals.  Populated via
-///     set_species()/set_pair(); pair (j, i) is derived from (i, j) by
-///     Hermiticity automatically.
+/// Complete tight-binding model: a species table (each species with its own
+/// orbital count, 1/4/9) plus an ns x ns table of ordered-pair parameters
+/// with heteronuclear SK integrals.  Populated via set_species()/set_pair();
+/// pair (j, i) is derived from (i, j) by Hermiticity automatically.
 struct TbModel {
   std::string name;
-  Element element = Element::C;
 
-  double e_s = 0.0;  ///< on-site s energy (eV)
-  double e_p = 0.0;  ///< on-site p energy (eV)
-
-  BondIntegrals bonds;      ///< integrals at hopping.r0
-  RadialScaling hopping;    ///< scaling of all four bond integrals
-
+  /// Model-wide repulsion assembly; kEmbeddedPolynomial needs a
+  /// one-species table (the polynomial has no per-species coefficients).
   RepulsionKind repulsion_kind = RepulsionKind::kPairSum;
-  double phi0 = 0.0;        ///< repulsive prefactor (eV)
-  RadialScaling repulsive;  ///< scaling of phi (r0 here is d0 of the papers)
   /// Embedding polynomial f(x) = sum_k coeff[k] x^k (kEmbeddedPolynomial).
   std::array<double, 5> embed_coeff{0, 1, 0, 0, 0};
 
-  /// Orbitals per atom of the legacy sp3 layer (sp3 = 4).
-  static constexpr int kOrbitalsPerAtom = 4;
-
-  /// Multi-species extension; empty means "legacy single-element sp model".
   std::vector<SpeciesParams> species;
   /// Ordered-pair table, row-major [bra * species_count() + ket]; sized by
   /// set_species().
   std::vector<PairParams> pairs;
 
-  /// True when the model carries an explicit species table.
-  [[nodiscard]] bool multi_species() const { return !species.empty(); }
-
-  /// True when every atom carries the uniform 4-orbital sp block -- the
-  /// predicate the engine uses to route through the legacy unrolled paths.
-  [[nodiscard]] bool uniform_sp() const;
-
   [[nodiscard]] std::size_t species_count() const { return species.size(); }
 
   /// Species-table index of an element, or -1 when the model has no
-  /// parameters for it.  Legacy models report index 0 for their element.
+  /// parameters for it.
   [[nodiscard]] int species_index(Element e) const;
 
   /// Orbitals per atom of species `s` (1, 4 or 9).
@@ -180,8 +150,8 @@ struct TbModel {
   /// with p.reversed() so Hermiticity holds by construction.
   void set_pair(std::size_t bra, std::size_t ket, const PairParams& p);
 
-  /// Interaction cutoff: the larger of the two radial cutoffs (A), taken
-  /// over all pairs for a multi-species model.
+  /// Interaction cutoff: the largest hopping or repulsive radial cutoff
+  /// over all pairs (A).
   [[nodiscard]] double cutoff() const;
 };
 

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "src/linalg/eigen_sym.hpp"
 #include "src/linalg/hermitian.hpp"
@@ -111,20 +112,26 @@ TEST(HermitianEig, RejectsNonHermitianInput) {
 
 TEST(Bloch, GammaPointMatchesRealSpaceSupercell) {
   // For a supercell large enough for the minimum-image convention, H(k=0)
-  // must equal the real-space Hamiltonian.
-  const TbModel m = xwch_carbon();
-  System s = structures::diamond(Element::C, 3.567, 2, 2, 2);
-  structures::perturb(s, 0.02, 5);
+  // must equal the real-space Hamiltonian -- for the sp carbon model and
+  // for the spd gold model (fcc 2x2x2: its 8.16 A edge is more than twice
+  // the 3.90 A cutoff).
+  System diamond = structures::diamond(Element::C, 3.567, 2, 2, 2);
+  structures::perturb(diamond, 0.02, 5);
+  System fcc = structures::fcc(Element::Au, 4.08, 2, 2, 2);
+  structures::perturb(fcc, 0.02, 5);
+  const std::pair<TbModel, System> cases[] = {{xwch_carbon(), diamond},
+                                              {kirchhoff_gold(), fcc}};
+  for (const auto& [m, s] : cases) {
+    NeighborList list;
+    list.build(s.positions(), s.cell(), {m.cutoff(), 0.0});
+    const auto real_h = build_hamiltonian(m, s, list);
+    const auto real_vals = linalg::eigvalsh(real_h);
 
-  NeighborList list;
-  list.build(s.positions(), s.cell(), {m.cutoff(), 0.0});
-  const auto real_h = build_hamiltonian(m, s, list);
-  const auto real_vals = linalg::eigvalsh(real_h);
-
-  const auto bloch_vals = bloch_eigenvalues(m, s, {0, 0, 0});
-  ASSERT_EQ(bloch_vals.size(), real_vals.size());
-  for (std::size_t k = 0; k < real_vals.size(); ++k) {
-    EXPECT_NEAR(bloch_vals[k], real_vals[k], 1e-8);
+    const auto bloch_vals = bloch_eigenvalues(m, s, {0, 0, 0});
+    ASSERT_EQ(bloch_vals.size(), real_vals.size()) << m.name;
+    for (std::size_t k = 0; k < real_vals.size(); ++k) {
+      EXPECT_NEAR(bloch_vals[k], real_vals[k], 1e-8) << m.name;
+    }
   }
 }
 

@@ -35,14 +35,17 @@ struct GasSetup {
 /// Random disordered gas built out to cutoff + a fat skin, so the list (and
 /// thus the table) contains bonds beyond the hopping and repulsive cutoffs.
 GasSetup random_setup(const TbModel& m, std::size_t n, std::uint64_t seed) {
-  GasSetup s{structures::random_gas(m.element, n, 0.025, 1.3, seed), {}};
+  GasSetup s{structures::random_gas(m.species[0].element, n, 0.025, 1.3, seed),
+             {}};
   s.list.build(s.system.positions(), s.system.cell(), {m.cutoff(), 0.8});
   return s;
 }
 
 TEST(BondTable, BlocksAndDerivativesMatchDirectEvaluation) {
   for (const TbModel& m : {xwch_carbon(), gsp_silicon()}) {
-    GasSetup s = random_setup(m, 40, 7 + static_cast<std::uint64_t>(m.element));
+    const PairParams& pp = m.pair(0, 0);
+    GasSetup s = random_setup(
+        m, 40, 7 + static_cast<std::uint64_t>(m.species[0].element));
     BondTable table;
     table.build(m, s.system, s.list, BondTable::Mode::kBlocksAndDerivatives);
     ASSERT_EQ(table.size(), s.list.half_pairs().size());
@@ -57,27 +60,24 @@ TEST(BondTable, BlocksAndDerivativesMatchDirectEvaluation) {
       const Vec3 bond = pos[pr.j] + pr.shift - pos[pr.i];
       EXPECT_DOUBLE_EQ(table.length(p), norm(bond));
 
-      SkBlock block;
-      SkBlockDerivative deriv;
-      sk_block_with_derivative(m, bond, block, deriv);
+      double block[16];
+      double deriv[48];
+      sk_pair_block_into(pp, 4, 4, bond, norm(bond), block, deriv);
       const double* h = table.block(p);
-      for (int a = 0; a < 4; ++a) {
-        for (int b = 0; b < 4; ++b) {
-          EXPECT_DOUBLE_EQ(h[4 * a + b], block.h[a][b]);
-          for (int g = 0; g < 3; ++g) {
-            EXPECT_DOUBLE_EQ(table.derivative(p, g)[4 * a + b],
-                             deriv.d[g][a][b]);
-          }
+      for (int q = 0; q < 16; ++q) {
+        EXPECT_DOUBLE_EQ(h[q], block[q]);
+        for (int g = 0; g < 3; ++g) {
+          EXPECT_DOUBLE_EQ(table.derivative(p, g)[q], deriv[16 * g + q]);
         }
       }
       if (table.hopping_zero(p)) {
         ++beyond_cutoff;
-        EXPECT_GE(table.length(p), m.hopping.r_cut);
+        EXPECT_GE(table.length(p), pp.hopping.r_cut);
       }
 
-      const RadialValue rep = evaluate_scaling(m.repulsive, norm(bond));
-      EXPECT_DOUBLE_EQ(table.repulsive_value(p), m.phi0 * rep.value);
-      EXPECT_DOUBLE_EQ(table.repulsive_derivative(p), m.phi0 * rep.derivative);
+      const RadialValue rep = evaluate_scaling(pp.repulsive, norm(bond));
+      EXPECT_DOUBLE_EQ(table.repulsive_value(p), pp.phi0 * rep.value);
+      EXPECT_DOUBLE_EQ(table.repulsive_derivative(p), pp.phi0 * rep.derivative);
     }
     // The fat skin must actually have produced beyond-cutoff bonds, or this
     // test is not exercising the zero-block path.
@@ -87,8 +87,9 @@ TEST(BondTable, BlocksAndDerivativesMatchDirectEvaluation) {
 
 TEST(BondTable, ZeroBlockExactlyAtAndBeyondCutoff) {
   const TbModel m = xwch_carbon();
-  for (const double r : {m.hopping.r_cut, m.hopping.r_cut + 0.25}) {
-    System s = structures::dimer(m.element, r);
+  const double r_cut = m.pair(0, 0).hopping.r_cut;
+  for (const double r : {r_cut, r_cut + 0.25}) {
+    System s = structures::dimer(Element::C, r);
     NeighborList list;
     list.build(s.positions(), s.cell(), {m.cutoff() + 1.0, 0.3});
     BondTable table;
@@ -138,9 +139,10 @@ TEST(BondTable, TopologyVersionTracksPatternChangesOnly) {
   // for anything that can change the Hamiltonian pattern -- including a
   // bond crossing the hopping cutoff with the pair list unchanged.
   const TbModel m = xwch_carbon();
-  System s = structures::dimer(m.element, 0.8 * m.hopping.r_cut);
+  const double r_cut = m.pair(0, 0).hopping.r_cut;
+  System s = structures::dimer(Element::C, 0.8 * r_cut);
   NeighborList list;
-  const double skin = 0.6 * m.hopping.r_cut;  // pair survives the crossing
+  const double skin = 0.6 * r_cut;  // pair survives the crossing
   list.build(s.positions(), s.cell(), {m.cutoff(), skin});
 
   BondTable table;
@@ -155,7 +157,7 @@ TEST(BondTable, TopologyVersionTracksPatternChangesOnly) {
 
   // Stretch the bond (the dimer lies along z) but stay inside the hopping
   // cutoff: values change, topology does not.
-  s.positions()[1].z = s.positions()[0].z + 0.9 * m.hopping.r_cut;
+  s.positions()[1].z = s.positions()[0].z + 0.9 * r_cut;
   table.build(m, s, list, BondTable::Mode::kBlocks);
   EXPECT_EQ(table.topology_version(), v1);
   ASSERT_FALSE(table.hopping_zero(0));
@@ -163,7 +165,7 @@ TEST(BondTable, TopologyVersionTracksPatternChangesOnly) {
   // Push the bond just past the hopping cutoff WITHOUT rebuilding the
   // neighbor list (the pair persists inside cutoff + skin): the
   // hopping_zero flip alone must bump the stamp.
-  s.positions()[1].z = s.positions()[0].z + 1.05 * m.hopping.r_cut;
+  s.positions()[1].z = s.positions()[0].z + 1.05 * r_cut;
   table.build(m, s, list, BondTable::Mode::kBlocks);
   ASSERT_TRUE(table.hopping_zero(0));
   const std::uint64_t v2 = table.topology_version();
@@ -251,20 +253,23 @@ TEST(BondTable, HamiltonianFromTableMatchesDirectAssembly) {
   table.build(m, s.system, s.list, BondTable::Mode::kBlocks);
   const linalg::Matrix h = build_hamiltonian(m, s.system, table);
 
-  // Reference assembled with direct per-bond sk_block calls.
+  // Reference assembled with direct per-bond sk_pair_block_into calls.
   const std::size_t norb = 4 * s.system.size();
   linalg::Matrix ref(norb, norb, 0.0);
   for (std::size_t i = 0; i < s.system.size(); ++i) {
-    ref(4 * i, 4 * i) = m.e_s;
-    for (int a = 1; a < 4; ++a) ref(4 * i + a, 4 * i + a) = m.e_p;
+    for (int a = 0; a < 4; ++a) {
+      ref(4 * i + a, 4 * i + a) = m.onsite_energy(0, a);
+    }
   }
   const auto& pos = s.system.positions();
   for (const NeighborPair& pr : s.list.half_pairs()) {
-    const SkBlock b = sk_block(m, pos[pr.j] + pr.shift - pos[pr.i]);
+    const Vec3 d = pos[pr.j] + pr.shift - pos[pr.i];
+    double b[16];
+    sk_pair_block_into(m.pair(0, 0), 4, 4, d, norm(d), b, nullptr);
     for (int a = 0; a < 4; ++a) {
       for (int c = 0; c < 4; ++c) {
-        ref(4 * pr.i + a, 4 * pr.j + c) = b.h[a][c];
-        ref(4 * pr.j + c, 4 * pr.i + a) = b.h[a][c];
+        ref(4 * pr.i + a, 4 * pr.j + c) = b[4 * a + c];
+        ref(4 * pr.j + c, 4 * pr.i + a) = b[4 * a + c];
       }
     }
   }
@@ -292,16 +297,16 @@ TEST(BondTable, BandForcesMatchDirectContraction) {
   const auto& pos = s.positions();
   for (const NeighborPair& pr : list.half_pairs()) {
     const Vec3 bond = pos[pr.j] + pr.shift - pos[pr.i];
-    SkBlock block;
-    SkBlockDerivative deriv;
-    sk_block_with_derivative(m, bond, block, deriv);
+    double block[16];
+    double deriv[48];
+    sk_pair_block_into(m.pair(0, 0), 4, 4, bond, norm(bond), block, deriv);
     Vec3 dedd{};
     for (int a = 0; a < 4; ++a) {
       for (int b = 0; b < 4; ++b) {
         const double r_ab = rho(4 * pr.i + a, 4 * pr.j + b);
-        dedd.x += 2.0 * r_ab * deriv.d[0][a][b];
-        dedd.y += 2.0 * r_ab * deriv.d[1][a][b];
-        dedd.z += 2.0 * r_ab * deriv.d[2][a][b];
+        dedd.x += 2.0 * r_ab * deriv[4 * a + b];
+        dedd.y += 2.0 * r_ab * deriv[16 + 4 * a + b];
+        dedd.z += 2.0 * r_ab * deriv[32 + 4 * a + b];
       }
     }
     ref[pr.j] -= dedd;
@@ -322,7 +327,9 @@ TEST(BondTable, RepulsiveFromTableMatchesDirectEvaluation) {
   // Both repulsion kinds: pair sum (Si) and embedded polynomial (C), via
   // the hopping-free kRepulsiveOnly mode (the list-based wrapper's path).
   for (const TbModel& m : {gsp_silicon(), xwch_carbon()}) {
-    GasSetup s = random_setup(m, 40, 41 + static_cast<std::uint64_t>(m.element));
+    const PairParams& pp = m.pair(0, 0);
+    GasSetup s = random_setup(
+        m, 40, 41 + static_cast<std::uint64_t>(m.species[0].element));
     BondTable table;
     table.build(m, s.system, s.list, BondTable::Mode::kRepulsiveOnly);
     EXPECT_FALSE(table.has_blocks());
@@ -336,10 +343,10 @@ TEST(BondTable, RepulsiveFromTableMatchesDirectEvaluation) {
       for (const NeighborPair& pr : s.list.half_pairs()) {
         const Vec3 bond = pos[pr.j] + pr.shift - pos[pr.i];
         const double r = norm(bond);
-        if (r >= m.repulsive.r_cut) continue;
-        const RadialValue v = evaluate_scaling(m.repulsive, r);
-        eref += m.phi0 * v.value;
-        const Vec3 f = (m.phi0 * v.derivative / r) * bond;
+        if (r >= pp.repulsive.r_cut) continue;
+        const RadialValue v = evaluate_scaling(pp.repulsive, r);
+        eref += pp.phi0 * v.value;
+        const Vec3 f = (pp.phi0 * v.derivative / r) * bond;
         fref[pr.i] += f;
         fref[pr.j] -= f;
       }
@@ -348,8 +355,8 @@ TEST(BondTable, RepulsiveFromTableMatchesDirectEvaluation) {
       for (const NeighborPair& pr : s.list.half_pairs()) {
         const Vec3 bond = pos[pr.j] + pr.shift - pos[pr.i];
         const double r = norm(bond);
-        if (r >= m.repulsive.r_cut) continue;
-        const double phi = m.phi0 * evaluate_scaling(m.repulsive, r).value;
+        if (r >= pp.repulsive.r_cut) continue;
+        const double phi = pp.phi0 * evaluate_scaling(pp.repulsive, r).value;
         x[pr.i] += phi;
         x[pr.j] += phi;
       }
@@ -362,8 +369,9 @@ TEST(BondTable, RepulsiveFromTableMatchesDirectEvaluation) {
       for (const NeighborPair& pr : s.list.half_pairs()) {
         const Vec3 bond = pos[pr.j] + pr.shift - pos[pr.i];
         const double r = norm(bond);
-        if (r >= m.repulsive.r_cut) continue;
-        const double der = m.phi0 * evaluate_scaling(m.repulsive, r).derivative;
+        if (r >= pp.repulsive.r_cut) continue;
+        const double der =
+            pp.phi0 * evaluate_scaling(pp.repulsive, r).derivative;
         const Vec3 f = ((fp[pr.i] + fp[pr.j]) * der / r) * bond;
         fref[pr.i] += f;
         fref[pr.j] -= f;

@@ -29,9 +29,9 @@ TEST(Hamiltonian, DimensionsAndOnsite) {
   const System s = structures::dimer(Element::C, 1.42);
   const linalg::Matrix h = hamiltonian_of(m, s);
   ASSERT_EQ(h.rows(), 8u);
-  EXPECT_DOUBLE_EQ(h(0, 0), m.e_s);
-  EXPECT_DOUBLE_EQ(h(1, 1), m.e_p);
-  EXPECT_DOUBLE_EQ(h(5, 5), m.e_p);
+  EXPECT_DOUBLE_EQ(h(0, 0), m.species[0].e_s);
+  EXPECT_DOUBLE_EQ(h(1, 1), m.species[0].e_p);
+  EXPECT_DOUBLE_EQ(h(5, 5), m.species[0].e_p);
 }
 
 TEST(Hamiltonian, IsSymmetric) {
@@ -49,9 +49,11 @@ TEST(Hamiltonian, DimerPiLevelsAnalytic) {
   const double r = 1.42;
   const System s = structures::dimer(Element::C, r);
   const auto vals = linalg::eigvalsh(hamiltonian_of(m, s));
-  const double sc = evaluate_scaling(m.hopping, r).value;
-  const double lo = m.e_p - std::fabs(m.bonds.ppp) * sc;
-  const double hi = m.e_p + std::fabs(m.bonds.ppp) * sc;
+  const PairParams& pp = m.pair(0, 0);
+  const double e_p = m.species[0].e_p;
+  const double sc = evaluate_scaling(pp.hopping, r).value;
+  const double lo = e_p - std::fabs(pp.integrals.ppp) * sc;
+  const double hi = e_p + std::fabs(pp.integrals.ppp) * sc;
 
   auto count_near = [&](double target) {
     int c = 0;
@@ -72,10 +74,13 @@ TEST(Hamiltonian, DimerSigmaBlockAnalytic) {
   const double r = 2.35;
   const System s = structures::dimer(Element::Si, r);
   const auto vals = linalg::eigvalsh(hamiltonian_of(m, s));
-  const double sc = evaluate_scaling(m.hopping, r).value;
-  const double vss = m.bonds.sss * sc;
-  const double vsp = m.bonds.sps * sc;
-  const double vpp = m.bonds.pps * sc;
+  const PairParams& pp = m.pair(0, 0);
+  const double e_s = m.species[0].e_s;
+  const double e_p = m.species[0].e_p;
+  const double sc = evaluate_scaling(pp.hopping, r).value;
+  const double vss = pp.integrals.sss * sc;
+  const double vsp = pp.integrals.sps * sc;
+  const double vpp = pp.integrals.pps * sc;
 
   // Gerade block: [[e_s + vss, sqrt2? ...]] -- direct 2x2 forms:
   //   |e_s + vss - E, vsp; vsp, e_p - vpp - E| = 0   (one parity)
@@ -86,14 +91,12 @@ TEST(Hamiltonian, DimerSigmaBlockAnalytic) {
     const double disc = std::sqrt(0.25 * (a - b) * (a - b) + c * c);
     return std::pair<double, double>{mean - disc, mean + disc};
   };
-  const auto [g1, g2] = solve22(m.e_s + vss, m.e_p - vpp, vsp);
-  const auto [u1, u2] = solve22(m.e_s - vss, m.e_p + vpp, vsp);
+  const auto [g1, g2] = solve22(e_s + vss, e_p - vpp, vsp);
+  const auto [u1, u2] = solve22(e_s - vss, e_p + vpp, vsp);
 
-  std::vector<double> expected{g1, g2, u1, u2,
-                               m.e_p + m.bonds.ppp * sc,
-                               m.e_p + m.bonds.ppp * sc,
-                               m.e_p - m.bonds.ppp * sc,
-                               m.e_p - m.bonds.ppp * sc};
+  const double vppp = pp.integrals.ppp * sc;
+  std::vector<double> expected{g1,        g2,        u1,        u2,
+                               e_p + vppp, e_p + vppp, e_p - vppp, e_p - vppp};
   std::sort(expected.begin(), expected.end());
   ASSERT_EQ(vals.size(), expected.size());
   for (std::size_t k = 0; k < vals.size(); ++k) {
@@ -164,8 +167,9 @@ TEST(Hamiltonian, GrapheneBandEdgesAreBounded) {
     }
     radius = std::max(radius, r);
   }
-  EXPECT_GE(vals.front(), -radius + std::min(m.e_s, m.e_p) - 1.0);
-  EXPECT_LE(vals.back(), radius + std::max(m.e_s, m.e_p) + 1.0);
+  const SpeciesParams& c = m.species[0];
+  EXPECT_GE(vals.front(), -radius + std::min(c.e_s, c.e_p) - 1.0);
+  EXPECT_LE(vals.back(), radius + std::max(c.e_s, c.e_p) + 1.0);
 }
 
 TEST(Hamiltonian, WrongSpeciesRejected) {
@@ -182,8 +186,8 @@ TEST(Hamiltonian, IsolatedAtomsGiveOnsiteSpectrum) {
   const auto vals = linalg::eigvalsh(hamiltonian_of(m, s));
   int n_s = 0, n_p = 0;
   for (const double v : vals) {
-    if (std::fabs(v - m.e_s) < 1e-10) ++n_s;
-    if (std::fabs(v - m.e_p) < 1e-10) ++n_p;
+    if (std::fabs(v - m.species[0].e_s) < 1e-10) ++n_s;
+    if (std::fabs(v - m.species[0].e_p) < 1e-10) ++n_p;
   }
   EXPECT_EQ(n_s, 3);
   EXPECT_EQ(n_p, 9);

@@ -201,8 +201,8 @@ TEST(Repulsive, PairSumDimerAnalytic) {
   NeighborList list;
   list.build(s.positions(), s.cell(), {m.cutoff(), 0.3});
   const RepulsiveResult rep = repulsive_energy_forces(m, s, list);
-  const double phi =
-      m.phi0 * evaluate_scaling(m.repulsive, r).value;
+  const PairParams& pp = m.pair(0, 0);
+  const double phi = pp.phi0 * evaluate_scaling(pp.repulsive, r).value;
   EXPECT_NEAR(rep.energy, phi, 1e-12);
   // Repulsive forces push the atoms apart along the bond.
   EXPECT_GT(dot(rep.forces[1] - rep.forces[0], s.displacement(0, 1)), 0.0);
@@ -214,14 +214,16 @@ TEST(Repulsive, EmbeddedPolynomialMatchesManualSum) {
   NeighborList list;
   list.build(s.positions(), s.cell(), {m.cutoff(), 0.3});
   const RepulsiveResult rep = repulsive_energy_forces(m, s, list);
-  const double phi = m.phi0 * evaluate_scaling(m.repulsive, 1.5).value;
+  const PairParams& pp = m.pair(0, 0);
+  const double phi = pp.phi0 * evaluate_scaling(pp.repulsive, 1.5).value;
   const double f_of_x = evaluate_polynomial(m.embed_coeff, phi).value;
   EXPECT_NEAR(rep.energy, 2.0 * f_of_x, 1e-12);  // one bond seen by 2 atoms
 }
 
 TEST(Repulsive, ZeroBeyondCutoff) {
   const TbModel m = gsp_silicon();
-  System s = structures::dimer(Element::Si, m.repulsive.r_cut + 0.5);
+  System s =
+      structures::dimer(Element::Si, m.pair(0, 0).repulsive.r_cut + 0.5);
   NeighborList list;
   list.build(s.positions(), s.cell(), {m.cutoff() + 1.0, 0.3});
   const RepulsiveResult rep = repulsive_energy_forces(m, s, list);
@@ -251,8 +253,8 @@ TEST(TbCalculator, DiamondIsBoundRelativeToFreeAtoms) {
   TbModel m = xwch_carbon();
   System s = structures::diamond(Element::C, 3.567, 2, 2, 2);
   TightBindingCalculator calc(m);
-  const double e_atom_free =
-      2.0 * m.e_s + 2.0 * m.e_p + evaluate_polynomial(m.embed_coeff, 0.0).value;
+  const double e_atom_free = 2.0 * m.species[0].e_s + 2.0 * m.species[0].e_p +
+                             evaluate_polynomial(m.embed_coeff, 0.0).value;
   const double e_per_atom = calc.compute(s).energy / s.size();
   const double cohesive = e_atom_free - e_per_atom;
   // XWCH diamond cohesive energy is ~7.4 eV/atom (paper value); allow slack

@@ -13,44 +13,50 @@ namespace {
 
 TEST(Models, ShippedParameterSetsAreSane) {
   const TbModel c = xwch_carbon();
-  EXPECT_EQ(c.element, Element::C);
-  EXPECT_LT(c.bonds.sss, 0.0);   // ss sigma is attractive
-  EXPECT_GT(c.bonds.sps, 0.0);
-  EXPECT_GT(c.bonds.pps, 0.0);
-  EXPECT_LT(c.bonds.ppp, 0.0);
-  EXPECT_LT(c.e_s, c.e_p);       // s below p
+  ASSERT_EQ(c.species_count(), 1u);
+  EXPECT_EQ(c.species[0].element, Element::C);
+  EXPECT_EQ(c.orbitals(0), 4);
+  const SkIntegrals& vc = c.pair(0, 0).integrals;
+  EXPECT_LT(vc.sss, 0.0);   // ss sigma is attractive
+  EXPECT_GT(vc.sps, 0.0);
+  EXPECT_GT(vc.pps, 0.0);
+  EXPECT_LT(vc.ppp, 0.0);
+  EXPECT_LT(c.onsite_energy(0, 0), c.onsite_energy(0, 1));  // s below p
   EXPECT_GT(c.cutoff(), 2.0);
   EXPECT_EQ(c.repulsion_kind, RepulsionKind::kEmbeddedPolynomial);
 
   const TbModel si = gsp_silicon();
-  EXPECT_EQ(si.element, Element::Si);
-  EXPECT_LT(si.bonds.sss, 0.0);
-  EXPECT_LT(si.e_s, si.e_p);
+  ASSERT_EQ(si.species_count(), 1u);
+  EXPECT_EQ(si.species[0].element, Element::Si);
+  EXPECT_EQ(si.orbitals(0), 4);
+  EXPECT_LT(si.pair(0, 0).integrals.sss, 0.0);
+  EXPECT_LT(si.onsite_energy(0, 0), si.onsite_energy(0, 1));
   EXPECT_EQ(si.repulsion_kind, RepulsionKind::kPairSum);
   EXPECT_GT(si.cutoff(), 3.0);
 }
 
 TEST(Models, LookupByName) {
-  EXPECT_EQ(model_by_name("xwch-carbon").element, Element::C);
-  EXPECT_EQ(model_by_name("C").element, Element::C);
-  EXPECT_EQ(model_by_name("gsp-silicon").element, Element::Si);
-  EXPECT_EQ(model_by_name("si").element, Element::Si);
+  EXPECT_EQ(model_by_name("xwch-carbon").species[0].element, Element::C);
+  EXPECT_EQ(model_by_name("C").species[0].element, Element::C);
+  EXPECT_EQ(model_by_name("gsp-silicon").species[0].element, Element::Si);
+  EXPECT_EQ(model_by_name("si").species[0].element, Element::Si);
   EXPECT_THROW((void)model_by_name("unobtainium"), Error);
 }
 
 TEST(RadialScaling, UnityAtReferenceDistance) {
   for (const TbModel& m : {xwch_carbon(), gsp_silicon()}) {
-    const RadialValue v = evaluate_scaling(m.hopping, m.hopping.r0);
+    const RadialScaling& hop = m.pair(0, 0).hopping;
+    const RadialValue v = evaluate_scaling(hop, hop.r0);
     EXPECT_NEAR(v.value, 1.0, 1e-12) << m.name;
     EXPECT_LT(v.derivative, 0.0) << m.name;  // decays with distance
   }
 }
 
 TEST(RadialScaling, MonotonicallyDecreasing) {
-  const TbModel m = xwch_carbon();
+  const RadialScaling hop = xwch_carbon().pair(0, 0).hopping;
   double prev = 10.0;
-  for (double r = 1.0; r < m.hopping.r_cut; r += 0.02) {
-    const double v = evaluate_scaling(m.hopping, r).value;
+  for (double r = 1.0; r < hop.r_cut; r += 0.02) {
+    const double v = evaluate_scaling(hop, r).value;
     EXPECT_LT(v, prev) << "r = " << r;
     EXPECT_GE(v, 0.0);
     prev = v;
@@ -58,29 +64,29 @@ TEST(RadialScaling, MonotonicallyDecreasing) {
 }
 
 TEST(RadialScaling, ZeroAtAndBeyondCutoff) {
-  const TbModel m = xwch_carbon();
-  for (const double r : {m.hopping.r_cut, m.hopping.r_cut + 0.1, 5.0}) {
-    const RadialValue v = evaluate_scaling(m.hopping, r);
+  const RadialScaling hop = xwch_carbon().pair(0, 0).hopping;
+  for (const double r : {hop.r_cut, hop.r_cut + 0.1, 5.0}) {
+    const RadialValue v = evaluate_scaling(hop, r);
     EXPECT_DOUBLE_EQ(v.value, 0.0);
     EXPECT_DOUBLE_EQ(v.derivative, 0.0);
   }
 }
 
 TEST(RadialScaling, ContinuousAcrossTaperStart) {
-  const TbModel m = xwch_carbon();
-  const double r1 = m.hopping.r_taper;
-  const double below = evaluate_scaling(m.hopping, r1 - 1e-9).value;
-  const double above = evaluate_scaling(m.hopping, r1 + 1e-9).value;
+  const RadialScaling hop = xwch_carbon().pair(0, 0).hopping;
+  const double r1 = hop.r_taper;
+  const double below = evaluate_scaling(hop, r1 - 1e-9).value;
+  const double above = evaluate_scaling(hop, r1 + 1e-9).value;
   EXPECT_NEAR(below, above, 1e-7);
   // Derivative continuity (the taper is C^1).
-  const double dbelow = evaluate_scaling(m.hopping, r1 - 1e-9).derivative;
-  const double dabove = evaluate_scaling(m.hopping, r1 + 1e-9).derivative;
+  const double dbelow = evaluate_scaling(hop, r1 - 1e-9).derivative;
+  const double dabove = evaluate_scaling(hop, r1 + 1e-9).derivative;
   EXPECT_NEAR(dbelow, dabove, 1e-5);
 }
 
 TEST(RadialScaling, ContinuousNearHardCutoff) {
-  const TbModel m = gsp_silicon();
-  const double v = evaluate_scaling(m.hopping, m.hopping.r_cut - 1e-7).value;
+  const RadialScaling hop = gsp_silicon().pair(0, 0).hopping;
+  const double v = evaluate_scaling(hop, hop.r_cut - 1e-7).value;
   EXPECT_NEAR(v, 0.0, 1e-5);
 }
 
@@ -89,7 +95,8 @@ class RadialDerivative : public ::testing::TestWithParam<double> {};
 TEST_P(RadialDerivative, MatchesFiniteDifference) {
   const double r = GetParam();
   for (const TbModel& m : {xwch_carbon(), gsp_silicon()}) {
-    for (const RadialScaling& p : {m.hopping, m.repulsive}) {
+    const PairParams& pp = m.pair(0, 0);
+    for (const RadialScaling& p : {pp.hopping, pp.repulsive}) {
       if (r >= p.r_cut - 1e-4) continue;
       const double h = 1e-6;
       const double fplus = evaluate_scaling(p, r + h).value;
@@ -107,9 +114,9 @@ INSTANTIATE_TEST_SUITE_P(SampleRadii, RadialDerivative,
                                            2.5, 2.55, 3.0, 3.45, 3.6, 3.75));
 
 TEST(RadialScaling, ThrowsAtZeroDistance) {
-  const TbModel m = xwch_carbon();
-  EXPECT_THROW((void)evaluate_scaling(m.hopping, 0.0), Error);
-  EXPECT_THROW((void)evaluate_scaling(m.hopping, 1e-9), Error);
+  const RadialScaling hop = xwch_carbon().pair(0, 0).hopping;
+  EXPECT_THROW((void)evaluate_scaling(hop, 0.0), Error);
+  EXPECT_THROW((void)evaluate_scaling(hop, 1e-9), Error);
 }
 
 TEST(Polynomial, ValueAndDerivative) {
