@@ -34,16 +34,21 @@ struct PhaseTimes {
 PhaseTimes measure_step(System& s, int steps) {
   tb::TightBindingCalculator calc(tb::xwch_carbon());
   (void)calc.compute(s);  // warm up (neighbor list and allocations)
-  calc.phase_timers().reset();
-  for (int q = 0; q < steps; ++q) (void)calc.compute(s);
-  const auto& t = calc.phase_timers();
+  StepReport sum;
+  for (int q = 0; q < steps; ++q) {
+    (void)calc.compute(s);
+    const StepReport& r = calc.step_report();
+    for (std::size_t k = 0; k < kPhaseCount; ++k) {
+      sum.seconds[k] += r.seconds[k];
+    }
+  }
   PhaseTimes out;
-  out.bondtable = t.seconds("bondtable") / steps;
-  out.hamiltonian = t.seconds("hamiltonian") / steps;
-  out.diagonalize = t.seconds("diagonalize") / steps;
-  out.density = t.seconds("density") / steps;
-  out.forces = t.seconds("forces") / steps;
-  out.total = t.total() / steps;
+  out.bondtable = sum.phase_seconds(Phase::kBondTable) / steps;
+  out.hamiltonian = sum.phase_seconds(Phase::kHamiltonian) / steps;
+  out.diagonalize = sum.phase_seconds(Phase::kDiagonalize) / steps;
+  out.density = sum.phase_seconds(Phase::kDensity) / steps;
+  out.forces = sum.phase_seconds(Phase::kForces) / steps;
+  out.total = sum.total_seconds() / steps;
   return out;
 }
 

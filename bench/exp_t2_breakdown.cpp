@@ -37,19 +37,25 @@ int main() {
     tb::TightBindingCalculator calc(tb::xwch_carbon());
     md::MdDriver driver(s, calc, {1.0});
 
-    calc.phase_timers().reset();
     const int steps = 3;
-    driver.run(steps);
+    StepReport sum;
+    driver.run(steps, [&](const md::MdDriver&, long) {
+      const StepReport& r = calc.step_report();
+      for (std::size_t k = 0; k < kPhaseCount; ++k) {
+        sum.seconds[k] += r.seconds[k];
+      }
+    });
 
-    const auto& t = calc.phase_timers();
-    auto ms = [&](const char* phase) {
-      return 1000.0 * t.seconds(phase) / steps;
+    auto ms = [&](Phase phase) {
+      return 1000.0 * sum.phase_seconds(phase) / steps;
     };
-    const double total = 1000.0 * t.total() / steps;
+    const double total = 1000.0 * sum.total_seconds() / steps;
     table.add_numeric_row(
-        {static_cast<double>(s.size()), ms("neighbors"), ms("bondtable"),
-         ms("hamiltonian"), ms("diagonalize"), ms("density"), ms("forces"),
-         ms("repulsive"), total, 100.0 * ms("diagonalize") / total},
+        {static_cast<double>(s.size()), ms(Phase::kNeighbors),
+         ms(Phase::kBondTable), ms(Phase::kHamiltonian),
+         ms(Phase::kDiagonalize), ms(Phase::kDensity), ms(Phase::kForces),
+         ms(Phase::kRepulsive), total,
+         100.0 * ms(Phase::kDiagonalize) / total},
         4);
     std::printf("  measured N = %zu\n", s.size());
   }

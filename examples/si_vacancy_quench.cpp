@@ -32,17 +32,23 @@
 
 namespace {
 
-/// Print the symbolic/numeric SpMM split accumulated since `before`.
-void report_stage(const char* label, const tbmd::onx::OrderNCalculator& on,
-                  tbmd::onx::BsrWorkspace::SpmmStats& before) {
-  const auto& now = on.spmm_stats();
-  const std::size_t symbolic = now.symbolic_builds - before.symbolic_builds;
-  const std::size_t numeric = now.numeric_reuses - before.numeric_reuses;
-  const double total = static_cast<double>(symbolic + numeric);
+/// Symbolic/numeric SpMM counts summed over the force calls of a stage.
+struct SpmmTally {
+  std::size_t symbolic = 0;
+  std::size_t numeric = 0;
+  void add(const tbmd::StepReport& r) {
+    symbolic += r.symbolic_builds;
+    numeric += r.numeric_reuses;
+  }
+};
+
+/// Print the stage's symbolic/numeric SpMM split and restart the tally.
+void report_stage(const char* label, SpmmTally& tally) {
+  const double total = static_cast<double>(tally.symbolic + tally.numeric);
   std::printf("  %-28s  symbolic %6zu   numeric %6zu   (%.1f%% reused)\n",
-              label, symbolic, numeric,
-              total > 0.0 ? 100.0 * numeric / total : 0.0);
-  before = now;
+              label, tally.symbolic, tally.numeric,
+              total > 0.0 ? 100.0 * tally.numeric / total : 0.0);
+  tally = {};
 }
 
 }  // namespace
@@ -54,7 +60,11 @@ int main(int argc, char** argv) {
   System si = structures::diamond(Element::Si, 5.431, 2, 2, 2);
 
   onx::OrderNCalculator on(tb::gsp_silicon(), CalculatorSpec::order_n(1e-6));
-  onx::BsrWorkspace::SpmmStats mark;
+  // Every force call counts: each driver's initial call, then one per step.
+  SpmmTally tally;
+  const auto count = [&](const md::MdDriver&, long) {
+    tally.add(on.step_report());
+  };
 
   std::printf("Si vacancy + quench on the O(N) engine (%zu atoms)\n\n",
               si.size());
@@ -63,23 +73,25 @@ int main(int argc, char** argv) {
   // state: one symbolic build on the first step, numeric-only after.
   {
     md::MdDriver driver(si, on, {1.5});
-    driver.run(stage_steps);
-    report_stage("crystal 0 K", on, mark);
+    tally.add(on.step_report());
+    driver.run(stage_steps, count);
+    report_stage("crystal 0 K", tally);
   }
 
   // Stage 2: punch a vacancy.  The atom count changes, so the BondTable
   // topology stamp bumps and the next step pays a symbolic rebuild; the
   // relaxing neighbors then perturb second-shell bonds around the defect.
-  const std::uint64_t stamp_before = on.topology_version();
+  const std::uint64_t stamp_before = on.step_report().topology;
   si = structures::with_vacancy(si, si.size() / 2);
   {
     md::MdDriver driver(si, on, {1.5});
-    driver.run(stage_steps);
-    report_stage("vacancy (relaxing)", on, mark);
+    tally.add(on.step_report());
+    driver.run(stage_steps, count);
+    report_stage("vacancy (relaxing)", tally);
   }
   std::printf("  topology stamp %llu -> %llu across the vacancy\n\n",
               static_cast<unsigned long long>(stamp_before),
-              static_cast<unsigned long long>(on.topology_version()));
+              static_cast<unsigned long long>(on.step_report().topology));
 
   // Stage 3: heat to 2500 K -- thermal cutoff-crossing plus diffusive
   // rebonding; nearly every step pays the symbolic phase.
@@ -89,9 +101,10 @@ int main(int argc, char** argv) {
     opt.thermostat =
         md::ThermostatSpec::nose_hoover(2500.0, 40.0, 2);
     md::MdDriver driver(si, on, std::move(opt));
-    driver.ramp_temperature(2500.0, stage_steps);
-    driver.run(stage_steps);
-    report_stage("hot 2500 K (diffusive)", on, mark);
+    tally.add(on.step_report());
+    driver.ramp_temperature(2500.0, stage_steps, count);
+    driver.run(stage_steps, count);
+    report_stage("hot 2500 K (diffusive)", tally);
   }
 
   // Stage 4: quench back to 300 K.  The network refreezes, but for Si the
@@ -104,11 +117,13 @@ int main(int argc, char** argv) {
     opt.thermostat =
         md::ThermostatSpec::nose_hoover(300.0, 40.0, 2);
     md::MdDriver driver(si, on, std::move(opt));
-    driver.ramp_temperature(300.0, 2 * stage_steps);
+    tally.add(on.step_report());
+    driver.ramp_temperature(300.0, 2 * stage_steps, count);
     driver.run(stage_steps, [&](const md::MdDriver& d, long step) {
+      count(d, step);
       if (step % 25 == 0) rdf.add_frame(d.system());
     });
-    report_stage("quenched 300 K (amorphous)", on, mark);
+    report_stage("quenched 300 K (amorphous)", tally);
   }
 
   const auto r = rdf.r_values();

@@ -37,10 +37,7 @@ std::string CalculatorSpec::fingerprint() const {
   } else {
     os << ";tol=" << numerics.drop_tolerance
        << ";loosen=" << numerics.schedule_loosening
-       << ";decay=" << numerics.schedule_decay
        << ";prec=" << numerics.precision_name()
-       << ";promit=" << numerics.promote_iteration
-       << ";promthr=" << numerics.promote_threshold
        << ";reuse=" << (reuse_patterns ? 1 : 0) << ";domains=" << domains
        << ";cachebounds=" << (cache_spectral_bounds ? 1 : 0)
        << ";bondskin=" << bond_reuse_skin;

@@ -4,15 +4,12 @@
 /// \brief Unified numerics policy of the O(N) engine: precision mode and
 /// truncation schedule.
 ///
-/// The drop-schedule knobs used to live on onx::PurificationOptions and be
-/// duplicated (flattened) onto CalculatorSpec; the mixed-precision work
-/// added a second family (precision mode, promotion policy) that every
-/// layer -- purification loop, calculator options, declarative spec,
-/// JobSpec files, sweep CLI -- must agree on.
-/// NumericsSpec is that single struct: PurificationOptions inherits it (so
-/// every historical `options.drop_tolerance` spelling still compiles) and
-/// CalculatorSpec carries one by value, fingerprint-relevant (unlike
-/// `threads`, these knobs change results).
+/// One struct that every layer -- purification loop, calculator,
+/// declarative spec, JobSpec files, sweep CLI -- agrees on.  CalculatorSpec
+/// carries one by value, fingerprint-relevant (unlike `threads`, these
+/// knobs change results).  onx::PurificationOptions inherits it; that base
+/// stays only because bench/e2e/adapters.cpp assigns a spec's numerics
+/// into it by slicing (`static_cast<NumericsSpec&>(popts) = ...`).
 ///
 /// Precision model (mixed mode): purification iterations far from
 /// idempotency run their SpMM on fp32 tiles -- half the memory traffic
@@ -49,31 +46,27 @@ struct NumericsSpec {
   double drop_tolerance = 1e-7;
 
   /// Per-iteration drop-threshold schedule: iteration `it` (1-based)
-  /// truncates at drop_tolerance * max(1, loosening * decay^(it-1)).
+  /// truncates at drop_tolerance * max(1, loosening * kScheduleDecay^(it-1)).
   /// Early iterations are far from idempotency, so aggressive truncation
   /// there costs no final accuracy but keeps the fill (and hence the SpMM
   /// cost) down while the polynomial still reshapes the whole spectrum;
   /// late iterations and the final polish run at the tight tolerance.
   /// schedule_loosening = 1 disables the schedule.
   double schedule_loosening = 8.0;
-  double schedule_decay = 0.5;
+  static constexpr double kScheduleDecay = 0.5;
 
   /// Tile precision policy (see PrecisionMode).
   PrecisionMode precision = PrecisionMode::kF64;
 
-  /// Mixed mode: promote to fp64 no later than this (1-based) iteration.
-  /// 0 = no iteration cap, promotion is purely threshold-driven.
-  int promote_iteration = 0;
-
-  /// Mixed mode: promote once the idempotency error per state
-  /// tr(P - P^2)/N falls below this.  The default sits at the ~1e-4 error
-  /// the loosened early drop schedule already tolerates.
-  double promote_threshold = 1e-4;
+  /// Mixed mode: promote to fp64 once the idempotency error per state
+  /// tr(P - P^2)/N falls below this, the ~1e-4 error the loosened early
+  /// drop schedule already tolerates.
+  static constexpr double kPromoteThreshold = 1e-4;
 
   /// Effective tile-drop threshold for (1-based) iteration `it`.
   [[nodiscard]] double drop_at(int it) const {
     const double loosening =
-        schedule_loosening * std::pow(schedule_decay, it - 1);
+        schedule_loosening * std::pow(kScheduleDecay, it - 1);
     return drop_tolerance * std::max(1.0, loosening);
   }
 

@@ -238,13 +238,14 @@ linalg::SpectralBounds OrderNCalculator::step_spectral_bounds() {
     bounds_topology_ = stamp;
     bounds_fingerprint_ = fp;
     bounds_valid_ = true;
-    ++bounds_refreshes_;
+    ++report_.bounds_refreshed;
     return cached_bounds_;
   }
   return {cached_bounds_.lo - drift, cached_bounds_.hi + drift};
 }
 
 ForceResult OrderNCalculator::compute(const System& system) {
+  report_ = StepReport{};
   ForceResult result;
   const std::size_t n = system.size();
   if (n == 0) return result;
@@ -264,23 +265,25 @@ ForceResult OrderNCalculator::compute(const System& system) {
   } else if (spec_.domains > 1) {
     ndom = std::min(static_cast<std::size_t>(spec_.domains), n);
   }
-  domain_stats_.domains = ndom;
+  report_.domains = ndom;
+  const BsrWorkspace::SpmmStats stats_before = workspace_.scratch.stats;
 
   {
-    auto t = timers_.scope("neighbors");
-    list_.ensure(system.positions(), system.cell(),
-                 {model_.cutoff(), spec_.skin});
+    PhaseTimer t(report_, Phase::kNeighbors);
+    report_.neighbor_rebuilt = list_.ensure(system.positions(), system.cell(),
+                                            {model_.cutoff(), spec_.skin});
   }
 
   // Shared per-step bond table: the sparse assembly, the sparse force
   // contraction and the repulsive term below read the same blocks, so the
   // O(N) path no longer re-derives any Slater-Koster quantity.
   {
-    auto t = timers_.scope("bondtable");
+    PhaseTimer t(report_, Phase::kBondTable);
     table_.build(model_, system, list_,
                  tb::BondTable::Mode::kBlocksAndDerivatives,
                  spec_.bond_reuse_skin);
   }
+  report_.topology = table_.topology_version();
 
   // An atom-count shrink would otherwise leave the workspace staging rows
   // sized for the historical maximum forever; the pattern cache is keyed
@@ -293,7 +296,7 @@ ForceResult OrderNCalculator::compute(const System& system) {
     workspace_.scratch.shrink({n, max_bs});
   }
   last_atoms_ = n;
-  workspace_.patterns.set_topology(table_.topology_version());
+  workspace_.patterns.set_topology(report_.topology);
   if (!spec_.reuse_patterns) workspace_.patterns.invalidate();
 
   // Publish the domain cuts (contiguous equal-count chunks of the block
@@ -307,7 +310,7 @@ ForceResult OrderNCalculator::compute(const System& system) {
   }
 
   {
-    auto t = timers_.scope("hamiltonian");
+    PhaseTimer t(report_, Phase::kHamiltonian);
     build_block_hamiltonian(model_, system, table_, hamiltonian_,
                             workspace_.scratch);
   }
@@ -317,7 +320,7 @@ ForceResult OrderNCalculator::compute(const System& system) {
   // recompute it, and the total-force/energy sanity bounds can see it.
   tb::RepulsiveResult rep;
   {
-    auto t = timers_.scope("repulsive");
+    PhaseTimer t(report_, Phase::kRepulsive);
     rep = tb::repulsive_energy_forces(model_, table_);
   }
 
@@ -327,7 +330,7 @@ ForceResult OrderNCalculator::compute(const System& system) {
   if (spec_.cache_spectral_bounds) {
     popts.bounds = step_spectral_bounds();
     popts.have_bounds = true;
-    last_bounds_ = popts.bounds;
+    report_.spectral_bounds = popts.bounds;
   }
 
   // Guarded step: purify + contract band forces, classify the outcome,
@@ -340,7 +343,7 @@ ForceResult OrderNCalculator::compute(const System& system) {
   for (;;) {
     result.virial = Mat3{};
     {
-      auto t = timers_.scope("purification");
+      PhaseTimer t(report_, Phase::kPurification);
       if (rung < 3) {
         // Recycle the previous density storage (the largest buffer of the
         // whole O(N) step) into the workspace before it is overwritten:
@@ -354,7 +357,7 @@ ForceResult OrderNCalculator::compute(const System& system) {
       }
     }
     {
-      auto t = timers_.scope("forces");
+      PhaseTimer t(report_, Phase::kForces);
       result.forces = band_forces_sparse(table_, last_.density, &result.virial);
     }
 
@@ -432,7 +435,7 @@ ForceResult OrderNCalculator::compute(const System& system) {
         bounds_valid_ = false;
         if (spec_.cache_spectral_bounds) {
           popts.bounds = step_spectral_bounds();
-          last_bounds_ = popts.bounds;
+          report_.spectral_bounds = popts.bounds;
         }
         ++recovery_stats_.tighten_retries;
         advanced = true;
@@ -469,6 +472,12 @@ ForceResult OrderNCalculator::compute(const System& system) {
   result.band_energy = last_.band_energy;
   result.repulsive_energy = rep.energy;
   result.energy = last_.band_energy + rep.energy;
+
+  report_.symbolic_builds =
+      workspace_.scratch.stats.symbolic_builds - stats_before.symbolic_builds;
+  report_.numeric_reuses =
+      workspace_.scratch.stats.numeric_reuses - stats_before.numeric_reuses;
+  report_.workspace_bytes = workspace_.scratch.footprint_bytes();
   return result;
 }
 

@@ -45,10 +45,14 @@ void build_block_hamiltonian(const tb::TbModel& model, const System& system,
 
 /// Linear-scaling TBMD calculator (Palser-Manolopoulos purification).
 ///
-/// Valid for gapped systems (diamond C/Si, molecules); the result of the
-/// last purification run is exposed for diagnostics.  Reads the spec's
+/// Valid for gapped systems (diamond C/Si, molecules).  Reads the spec's
 /// `skin` and O(N) fields (numerics, reuse_patterns, domains,
-/// cache_spectral_bounds, bond_reuse_skin, health).
+/// cache_spectral_bounds, bond_reuse_skin, health).  Diagnostics come in
+/// three parts: step_report() holds the last call's phase times and work
+/// counts (SpMM symbolic builds and numeric reuses, bond-table topology
+/// stamp, domain count, spectral-bounds refreshes and the interval handed
+/// to the purifier, workspace bytes); last_purification() is the last
+/// purifier run's own result; recovery_stats() accumulates across calls.
 class OrderNCalculator final : public Calculator {
  public:
   /// Throws tbmd::Error when `spec.mode` names the exact engine or
@@ -70,35 +74,6 @@ class OrderNCalculator final : public Calculator {
     return last_;
   }
 
-  /// Symbolic-vs-numeric SpMM accounting (cumulative across steps): the
-  /// pattern-reuse tests assert that a steady-state step adds only
-  /// numeric_reuses.
-  [[nodiscard]] const BsrWorkspace::SpmmStats& spmm_stats() const {
-    return workspace_.scratch.stats;
-  }
-
-  /// Topology stamp of the current bond table (what the pattern cache is
-  /// keyed on).
-  [[nodiscard]] std::uint64_t topology_version() const {
-    return table_.topology_version();
-  }
-
-  /// Heap bytes reserved by the shared BSR scratch workspace (the
-  /// bounded-footprint regression tests assert on this after an
-  /// atom-count shrink).
-  [[nodiscard]] std::size_t workspace_footprint_bytes() const {
-    return workspace_.scratch.footprint_bytes();
-  }
-
-  /// Domain-decomposition diagnostics of the most recent compute(): the
-  /// effective block-row domain count (1 = unsharded).
-  struct DomainStats {
-    std::size_t domains = 1;
-  };
-  [[nodiscard]] const DomainStats& domain_stats() const {
-    return domain_stats_;
-  }
-
   /// Guardrail/recovery accounting, cumulative across compute() calls.
   /// With health off only `unconverged_steps` and `last_failure` move (the
   /// satellite counter for silently-unconverged densities); with health on
@@ -115,19 +90,6 @@ class OrderNCalculator final : public Calculator {
   };
   [[nodiscard]] const RecoveryStats& recovery_stats() const {
     return recovery_stats_;
-  }
-
-  /// Exact Gershgorin recomputations performed by the cached-bounds mode
-  /// (cache_spectral_bounds): the hoist tests assert this stays at 1
-  /// across warm steps on an unchanged topology.
-  [[nodiscard]] std::size_t bounds_refreshes() const {
-    return bounds_refreshes_;
-  }
-
-  /// Spectral enclosure handed to the last purification run (exact or
-  /// drift-widened); meaningful only when cache_spectral_bounds is set.
-  [[nodiscard]] const linalg::SpectralBounds& last_spectral_bounds() const {
-    return last_bounds_;
   }
 
   [[nodiscard]] const tb::TbModel& model() const { return model_; }
@@ -159,19 +121,16 @@ class OrderNCalculator final : public Calculator {
   /// system instead of the historical maximum.
   std::size_t last_atoms_ = 0;
 
-  DomainStats domain_stats_;
   RecoveryStats recovery_stats_;
 
   /// cache_spectral_bounds state: the exact enclosure at the last refresh,
   /// the H values it was computed from (drift reference), and the pattern
   /// fingerprint + topology stamp they belong to.
   linalg::SpectralBounds cached_bounds_{};
-  linalg::SpectralBounds last_bounds_{};
   std::vector<double> h_ref_;
   std::uint64_t bounds_topology_ = 0;
   std::uint64_t bounds_fingerprint_ = 0;
   bool bounds_valid_ = false;
-  std::size_t bounds_refreshes_ = 0;
 };
 
 }  // namespace tbmd::onx

@@ -108,10 +108,10 @@ PurificationResult purify(const BlockSparseMatrix& h, int n_occupied,
   }
 
   // Truncation sets a noise floor below which idempotency cannot improve:
-  // converge when tr(P - P^2)/N reaches whichever is larger, the requested
-  // tolerance or the drop threshold.
+  // converge when tr(P - P^2)/N reaches whichever is larger,
+  // kIdempotencyTolerance or the drop threshold.
   const double effective_tol =
-      std::max(options.idempotency_tolerance, options.drop_tolerance);
+      std::max(kIdempotencyTolerance, options.drop_tolerance);
   double prev_idem = 1e300;
 
   // Mixed mode: the loose-early iterations run their SpMMs on fp32 tiles
@@ -152,15 +152,12 @@ PurificationResult purify(const BlockSparseMatrix& h, int n_occupied,
       PromotionTrigger trig = PromotionTrigger::kNone;
       if (per_state < effective_tol || at_floor || !defined) {
         trig = PromotionTrigger::kStagnation;
-      } else if (per_state < options.promote_threshold) {
+      } else if (per_state < NumericsSpec::kPromoteThreshold) {
         trig = PromotionTrigger::kThreshold;
-      } else if (options.promote_iteration > 0 &&
-                 it >= options.promote_iteration) {
-        trig = PromotionTrigger::kIteration;
       }
       // A stalled iteration skips its update (near-idempotent P makes it
-      // ill-conditioned); a threshold/iteration-cap promotion still takes
-      // this step's update with it.
+      // ill-conditioned); a threshold promotion still takes this step's
+      // update with it.
       if (trig != PromotionTrigger::kStagnation) apply(u, drop, ws);
       if (trig != PromotionTrigger::kNone) {
         ws.p.convert_precision(TilePrecision::kF64);

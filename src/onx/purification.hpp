@@ -36,16 +36,17 @@
 
 namespace tbmd::onx {
 
+/// Convergence: tr(P - P^2) / N below this, or below the drop tolerance
+/// when that is larger (truncation sets the noise floor).
+inline constexpr double kIdempotencyTolerance = 1e-10;
+
 /// Options for the purification loop.  The numerics policy (drop
-/// tolerance, truncation schedule, precision mode and promotion) is the
-/// inherited NumericsSpec -- shared verbatim with CalculatorSpec and the
-/// JobSpec/CLI layers, and spelled the historical way
-/// (`options.drop_tolerance`, `options.drop_at(it)`) at every existing
-/// call site.  The fields below are loop controls that only the
-/// purification routines themselves consume.
+/// tolerance, truncation schedule, precision mode) is the inherited
+/// NumericsSpec, shared verbatim with CalculatorSpec and the JobSpec/CLI
+/// layers.  The base class stays only because bench/e2e/adapters.cpp
+/// assigns a spec's numerics into it by slicing.  The fields below are
+/// loop controls that only the purification routines themselves consume.
 struct PurificationOptions : NumericsSpec {
-  /// Converged when tr(P - P^2) / N falls below this.
-  double idempotency_tolerance = 1e-10;
   int max_iterations = 100;
 
   /// Optional caller-supplied spectral enclosure of H.  When `have_bounds`
@@ -61,9 +62,8 @@ struct PurificationOptions : NumericsSpec {
 
 /// What flipped a mixed-precision run from fp32 to fp64 tiles.
 enum class PromotionTrigger : std::uint8_t {
-  kNone,       ///< ran fp64 throughout (fp64 mode, or promote_iteration=1)
-  kThreshold,  ///< idempotency error per state fell below promote_threshold
-  kIteration,  ///< promote_iteration cap reached
+  kNone,       ///< no promotion (fp64 mode, or fp32 hit max_iterations)
+  kThreshold,  ///< idempotency error per state fell below kPromoteThreshold
   kStagnation, ///< a convergence/stagnation criterion fired on fp32 tiles
                ///< (promotion instead of convergence: fp32 never converges)
 };

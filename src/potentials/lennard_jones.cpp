@@ -15,18 +15,19 @@ LennardJonesCalculator::LennardJonesCalculator(LennardJonesParams params)
 }
 
 ForceResult LennardJonesCalculator::compute(const System& system) {
+  report_ = StepReport{};
   ForceResult result;
   const std::size_t n = system.size();
   result.forces.assign(n, Vec3{});
   if (n == 0) return result;
 
   {
-    auto t = timers_.scope("neighbors");
-    list_.ensure(system.positions(), system.cell(),
-                 {params_.cutoff, params_.skin});
+    PhaseTimer t(report_, Phase::kNeighbors);
+    report_.neighbor_rebuilt = list_.ensure(system.positions(), system.cell(),
+                                            {params_.cutoff, params_.skin});
   }
 
-  auto t = timers_.scope("forces");
+  PhaseTimer t(report_, Phase::kForces);
   const auto& pos = system.positions();
   const double rc2 = params_.cutoff * params_.cutoff;
   double energy = 0.0;

@@ -85,18 +85,20 @@ TersoffCalculator::TersoffCalculator(TersoffParams params) : params_(params) {
 }
 
 ForceResult TersoffCalculator::compute(const System& system) {
+  report_ = StepReport{};
   ForceResult result;
   const std::size_t natoms = system.size();
   result.forces.assign(natoms, Vec3{});
   if (natoms == 0) return result;
 
   {
-    auto t = timers_.scope("neighbors");
-    list_.ensure(system.positions(), system.cell(),
-                 {params_.outer_cutoff(), params_.skin});
+    PhaseTimer t(report_, Phase::kNeighbors);
+    report_.neighbor_rebuilt =
+        list_.ensure(system.positions(), system.cell(),
+                     {params_.outer_cutoff(), params_.skin});
   }
 
-  auto t = timers_.scope("forces");
+  PhaseTimer t(report_, Phase::kForces);
   const TersoffParams& p = params_;
   const auto& pos = system.positions();
   const double rc = p.outer_cutoff();

@@ -69,19 +69,8 @@ JobSpec JobSpec::from_config(const io::Config& cfg) {
         cfg.get_double("schedule_loosening", num.schedule_loosening);
     TBMD_REQUIRE(num.schedule_loosening > 0.0,
                  "job spec: 'schedule_loosening' must be positive");
-    num.schedule_decay = cfg.get_double("schedule_decay", num.schedule_decay);
-    TBMD_REQUIRE(num.schedule_decay > 0.0 && num.schedule_decay <= 1.0,
-                 "job spec: 'schedule_decay' must be in (0, 1]");
     num.precision = NumericsSpec::precision_by_name(
         to_lower(cfg.get_string("precision", num.precision_name())));
-    num.promote_iteration = static_cast<int>(
-        cfg.get_long("promote_iteration", num.promote_iteration));
-    TBMD_REQUIRE(num.promote_iteration >= 0,
-                 "job spec: 'promote_iteration' must be >= 0");
-    num.promote_threshold =
-        cfg.get_double("promote_threshold", num.promote_threshold);
-    TBMD_REQUIRE(num.promote_threshold >= 0.0,
-                 "job spec: 'promote_threshold' must be >= 0");
     s.calc.reuse_patterns = cfg.get_bool("reuse_patterns", true);
     s.calc.domains = static_cast<int>(cfg.get_long("domains", 0));
     TBMD_REQUIRE(s.calc.domains >= 0, "job spec: 'domains' must be >= 0");

@@ -27,8 +27,10 @@ class BondTable;
 /// Band-structure (attractive) forces contracted from a prebuilt bond
 /// table (must have been built with derivatives).  When `virial` is
 /// non-null the band contribution to the virial tensor (sum of d (x) f
-/// over bonds) is accumulated into it.  Per-thread force partials are
-/// merged with a parallel tree reduction.
+/// over bonds) is accumulated into it.  The contraction runs in two
+/// passes with one writer per bond slot (each bond's dE/dd, then a
+/// per-atom gather in sorted neighbor order), so the forces are
+/// bit-identical at any thread count.
 [[nodiscard]] std::vector<Vec3> band_forces(const BondTable& table,
                                             const linalg::Matrix& rho,
                                             Mat3* virial = nullptr);

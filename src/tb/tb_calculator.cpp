@@ -25,27 +25,28 @@ TightBindingCalculator::TightBindingCalculator(TbModel model,
 }
 
 ForceResult TightBindingCalculator::compute(const System& system) {
+  report_ = StepReport{};
   ForceResult result;
   const std::size_t n = system.size();
   if (n == 0) return result;
 
   {
-    auto t = timers_.scope("neighbors");
-    list_.ensure(system.positions(), system.cell(),
-                 {model_.cutoff(), spec_.skin});
+    PhaseTimer t(report_, Phase::kNeighbors);
+    report_.neighbor_rebuilt = list_.ensure(system.positions(), system.cell(),
+                                            {model_.cutoff(), spec_.skin});
   }
 
   // One batched pass evaluates every Slater-Koster block, its derivative
   // and the repulsive pair function; Hamiltonian assembly, the force
   // contraction and the repulsive term below all read from this table.
   {
-    auto t = timers_.scope("bondtable");
+    PhaseTimer t(report_, Phase::kBondTable);
     table_.build(model_, system, list_, BondTable::Mode::kBlocksAndDerivatives);
   }
 
   linalg::Matrix h;
   {
-    auto t = timers_.scope("hamiltonian");
+    PhaseTimer t(report_, Phase::kHamiltonian);
     h = build_hamiltonian(model_, system, table_);
   }
 
@@ -64,7 +65,7 @@ ForceResult TightBindingCalculator::compute(const System& system) {
   bool partial = false;
   linalg::SymmetricEigenSolution eig;
   {
-    auto t = timers_.scope("diagonalize");
+    PhaseTimer t(report_, Phase::kDiagonalize);
     if (want_partial && ne > 0 && norb > 0) {
       const auto homo = static_cast<std::size_t>((ne - 1) / 2);
       std::size_t needed = homo + 1;  // + LUMO for the Fermi-level midpoint
@@ -78,10 +79,11 @@ ForceResult TightBindingCalculator::compute(const System& system) {
     }
     if (!partial) eig = linalg::eigh(h);
   }
+  report_.eigenpairs = eig.values.size();
 
   Occupations occ;
   {
-    auto t = timers_.scope("density");
+    PhaseTimer t(report_, Phase::kDensity);
     occ = occupy(eig.values, ne, etemp);
   }
   if (partial && etemp > 0.0 &&
@@ -93,11 +95,12 @@ ForceResult TightBindingCalculator::compute(const System& system) {
     // and the partial result is identical to the full one.)
     partial = false;
     {
-      auto t = timers_.scope("diagonalize");
+      PhaseTimer t(report_, Phase::kDiagonalize);
       eig = linalg::eigh(h);
     }
+    report_.eigenpairs += eig.values.size();
     {
-      auto t = timers_.scope("density");
+      PhaseTimer t(report_, Phase::kDensity);
       occ = occupy(eig.values, ne, etemp);
     }
     // Learn the window this system actually needs so later steps go back
@@ -114,18 +117,18 @@ ForceResult TightBindingCalculator::compute(const System& system) {
 
   linalg::Matrix rho;
   {
-    auto t = timers_.scope("density");
+    PhaseTimer t(report_, Phase::kDensity);
     rho = density_matrix(eig.vectors, occ.weights);
   }
 
   {
-    auto t = timers_.scope("forces");
+    PhaseTimer t(report_, Phase::kForces);
     result.forces = band_forces(table_, rho, &result.virial);
   }
 
   RepulsiveResult rep;
   {
-    auto t = timers_.scope("repulsive");
+    PhaseTimer t(report_, Phase::kRepulsive);
     rep = repulsive_energy_forces(model_, table_);
   }
 

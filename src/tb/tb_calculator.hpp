@@ -9,8 +9,10 @@
 ///   Hamiltonian -> diagonalize (O(N^3)) -> occupations -> density matrix ->
 ///   Hellmann-Feynman forces -> repulsive term,
 /// where the Hamiltonian, force and repulsive phases all contract from the
-/// shared per-step BondTable.  Each phase is timed into phase_timers() so
-/// the experiment harness can regenerate the per-phase breakdown tables.
+/// shared per-step BondTable.  step_report() holds the call's per-phase
+/// wall times, whether the neighbor list was rebuilt and the number of
+/// eigenpairs computed, so the experiment harness can regenerate the
+/// per-phase breakdown tables.
 
 #include <memory>
 

@@ -1,13 +1,10 @@
 #pragma once
 
 /// \file timer.hpp
-/// \brief Wall-clock timing utilities used by the benchmark harness and the
-/// per-phase breakdown instrumentation of the MD engine.
+/// \brief Wall-clock stopwatch used by the benchmark harness and by the
+/// calculators' per-phase StepReport timing (src/core/calculator.hpp).
 
 #include <chrono>
-#include <map>
-#include <string>
-#include <vector>
 
 namespace tbmd {
 
@@ -27,53 +24,6 @@ class WallTimer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Accumulates wall-clock time into named phases.  Used to produce the
-/// per-phase breakdown tables (Hamiltonian build / diagonalization / forces /
-/// integration) that SC-era TBMD papers report.
-class PhaseTimers {
- public:
-  /// RAII guard that charges elapsed time to a phase on destruction.
-  class Scope {
-   public:
-    Scope(PhaseTimers& owner, std::string phase)
-        : owner_(&owner), phase_(std::move(phase)) {}
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-    ~Scope();
-
-   private:
-    PhaseTimers* owner_;
-    std::string phase_;
-    WallTimer timer_;
-  };
-
-  /// Start timing a phase; time is charged when the returned guard dies.
-  [[nodiscard]] Scope scope(std::string phase) {
-    return Scope(*this, std::move(phase));
-  }
-
-  /// Manually add seconds to a phase.
-  void add(const std::string& phase, double seconds);
-
-  /// Accumulated seconds for a phase (0 if never recorded).
-  [[nodiscard]] double seconds(const std::string& phase) const;
-
-  /// Total accumulated seconds across all phases.
-  [[nodiscard]] double total() const;
-
-  /// Phase names in insertion order.
-  [[nodiscard]] const std::vector<std::string>& phases() const {
-    return order_;
-  }
-
-  /// Zero all accumulators (phase set is retained).
-  void reset();
-
- private:
-  std::map<std::string, double> acc_;
-  std::vector<std::string> order_;
 };
 
 }  // namespace tbmd

@@ -217,7 +217,8 @@ TEST(OrderNCalculator, DensityMatrixFillFractionDecreasesWithSize) {
 
 TEST(OrderNCalculator, WarmStepsPerformZeroSymbolicWork) {
   // With an unchanged bond topology every SpMM of a repeated step must
-  // validate against the cached pattern: only numeric_reuses may grow.
+  // validate against the cached pattern: the warm call's report shows
+  // numeric reuses only.
   const tb::TbModel m = tb::xwch_carbon();
   System s = structures::diamond(Element::C, 3.567, 2, 2, 2);
   structures::perturb(s, 0.03, 17);
@@ -225,15 +226,37 @@ TEST(OrderNCalculator, WarmStepsPerformZeroSymbolicWork) {
   OrderNCalculator calc(m, opt);
 
   (void)calc.compute(s);
-  const auto cold = calc.spmm_stats();
+  const StepReport cold = calc.step_report();
+  EXPECT_TRUE(cold.neighbor_rebuilt);
   EXPECT_GT(cold.symbolic_builds, 0u);
-  const std::uint64_t topo = calc.topology_version();
 
   (void)calc.compute(s);
-  const auto warm = calc.spmm_stats();
-  EXPECT_EQ(calc.topology_version(), topo);
-  EXPECT_EQ(warm.symbolic_builds, cold.symbolic_builds);
-  EXPECT_GT(warm.numeric_reuses, cold.numeric_reuses);
+  const StepReport& warm = calc.step_report();
+  EXPECT_FALSE(warm.neighbor_rebuilt);
+  EXPECT_EQ(warm.topology, cold.topology);
+  EXPECT_EQ(warm.symbolic_builds, 0u);
+  EXPECT_GT(warm.numeric_reuses, 0u);
+}
+
+TEST(OrderNCalculator, StepReportReadsZeroWhereTheEngineDoesNotRun) {
+  const tb::TbModel m = tb::xwch_carbon();
+  System s = structures::diamond(Element::C, 3.567, 2, 2, 2);
+  structures::perturb(s, 0.03, 17);
+  OrderNCalculator calc(m, CalculatorSpec::order_n(1e-6));
+  (void)calc.compute(s);
+  const StepReport& r = calc.step_report();
+  EXPECT_GT(r.phase_seconds(Phase::kPurification), 0.0);
+  EXPECT_EQ(r.phase_seconds(Phase::kDiagonalize), 0.0);
+  EXPECT_EQ(r.phase_seconds(Phase::kDensity), 0.0);
+  // Exact-engine counter and cached-bounds fields (the spec leaves
+  // cache_spectral_bounds off).
+  EXPECT_EQ(r.eigenpairs, 0u);
+  EXPECT_EQ(r.bounds_refreshed, 0u);
+  EXPECT_EQ(r.spectral_bounds.lo, 0.0);
+  EXPECT_EQ(r.spectral_bounds.hi, 0.0);
+  EXPECT_EQ(r.domains, 1u);
+  EXPECT_GT(r.topology, 0u);
+  EXPECT_GT(r.workspace_bytes, 0u);
 }
 
 TEST(OrderNCalculator, TopologyChangeInvalidatesPatternCache) {
@@ -247,16 +270,15 @@ TEST(OrderNCalculator, TopologyChangeInvalidatesPatternCache) {
 
   (void)calc.compute(s);
   (void)calc.compute(s);  // warm the cache
-  const auto warm = calc.spmm_stats();
-  const std::uint64_t topo = calc.topology_version();
+  const std::uint64_t topo = calc.step_report().topology;
   const ForceResult before = calc.compute(s);
+  EXPECT_EQ(calc.step_report().symbolic_builds, 0u);
 
   System moved = s;
   moved.positions()[3] += Vec3{0.9, 0.7, 0.5};  // crosses the cutoff shell
   const ForceResult after = calc.compute(moved);
-  EXPECT_NE(calc.topology_version(), topo);
-  const auto rebuilt = calc.spmm_stats();
-  EXPECT_GT(rebuilt.symbolic_builds, warm.symbolic_builds);
+  EXPECT_NE(calc.step_report().topology, topo);
+  EXPECT_GT(calc.step_report().symbolic_builds, 0u);
   // The move genuinely changed the electronic structure.
   EXPECT_NE(before.energy, after.energy);
   EXPECT_TRUE(calc.last_purification().converged);
@@ -309,13 +331,13 @@ TEST(OrderNCalculator, WorkspaceFootprintBoundedAfterAtomCountShrink) {
 
   OrderNCalculator fresh(m, opt);
   (void)fresh.compute(small);
-  const std::size_t fresh_small = fresh.workspace_footprint_bytes();
+  const std::size_t fresh_small = fresh.step_report().workspace_bytes;
 
   OrderNCalculator calc(m, opt);
   (void)calc.compute(big);
-  const std::size_t after_big = calc.workspace_footprint_bytes();
+  const std::size_t after_big = calc.step_report().workspace_bytes;
   (void)calc.compute(small);
-  const std::size_t after_shrink = calc.workspace_footprint_bytes();
+  const std::size_t after_shrink = calc.step_report().workspace_bytes;
 
   EXPECT_LT(after_shrink, after_big / 2);
   EXPECT_LE(after_shrink, 4 * fresh_small);

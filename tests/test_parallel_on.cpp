@@ -55,6 +55,8 @@ struct StepRecord {
   double warm_energy = 0.0;
   std::vector<Vec3> cold_forces;
   std::vector<Vec3> warm_forces;
+  StepReport cold_report;
+  StepReport warm_report;
 };
 
 /// One cold + one warm step of a fresh calculator on `s` at `threads`.
@@ -67,15 +69,34 @@ StepRecord run_steps(const System& s, int threads,
   const ForceResult cold = calc.compute(s);
   rec.cold_energy = cold.energy;
   rec.cold_forces = cold.forces;
+  rec.cold_report = calc.step_report();
   const ForceResult warm = calc.compute(s);
   rec.warm_energy = warm.energy;
   rec.warm_forces = warm.forces;
+  rec.warm_report = calc.step_report();
   EXPECT_TRUE(calc.last_purification().converged);
   return rec;
 }
 
+/// The work counts of a step depend neither on the thread count nor on
+/// sharding (wall times, the domain count itself and the per-thread
+/// scratch in workspace_bytes do).
+void expect_same_work(const StepReport& a, const StepReport& b,
+                      const std::string& label) {
+  EXPECT_EQ(a.neighbor_rebuilt, b.neighbor_rebuilt) << label;
+  EXPECT_EQ(a.eigenpairs, b.eigenpairs) << label;
+  EXPECT_EQ(a.symbolic_builds, b.symbolic_builds) << label;
+  EXPECT_EQ(a.numeric_reuses, b.numeric_reuses) << label;
+  EXPECT_EQ(a.topology, b.topology) << label;
+  EXPECT_EQ(a.bounds_refreshed, b.bounds_refreshed) << label;
+  EXPECT_EQ(a.spectral_bounds.lo, b.spectral_bounds.lo) << label;
+  EXPECT_EQ(a.spectral_bounds.hi, b.spectral_bounds.hi) << label;
+}
+
 void expect_records_bit_identical(const StepRecord& a, const StepRecord& b,
                                   const std::string& label) {
+  expect_same_work(a.cold_report, b.cold_report, label + " cold");
+  expect_same_work(a.warm_report, b.warm_report, label + " warm");
   EXPECT_EQ(a.cold_energy, b.cold_energy) << label;
   EXPECT_EQ(a.warm_energy, b.warm_energy) << label;
   ASSERT_EQ(a.cold_forces.size(), b.cold_forces.size());
@@ -136,7 +157,7 @@ TEST(ParallelOn, ShardedMatchesUnshardedBitwise) {
   const tb::TbModel m = tb::xwch_carbon();
   OrderNCalculator calc(m, opt);
   (void)calc.compute(s);
-  EXPECT_EQ(calc.domain_stats().domains, 4u);
+  EXPECT_EQ(calc.step_report().domains, 4u);
 }
 
 // --- permuted atom order -------------------------------------------------
@@ -208,7 +229,7 @@ TEST(ParallelOn, CachedBoundsRefreshOnceAcrossWarmSteps) {
   OrderNCalculator calc(m, opt);
 
   (void)calc.compute(s);
-  EXPECT_EQ(calc.bounds_refreshes(), 1u);
+  EXPECT_EQ(calc.step_report().bounds_refreshed, 1u);
 
   // Warm steps with small position drift ride the widened enclosure
   // instead of re-running Gershgorin.
@@ -216,9 +237,9 @@ TEST(ParallelOn, CachedBoundsRefreshOnceAcrossWarmSteps) {
     for (Vec3& r : s.positions()) r.x += 1e-4;
     const ForceResult fr = calc.compute(s);
     EXPECT_TRUE(calc.last_purification().converged);
+    EXPECT_EQ(calc.step_report().bounds_refreshed, 0u) << "step " << step;
     (void)fr;
   }
-  EXPECT_EQ(calc.bounds_refreshes(), 1u);
 
   // The widened interval must still enclose the exact Gershgorin bounds
   // of the current Hamiltonian (the rigor condition: no eigenvalue moves
@@ -229,7 +250,7 @@ TEST(ParallelOn, CachedBoundsRefreshOnceAcrossWarmSteps) {
   table.build(m, s, list, tb::BondTable::Mode::kBlocks);
   const linalg::SpectralBounds exact =
       build_block_hamiltonian(m, s, table).gershgorin_bounds();
-  const linalg::SpectralBounds& used = calc.last_spectral_bounds();
+  const linalg::SpectralBounds& used = calc.step_report().spectral_bounds;
   EXPECT_LE(used.lo, exact.lo);
   EXPECT_GE(used.hi, exact.hi);
 
@@ -255,12 +276,13 @@ TEST(ParallelOn, CachedBoundsRefreshOnTopologyChange) {
   opt.cache_spectral_bounds = true;
   OrderNCalculator calc(m, opt);
   (void)calc.compute(s);
+  EXPECT_EQ(calc.step_report().bounds_refreshed, 1u);
   (void)calc.compute(s);
-  EXPECT_EQ(calc.bounds_refreshes(), 1u);
+  EXPECT_EQ(calc.step_report().bounds_refreshed, 0u);
 
   s.positions()[3] += Vec3{0.9, 0.7, 0.5};  // crosses the cutoff shell
   (void)calc.compute(s);
-  EXPECT_EQ(calc.bounds_refreshes(), 2u);
+  EXPECT_EQ(calc.step_report().bounds_refreshed, 1u);
 }
 
 // --- mixed precision ------------------------------------------------------

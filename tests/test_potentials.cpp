@@ -196,5 +196,42 @@ TEST(Tersoff, EnergyIsExtensive) {
   EXPECT_NEAR(e_small, e_large, 1e-9);
 }
 
+// --- step report -------------------------------------------------------
+
+/// A classical potential runs only the neighbors and forces phases and
+/// fills no TB counter.
+void expect_classical_report(const StepReport& r, bool rebuilt) {
+  EXPECT_EQ(r.neighbor_rebuilt, rebuilt);
+  EXPECT_GT(r.phase_seconds(Phase::kForces), 0.0);
+  EXPECT_DOUBLE_EQ(r.total_seconds(), r.phase_seconds(Phase::kNeighbors) +
+                                          r.phase_seconds(Phase::kForces));
+  EXPECT_EQ(r.eigenpairs, 0u);
+  EXPECT_EQ(r.symbolic_builds, 0u);
+  EXPECT_EQ(r.numeric_reuses, 0u);
+  EXPECT_EQ(r.topology, 0u);
+  EXPECT_EQ(r.domains, 0u);
+  EXPECT_EQ(r.bounds_refreshed, 0u);
+  EXPECT_EQ(r.workspace_bytes, 0u);
+}
+
+TEST(ClassicalStepReport, TimesNeighborsAndForcesOnly) {
+  System si = structures::diamond(Element::Si, 5.431, 2, 2, 2);
+  TersoffCalculator tersoff(tersoff_silicon());
+  (void)tersoff.compute(si);
+  expect_classical_report(tersoff.step_report(), true);
+  (void)tersoff.compute(si);
+  expect_classical_report(tersoff.step_report(), false);
+
+  System ar = structures::fcc(Element::Ar, 5.26, 3, 3, 3);
+  LennardJonesParams p;
+  p.cutoff = 6.5;
+  p.skin = 0.5;
+  LennardJonesCalculator lj(p);
+  (void)lj.compute(ar);
+  expect_classical_report(lj.step_report(), true);
+  (void)lj.compute(ar);
+  expect_classical_report(lj.step_report(), false);
+}
+
 }  // namespace
 }  // namespace tbmd::potentials

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -204,6 +205,51 @@ TEST(JobSpecHardening, HealthAndFaultKeys) {
   EXPECT_THROW(spec_from("steps = 5\nmode = on\nmax_force = -1\n"), Error);
   EXPECT_THROW(
       spec_from("steps = 5\nmode = on\nhealth_tighten_factor = 1.5\n"), Error);
+}
+
+TEST(JobSpecHardening, MutatedSpecTextEndsInATypedResult) {
+  // One valid O(N) spec that sets every numerics and health key; every
+  // prefix truncation and every single-bit flip of every byte must either
+  // parse into a job with a calculator key or throw tbmd::Error -- never
+  // another exception type.
+  const std::string valid =
+      "name = mutant\nsteps = 5\nmode = on\nskin = 0.5\n"
+      "drop_tolerance = 1e-6\nschedule_loosening = 4\nprecision = mixed\n"
+      "reuse_patterns = true\ndomains = 2\ncache_spectral_bounds = true\n"
+      "bond_reuse_skin = 0.05\nhealth = true\nmax_force = 50\n"
+      "max_energy_per_atom = 100\nhealth_fp64_retry = false\n"
+      "health_tighten_retry = true\nhealth_tighten_factor = 0.25\n"
+      "health_exact_fallback = true\n";
+  std::vector<std::string> inputs;
+  for (std::size_t len = 0; len <= valid.size(); ++len) {
+    inputs.push_back(valid.substr(0, len));
+  }
+  for (std::size_t at = 0; at < valid.size(); ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = valid;
+      flipped[at] = static_cast<char>(
+          static_cast<unsigned char>(flipped[at]) ^ (1u << bit));
+      inputs.push_back(std::move(flipped));
+    }
+  }
+
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  for (const std::string& text : inputs) {
+    try {
+      const JobSpec s = spec_from(text);
+      EXPECT_FALSE(s.calculator_key().empty());
+      ++parsed;
+    } catch (const Error&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "untyped exception '" << e.what() << "' for:\n"
+                    << text;
+    }
+  }
+  EXPECT_EQ(parsed + rejected, inputs.size());
+  EXPECT_GT(parsed, 1u);    // the unmutated spec and harmless flips
+  EXPECT_GT(rejected, 1u);  // truncated and corrupted keys/values
 }
 
 TEST(CalculatorSpecFingerprint, HealthRelevantOnlyWhenEnabled) {

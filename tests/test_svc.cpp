@@ -414,27 +414,32 @@ TEST(JobSpec, ParsesNumericsKeysIntoTheSharedSpec) {
   const io::Config cfg = io::Config::parse_string(
       "name = numx\nstructure = diamond\nelement = C\nmode = on\n"
       "steps = 4\ndt = 1.0\n"
-      "drop_tolerance = 1e-6\nschedule_loosening = 4\nschedule_decay = 0.25\n"
-      "precision = mixed\npromote_iteration = 3\npromote_threshold = 5e-4\n"
-      "bond_reuse_skin = 0.05\n");
+      "drop_tolerance = 1e-6\nschedule_loosening = 4\n"
+      "precision = mixed\nbond_reuse_skin = 0.05\n");
   const JobSpec s = JobSpec::from_config(cfg);
   const NumericsSpec& num = s.calc.numerics;
   EXPECT_EQ(num.drop_tolerance, 1e-6);
   EXPECT_EQ(num.schedule_loosening, 4.0);
-  EXPECT_EQ(num.schedule_decay, 0.25);
   EXPECT_EQ(num.precision, PrecisionMode::kMixed);
-  EXPECT_EQ(num.promote_iteration, 3);
-  EXPECT_EQ(num.promote_threshold, 5e-4);
   EXPECT_EQ(s.calc.bond_reuse_skin, 0.05);
 
   // Unknown precision spellings are config errors, not silent defaults.
   EXPECT_THROW((void)NumericsSpec::precision_by_name("quad"), Error);
-  // The retired kernel-selection keys are unknown keys now.
-  for (const char* retired : {"simd = false\n", "sub_tile = 0.5\n"}) {
-    EXPECT_THROW((void)JobSpec::from_config(io::Config::parse_string(
-                     std::string("steps = 5\nmode = on\n") + retired)),
-                 Error)
-        << retired;
+  // The retired kernel-selection keys and the single-valued schedule and
+  // promotion knobs (now NumericsSpec constants) are unknown keys.
+  for (const char* retired :
+       {"simd", "sub_tile", "schedule_decay", "promote_iteration",
+        "promote_threshold"}) {
+    try {
+      (void)JobSpec::from_config(io::Config::parse_string(
+          std::string("steps = 5\nmode = on\n") + retired + " = 1\n"));
+      ADD_FAILURE() << retired << " was accepted";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("unknown key '" + std::string(retired) + "'"),
+                std::string::npos)
+          << what;
+    }
   }
 
   // Every numerics knob is part of the calculator identity: jobs that

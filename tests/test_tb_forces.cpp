@@ -274,20 +274,52 @@ TEST(TbCalculator, GrapheneAndDiamondNearlyDegenerate) {
   EXPECT_NEAR(ed, eg, 0.5);
 }
 
-TEST(TbCalculator, PhaseTimersAccumulate) {
+TEST(TbCalculator, StepReportTimesThePhasesOfOneCall) {
   TbModel m = gsp_silicon();
   System s = structures::diamond(Element::Si, 5.431, 2, 2, 2);
   TightBindingCalculator calc(m);
   (void)calc.compute(s);
+  EXPECT_TRUE(calc.step_report().neighbor_rebuilt);
   (void)calc.compute(s);
-  const auto& timers = calc.phase_timers();
-  for (const char* phase :
-       {"neighbors", "hamiltonian", "diagonalize", "density", "forces",
-        "repulsive"}) {
-    EXPECT_GE(timers.seconds(phase), 0.0) << phase;
+  const StepReport& r = calc.step_report();
+  EXPECT_FALSE(r.neighbor_rebuilt);
+  for (const Phase phase :
+       {Phase::kNeighbors, Phase::kBondTable, Phase::kHamiltonian,
+        Phase::kDiagonalize, Phase::kDensity, Phase::kForces,
+        Phase::kRepulsive}) {
+    EXPECT_GE(r.phase_seconds(phase), 0.0) << phase_name(phase);
   }
-  EXPECT_GT(timers.seconds("diagonalize"), 0.0);
-  EXPECT_GT(timers.total(), 0.0);
+  EXPECT_GT(r.phase_seconds(Phase::kDiagonalize), 0.0);
+  EXPECT_GT(r.total_seconds(), 0.0);
+  // The exact engine never purifies, and the O(N) counters stay zero.
+  EXPECT_EQ(r.phase_seconds(Phase::kPurification), 0.0);
+  EXPECT_EQ(r.symbolic_builds, 0u);
+  EXPECT_EQ(r.numeric_reuses, 0u);
+  EXPECT_EQ(r.topology, 0u);
+  EXPECT_EQ(r.domains, 0u);
+  EXPECT_EQ(r.bounds_refreshed, 0u);
+  EXPECT_EQ(r.spectral_bounds.lo, 0.0);
+  EXPECT_EQ(r.spectral_bounds.hi, 0.0);
+  EXPECT_EQ(r.workspace_bytes, 0u);
+}
+
+TEST(TbCalculator, StepReportCountsTheEigenpairsOfOneCall) {
+  // Si64: 256 orbitals, 256 electrons -> HOMO index 127, so the partial
+  // window is states 0..128 (occupied + LUMO).
+  System s = structures::diamond(Element::Si, 5.431, 2, 2, 2);
+  CalculatorSpec partial;
+  partial.report_eigenvalues = false;
+  TightBindingCalculator calc(gsp_silicon(), partial);
+  (void)calc.compute(s);
+  EXPECT_EQ(calc.step_report().eigenpairs, 129u);
+  // Per call, not cumulative.
+  (void)calc.compute(s);
+  EXPECT_EQ(calc.step_report().eigenpairs, 129u);
+
+  // Reporting the spectrum takes the full solve.
+  TightBindingCalculator full(gsp_silicon());
+  (void)full.compute(s);
+  EXPECT_EQ(full.step_report().eigenpairs, 256u);
 }
 
 TEST(TbCalculator, EmptySystem) {

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <set>
+#include <string>
 #include <thread>
+#include <vector>
 
+#include "src/core/calculator.hpp"
 #include "src/util/error.hpp"
 #include "src/util/parallel.hpp"
 #include "src/util/random.hpp"
@@ -141,33 +145,39 @@ TEST(Timer, MeasuresElapsedTime) {
   EXPECT_LT(t.seconds(), 5.0);
 }
 
-TEST(PhaseTimers, AccumulatesNamedPhases) {
-  PhaseTimers timers;
-  timers.add("a", 1.0);
-  timers.add("b", 2.0);
-  timers.add("a", 0.5);
-  EXPECT_DOUBLE_EQ(timers.seconds("a"), 1.5);
-  EXPECT_DOUBLE_EQ(timers.seconds("b"), 2.0);
-  EXPECT_DOUBLE_EQ(timers.total(), 3.5);
-  EXPECT_DOUBLE_EQ(timers.seconds("missing"), 0.0);
-  EXPECT_EQ(timers.phases().size(), 2u);
-}
-
-TEST(PhaseTimers, ScopeChargesOnDestruction) {
-  PhaseTimers timers;
+TEST(StepReport, PhaseTimerAddsUpWithinOnePhase) {
+  StepReport r;
   {
-    auto s = timers.scope("x");
+    PhaseTimer t(r, Phase::kForces);
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  EXPECT_GT(timers.seconds("x"), 0.005);
+  const double once = r.phase_seconds(Phase::kForces);
+  EXPECT_GT(once, 0.005);
+  {
+    PhaseTimer t(r, Phase::kForces);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_GT(r.phase_seconds(Phase::kForces), once + 0.005);
+  EXPECT_EQ(r.phase_seconds(Phase::kNeighbors), 0.0);
+  EXPECT_DOUBLE_EQ(r.total_seconds(), r.phase_seconds(Phase::kForces));
 }
 
-TEST(PhaseTimers, ResetZeroesButKeepsPhases) {
-  PhaseTimers timers;
-  timers.add("a", 1.0);
-  timers.reset();
-  EXPECT_DOUBLE_EQ(timers.seconds("a"), 0.0);
-  EXPECT_EQ(timers.phases().size(), 1u);
+TEST(StepReport, ResetZeroesEveryPhase) {
+  StepReport r;
+  r.seconds.fill(1.0);
+  EXPECT_DOUBLE_EQ(r.total_seconds(), static_cast<double>(kPhaseCount));
+  r = StepReport{};
+  EXPECT_EQ(r.total_seconds(), 0.0);
+}
+
+TEST(StepReport, PhaseNamesKeepTheTableLabels) {
+  const std::vector<std::string> want{
+      "neighbors", "bondtable",    "hamiltonian", "diagonalize",
+      "density",   "purification", "forces",      "repulsive"};
+  ASSERT_EQ(want.size(), kPhaseCount);
+  for (std::size_t k = 0; k < kPhaseCount; ++k) {
+    EXPECT_EQ(phase_name(static_cast<Phase>(k)), want[k]);
+  }
 }
 
 TEST(Strings, Trim) {
