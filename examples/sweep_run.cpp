@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
       } else if (flag == "--precision") {
         // Override the purification precision mode for every TB job in
         // the sweep (a results-changing knob, unlike --threads: it lands
-        // on each job's NumericsSpec and hence in its fingerprint).
+        // on each job's NumericsSpec).
         const PrecisionMode mode =
             NumericsSpec::precision_by_name(to_lower(value()));
         for (svc::JobSpec& job : sweep.jobs) {

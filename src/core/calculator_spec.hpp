@@ -73,9 +73,7 @@ struct CalculatorSpec {
 
   // --- O(N) engine ---
   /// Numerics policy of the purification loop: drop tolerance + schedule,
-  /// precision mode (fp64 / mixed), promotion policy.  Every field changes
-  /// results, so all of them are fingerprint-relevant (unlike `threads`
-  /// below).
+  /// precision mode (fp64 / mixed), promotion policy.
   NumericsSpec numerics;
   /// Reuse the symbolic SpMM patterns of previous steps while the bond
   /// topology is unchanged (the steady-state fast path).  false forces a
@@ -93,27 +91,18 @@ struct CalculatorSpec {
   /// purification seed history-dependent, so checkpoint kill-and-resume
   /// is no longer bit-reproducible with this on; default off.
   bool cache_spectral_bounds = false;
-  /// Verlet-skin-lifetime BondTable reuse (A): freeze Slater-Koster
-  /// blocks of bonds whose endpoints moved less than half this skin since
-  /// their last evaluation (see tb::BondTable::build).
-  /// 0 = off (the default; like cache_spectral_bounds, reuse trades
-  /// checkpoint bit-reproducibility for throughput).
+  /// BondTable reuse (A): freeze Slater-Koster blocks of bonds whose
+  /// endpoints moved less than half this skin since their last evaluation
+  /// (see tb::BondTable::build).  Frozen bonds break energy conservation:
+  /// over 55 NVE steps of 216-atom diamond C (O(N), drop 1e-6, 300 K) the
+  /// largest |E - E0| per atom is 3.2e-4 eV at 0, 0.13 eV at 0.05 A and
+  /// 2.9 eV at 0.3 A, for ~0.2 ms saved of a ~500 ms step.  Leave it at 0
+  /// (the default) outside ablations.
   double bond_reuse_skin = 0.0;
   /// Numerics guardrails + recovery ladder of the O(N) engine (see
   /// core/health_spec.hpp).  Off by default; when enabled it can change
-  /// results (a triggered retry reruns the step under different numerics),
-  /// so the enabled spec is fingerprint-relevant.
+  /// results (a triggered retry reruns the step under different numerics).
   HealthSpec health;
-
-  // --- execution (any engine) ---
-  /// OpenMP threads to pin while this calculator's jobs run: 0 inherits
-  /// the worker's ambient team size, > 0 overrides it per job (the
-  /// `TBMD_THREADS`-style knob for sweep workers).  An execution-resource
-  /// hint, not part of the calculator's identity: it never changes
-  /// results (every kernel is thread-count invariant), so fingerprint()
-  /// deliberately excludes it and jobs differing only in `threads` share
-  /// a cached calculator.
-  int threads = 0;
 
   [[nodiscard]] static CalculatorSpec exact() { return {}; }
 
@@ -139,18 +128,11 @@ struct CalculatorSpec {
 
   /// Config spelling of mode (round-trips through mode_by_name).
   [[nodiscard]] std::string mode_name() const;
-
-  /// Stable one-line encoding of every field.  Two specs with equal
-  /// fingerprints construct interchangeable calculators -- the job runner
-  /// keys its per-worker calculator cache on (model name, fingerprint).
-  [[nodiscard]] std::string fingerprint() const;
 };
 
 /// Build the calculator a spec describes for `model`.  `system` supplies
-/// construction-time context (currently only sanity checks: every species
-/// present must be parameterized by the model); the returned calculator is
-/// system-agnostic and may be reused across systems, like the engines it
-/// wraps.
+/// construction-time checks only: every species present must be
+/// parameterized by the model.
 [[nodiscard]] std::unique_ptr<Calculator> make_calculator(
     const tb::TbModel& model, const System& system,
     const CalculatorSpec& spec);

@@ -18,9 +18,8 @@
 ///   (d) throw a typed NumericsError carrying the FailureClass
 ///       (structured job failure; the job runner records the class).
 ///
-/// Like NumericsSpec, every field changes results *when a retry triggers*,
-/// so CalculatorSpec::fingerprint() encodes the spec whenever it is
-/// enabled.  Disabled (the default), the calculator performs no scans and
+/// Like NumericsSpec, every field changes results *when a retry
+/// triggers*.  Disabled (the default), the calculator performs no scans and
 /// no retries and stays bit-identical to the pre-guardrail engine; an
 /// unconverged purification is then only counted and logged (never used
 /// silently without trace).

@@ -6,8 +6,7 @@
 ///
 /// One struct that every layer -- purification loop, calculator,
 /// declarative spec, JobSpec files, sweep CLI -- agrees on.  CalculatorSpec
-/// carries one by value, fingerprint-relevant (unlike `threads`, these
-/// knobs change results).  onx::PurificationOptions inherits it; that base
+/// carries one by value.  onx::PurificationOptions inherits it; that base
 /// stays only because bench/e2e/adapters.cpp assigns a spec's numerics
 /// into it by slicing (`static_cast<NumericsSpec&>(popts) = ...`).
 ///
@@ -37,8 +36,7 @@ enum class PrecisionMode : std::uint8_t {
 
 /// Numerics policy shared by the purification loop, OrderNCalculator,
 /// CalculatorSpec and the JobSpec/CLI parsers.  Every field changes
-/// results (unlike scheduling knobs), so CalculatorSpec::fingerprint()
-/// encodes all of them.
+/// results (unlike scheduling knobs such as CalculatorSpec::domains).
 struct NumericsSpec {
   /// Magnitude below which matrix entries (tiles, by Frobenius norm, on
   /// the blocked path) are dropped after each product.  0 keeps everything

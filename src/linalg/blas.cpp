@@ -27,13 +27,18 @@ namespace {
 
 /// Lane vector of the micro-kernel, as wide as the target's vector
 /// registers, and the register block: kMr x kNr of C held in kMr * 2
-/// accumulators (16 of 32 zmm registers with AVX-512, 12 of 16 ymm
-/// otherwise), leaving room for two B vectors and one broadcast.
-#ifdef __AVX512F__
+/// accumulators (16 of 32 zmm registers with AVX-512, 12 of 16 ymm with
+/// AVX, 12 of 16 xmm otherwise), leaving room for two B vectors and one
+/// broadcast.  A lane vector wider than the registers would be split into
+/// halves, and the accumulators would no longer fit.
+#if defined(__AVX512F__)
 typedef double vlane __attribute__((vector_size(64), aligned(8), may_alias));
 constexpr std::size_t kMr = 8;
-#else
+#elif defined(__AVX__)
 typedef double vlane __attribute__((vector_size(32), aligned(8), may_alias));
+constexpr std::size_t kMr = 6;
+#else
+typedef double vlane __attribute__((vector_size(16), aligned(8), may_alias));
 constexpr std::size_t kMr = 6;
 #endif
 constexpr std::size_t kLanes = sizeof(vlane) / sizeof(double);

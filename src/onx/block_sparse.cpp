@@ -595,60 +595,6 @@ void bsr_assemble(const std::vector<std::uint32_t>& dims, BsrWorkspace& ws,
   out.assemble<double>(ws);
 }
 
-void BsrWorkspace::shrink(const BsrShrinkPolicy& policy) {
-  const std::size_t nb = policy.block_rows;
-  const std::size_t bs2 = policy.block_size * policy.block_size;
-  if (row_cols.size() > nb) row_cols.resize(nb);
-  if (row_vals.size() > nb) row_vals.resize(nb);
-  if (row_vals32.size() > nb) row_vals32.resize(nb);
-  for (auto& r : row_cols) {
-    r.clear();
-    r.shrink_to_fit();
-  }
-  for (auto& r : row_vals) {
-    r.clear();
-    r.shrink_to_fit();
-  }
-  for (auto& r : row_vals32) {
-    r.clear();
-    r.shrink_to_fit();
-  }
-  for (auto& a : acc) {
-    // Sized nb * bs2 with an all-zero invariant between uses; shrinking
-    // keeps the invariant (resize-to-smaller only drops zeros).
-    if (a.size() > nb * bs2) a.resize(nb * bs2);
-    a.shrink_to_fit();
-  }
-  for (auto& a : acc32) {
-    if (a.size() > nb * bs2) a.resize(nb * bs2);
-    a.shrink_to_fit();
-  }
-  for (auto& h : hit) {
-    if (h.size() > nb) h.resize(nb);
-    h.shrink_to_fit();
-  }
-  for (auto& tv : touched) {
-    tv.clear();
-    tv.shrink_to_fit();
-  }
-  for (auto* adj : {&adj_a, &adj_b}) {
-    adj->ptr.clear();
-    adj->ptr.shrink_to_fit();
-    adj->col.clear();
-    adj->col.shrink_to_fit();
-    adj->tile.clear();
-    adj->tile.shrink_to_fit();
-    adj->trans.clear();
-    adj->trans.shrink_to_fit();
-    adj->fill.clear();
-    adj->fill.shrink_to_fit();
-  }
-  // Stale domain cuts would reference rows beyond the shrunk system; the
-  // owner re-derives them per step anyway.
-  domains.clear();
-  domains.shrink_to_fit();
-}
-
 std::size_t BsrWorkspace::footprint_bytes() const {
   std::size_t total = 0;
   const auto vec = [&total](const auto& v) {

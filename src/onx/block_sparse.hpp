@@ -104,19 +104,13 @@ struct BsrPattern {
   bool valid = false;
 };
 
-/// How much staging capacity BsrWorkspace::shrink() keeps (the workspace
-/// otherwise grows monotonically: staging rows sized for the largest system
-/// ever processed are never released).
-struct BsrShrinkPolicy {
-  std::size_t block_rows = 0;  ///< staging rows / accumulators kept
-  std::size_t block_size = 4;  ///< tile edge the kept accumulators assume
-};
-
 /// Reusable scratch for BlockSparseMatrix::multiply_sym_into / combine_into:
 /// per-block-row staging buffers plus the per-thread Gustavson
 /// accumulators of the SpMM, all with capacity that survives across
 /// calls, so a persistent workspace (e.g. owned by OrderNCalculator)
-/// makes the purification loop allocation-free in steady state.
+/// makes the purification loop allocation-free in steady state.  Capacity
+/// only grows: the workspace stays sized for the largest system it has
+/// processed.
 struct BsrWorkspace {
   std::vector<std::vector<std::uint32_t>> row_cols;
   std::vector<std::vector<double>> row_vals;
@@ -163,15 +157,8 @@ struct BsrWorkspace {
   /// (OrderNCalculator) refresh it per step from par::even_domains.
   std::vector<std::size_t> domains;
 
-  /// Release staging capacity beyond `policy` (rows above block_rows are
-  /// freed outright, surviving buffers are shrunk to fit).  Call when the
-  /// problem size drops -- e.g. OrderNCalculator after an atom-count
-  /// decrease -- to keep the workspace footprint bounded by the *current*
-  /// system instead of the historical maximum.
-  void shrink(const BsrShrinkPolicy& policy);
-
   /// Heap bytes currently reserved by every buffer (capacity, not size);
-  /// the bounded-footprint regression tests assert on this.
+  /// StepReport::workspace_bytes reports it.
   [[nodiscard]] std::size_t footprint_bytes() const;
 };
 

@@ -159,29 +159,7 @@ std::vector<Vec3> band_forces_sparse(const tb::BondTable& table,
     if (virial != nullptr) watom[atom] = w;
   }
 
-#pragma omp parallel for schedule(static)
-  for (std::size_t atom = 0; atom < n; ++atom) {
-    Vec3 f{};
-    for (const tb::BondTable::AtomBond* nb = table.atom_begin(atom);
-         nb != table.atom_end(atom); ++nb) {
-      // Owned entries (transposed == 0) have atom == i(q) -> +dE/dd;
-      // mirror entries have atom == j(q) -> -dE/dd.  Skipped bonds hold
-      // exact zeros and drop out.
-      const Vec3& g = dedd_bond[nb->bond];
-      if (nb->transposed != 0) {
-        f -= g;
-      } else {
-        f += g;
-      }
-    }
-    forces[atom] = f;
-  }
-
-  if (virial != nullptr) {
-    Mat3 w{};
-    for (std::size_t i = 0; i < n; ++i) w += watom[i];
-    *virial += w;
-  }
+  tb::gather_bond_forces(table, dedd_bond, watom, forces, virial);
   return forces;
 }
 
@@ -285,17 +263,8 @@ ForceResult OrderNCalculator::compute(const System& system) {
   }
   report_.topology = table_.topology_version();
 
-  // An atom-count shrink would otherwise leave the workspace staging rows
-  // sized for the historical maximum forever; the pattern cache is keyed
-  // on the topology stamp, which an atom-count change always bumps.
-  if (n < last_atoms_) {
-    std::size_t max_bs = 1;
-    for (const tb::SpeciesParams& sp : model_.species) {
-      max_bs = std::max(max_bs, static_cast<std::size_t>(sp.orbitals));
-    }
-    workspace_.scratch.shrink({n, max_bs});
-  }
-  last_atoms_ = n;
+  // The pattern cache is keyed on the topology stamp, which an atom-count
+  // change always bumps.
   workspace_.patterns.set_topology(report_.topology);
   if (!spec_.reuse_patterns) workspace_.patterns.invalidate();
 

@@ -116,10 +116,6 @@ class OrderNCalculator final : public Calculator {
   BlockSparseMatrix hamiltonian_;
   PurificationWorkspace workspace_;
   PurificationResult last_;
-  /// Atom count of the previous compute(): a shrink triggers
-  /// BsrWorkspace::shrink so the workspace footprint tracks the current
-  /// system instead of the historical maximum.
-  std::size_t last_atoms_ = 0;
 
   RecoveryStats recovery_stats_;
 

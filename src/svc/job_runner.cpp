@@ -6,7 +6,6 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -27,21 +26,6 @@ namespace tbmd::svc {
 
 namespace {
 
-/// Per-worker calculator cache: one engine instance per distinct
-/// calculator key, reused across the jobs this worker picks up.
-struct WorkerContext {
-  std::map<std::string, std::unique_ptr<Calculator>> calculators;
-
-  Calculator& calculator(const JobSpec& spec, const System& system) {
-    const std::string key = spec.calculator_key();
-    auto it = calculators.find(key);
-    if (it == calculators.end()) {
-      it = calculators.emplace(key, spec.make_calculator(system)).first;
-    }
-    return *it->second;
-  }
-};
-
 /// Claim one MD step from the shared budget (null = unlimited).
 bool take_step(std::atomic<long>* budget) {
   if (budget == nullptr) return true;
@@ -52,8 +36,8 @@ bool take_step(std::atomic<long>* budget) {
   return false;
 }
 
-JobResult run_job(const JobSpec& spec, WorkerContext& ctx,
-                  const SweepOptions& options, std::atomic<long>* budget) {
+JobResult run_job(const JobSpec& spec, const SweepOptions& options,
+                  std::atomic<long>* budget) {
   namespace fs = std::filesystem;
   WallTimer timer;
   JobResult res;
@@ -89,11 +73,11 @@ JobResult run_job(const JobSpec& spec, WorkerContext& ctx,
     md::maxwell_boltzmann_velocities(system, spec.temperature, spec.seed);
   }
 
-  Calculator& calc = ctx.calculator(spec, system);
+  const std::unique_ptr<Calculator> calc = spec.make_calculator(system);
   md::MdOptions mdopt;
   mdopt.dt = spec.dt;
   mdopt.thermostat = spec.thermostat;
-  md::MdDriver driver(system, calc, mdopt);
+  md::MdDriver driver(system, *calc, mdopt);
   if (res.resumed) driver.restore(start_step, thermo_target, thermo_state);
 
   io::BinaryTrajectoryOptions topt;
@@ -219,7 +203,6 @@ std::vector<JobResult> JobRunner::run() {
   std::mutex log_mutex;
 
   const auto worker = [&]() {
-    WorkerContext ctx;
     // Ambient team size captured once per worker: omp_set_num_threads is
     // a per-calling-thread ICV, so each worker thread pins its own jobs
     // without racing the others.
@@ -230,8 +213,7 @@ std::vector<JobResult> JobRunner::run() {
       if (i >= jobs_.size()) return;
       const JobSpec& spec = jobs_[i];
       JobResult& res = results[i];
-      par::set_num_threads(spec.calc.threads > 0 ? spec.calc.threads
-                                                 : ambient_threads);
+      par::set_num_threads(spec.threads > 0 ? spec.threads : ambient_threads);
       // Bounded per-job retry: attempt 1 runs with the caller's options;
       // retried attempts force resume so they continue from the last good
       // checkpoint instead of redoing completed work.
@@ -240,7 +222,7 @@ std::vector<JobResult> JobRunner::run() {
       for (;;) {
         ++attempt;
         try {
-          res = run_job(spec, ctx, opts, budget_ptr);
+          res = run_job(spec, opts, budget_ptr);
           res.attempts = attempt;
           break;
         } catch (const std::exception& e) {

@@ -4,9 +4,11 @@
 /// \brief Concurrent batched-trajectory runner with checkpoint/restart.
 ///
 /// The runner pulls jobs from a shared queue onto M worker threads.  Each
-/// worker owns its calculators (cached by JobSpec::calculator_key(), so a
-/// sweep of same-engine jobs pays the Hamiltonian workspace setup once per
-/// worker) and runs one trajectory at a time:
+/// worker runs one trajectory at a time, and every attempt at a job builds
+/// its own calculator from the spec (after the system is built or
+/// restored) and drops it when the attempt ends.  A job's result therefore
+/// depends only on its spec and checkpoint, never on which worker ran it,
+/// what ran before it, or a failed earlier attempt:
 ///
 ///   * fresh jobs build the structure, seed Maxwell-Boltzmann velocities
 ///     from the spec seed, and integrate from step 0;

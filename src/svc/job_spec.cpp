@@ -2,7 +2,6 @@
 
 #include <filesystem>
 #include <set>
-#include <sstream>
 
 #include "src/io/xyz.hpp"
 #include "src/potentials/lennard_jones.hpp"
@@ -42,11 +41,8 @@ JobSpec JobSpec::from_config(const io::Config& cfg) {
   s.model = to_lower(cfg.get_string("model", ""));
   s.calc.skin = cfg.get_double("skin", s.calc.skin);
   TBMD_REQUIRE(s.calc.skin >= 0.0, "job spec: 'skin' must be >= 0");
-  // Per-job thread pinning (any engine): the runner's workers set the
-  // OpenMP team size to this before running the job; 0 inherits the
-  // worker's ambient OMP_NUM_THREADS.
-  s.calc.threads = static_cast<int>(cfg.get_long("threads", 0));
-  TBMD_REQUIRE(s.calc.threads >= 0, "job spec: 'threads' must be >= 0");
+  s.threads = static_cast<int>(cfg.get_long("threads", 0));
+  TBMD_REQUIRE(s.threads >= 0, "job spec: 'threads' must be >= 0");
   if (s.classical()) {
     if (s.model == "lj") {
       s.lj_epsilon = cfg.get_double("epsilon", 0.0);
@@ -60,7 +56,7 @@ JobSpec JobSpec::from_config(const io::Config& cfg) {
     TBMD_REQUIRE(s.calc.electronic_temperature >= 0.0,
                  "job spec: 'electronic_temperature' must be >= 0");
     // Numerics policy (O(N) engine): every key lands on the shared
-    // NumericsSpec and is fingerprint-relevant.
+    // NumericsSpec.
     NumericsSpec& num = s.calc.numerics;
     num.drop_tolerance = cfg.get_double("drop_tolerance", num.drop_tolerance);
     TBMD_REQUIRE(num.drop_tolerance >= 0.0,
@@ -211,19 +207,6 @@ std::unique_ptr<Calculator> JobSpec::make_calculator(
   }
   return tbmd::make_calculator(tb::model_by_name(resolved_model()), system,
                                calc);
-}
-
-std::string JobSpec::calculator_key() const {
-  std::ostringstream os;
-  os.precision(17);
-  if (classical()) {
-    os << model << ";eps=" << lj_epsilon << ";sigma=" << lj_sigma
-       << ";cutoff=" << lj_cutoff << ";skin=" << calc.skin << ";elem="
-       << element_symbol(element);
-  } else {
-    os << resolved_model() << ";" << calc.fingerprint();
-  }
-  return os.str();
 }
 
 double JobSpec::target_at(long step) const {

@@ -58,6 +58,10 @@ struct JobSpec {
   double lj_epsilon = 0.0;
   double lj_sigma = 0.0;
   double lj_cutoff = 0.0;
+  /// OpenMP threads the runner's worker pins while this job runs (any
+  /// engine); 0 inherits the worker's ambient team size.  Every kernel is
+  /// thread-count invariant, so this never changes results.
+  int threads = 0;
 
   // --- dynamics --------------------------------------------------------
   double dt = 1.0;
@@ -106,9 +110,6 @@ struct JobSpec {
   /// Construct the engine; validates the model covers `system`'s species.
   [[nodiscard]] std::unique_ptr<Calculator> make_calculator(
       const System& system) const;
-
-  /// Cache key: jobs with equal keys can share one calculator instance.
-  [[nodiscard]] std::string calculator_key() const;
 
   /// Thermostat target (K) applied while advancing step -> step + 1.
   [[nodiscard]] double target_at(long step) const;

@@ -167,4 +167,29 @@ void BondTable::build(const TbModel& model, const System& system,
   }
 }
 
+void gather_bond_forces(const BondTable& table, const std::vector<Vec3>& fbond,
+                        const std::vector<Mat3>& watom,
+                        std::vector<Vec3>& forces, Mat3* virial) {
+  const std::size_t n = table.atoms();
+#pragma omp parallel for schedule(static)
+  for (std::size_t atom = 0; atom < n; ++atom) {
+    Vec3 f{};
+    for (const BondTable::AtomBond* ab = table.atom_begin(atom);
+         ab != table.atom_end(atom); ++ab) {
+      const Vec3& g = fbond[ab->bond];
+      if (ab->transposed != 0) {
+        f -= g;
+      } else {
+        f += g;
+      }
+    }
+    forces[atom] = f;
+  }
+  if (virial != nullptr) {
+    Mat3 w{};
+    for (std::size_t i = 0; i < n; ++i) w += watom[i];
+    *virial += w;
+  }
+}
+
 }  // namespace tbmd::tb

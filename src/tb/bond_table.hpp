@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "src/core/system.hpp"
+#include "src/geom/mat3.hpp"
 #include "src/geom/vec3.hpp"
 #include "src/neighbor/neighbor_list.hpp"
 #include "src/tb/tb_model.hpp"
@@ -68,22 +69,24 @@ class BondTable {
   /// calls, so a persistent BondTable member costs one allocation per
   /// neighbor-list resize rather than one per MD step.
   ///
-  /// `reuse_skin` > 0 enables Verlet-skin-lifetime bond reuse: a bond
-  /// whose two endpoints have each moved less than reuse_skin / 2 since
-  /// the positions its entries were last evaluated at keeps every stored
-  /// quantity (geometry, hopping block, derivative, repulsive radial)
-  /// untouched -- by the triangle inequality its length has changed by
-  /// less than reuse_skin, so the frozen values sit within the same
-  /// tolerance envelope a Verlet neighbor skin grants the pair list.
-  /// Atoms that crossed the half-skin re-evaluate every incident bond at
-  /// the true current positions and re-anchor.  Reuse is skipped entirely
-  /// (and the anchors reset) whenever the table shape, the evaluation
-  /// mode, or a bond's endpoints changed, so it can never serve values
-  /// for a different topology -- the same `topology_version()` stamp
-  /// consumers already key their caches on.  Like the calculator-level
-  /// cached-bounds mode, frozen bonds make the table a function of the
-  /// position *history* rather than the current positions alone; the
-  /// default 0 keeps the historical one-build-per-step behavior exactly.
+  /// `reuse_skin` > 0 enables bond reuse: a bond whose two endpoints have
+  /// each moved less than reuse_skin / 2 since the positions its entries
+  /// were last evaluated at keeps every stored quantity (geometry, hopping
+  /// block, derivative, repulsive radial) untouched, so its length may be
+  /// stale by up to reuse_skin.  Unlike a Verlet neighbor skin, which only
+  /// widens the candidate pair list and costs no accuracy, frozen values
+  /// are wrong values: energy and forces no longer match the current
+  /// positions, and NVE energy is not conserved (measured drift: see
+  /// CalculatorSpec::bond_reuse_skin).  Atoms that crossed the half-skin
+  /// re-evaluate every incident bond at the true current positions and
+  /// re-anchor.  Reuse is skipped entirely (and the anchors reset)
+  /// whenever the table shape, the evaluation mode, or a bond's endpoints
+  /// changed, so it can never serve values for a different topology --
+  /// the same `topology_version()` stamp consumers already key their
+  /// caches on.  Like the calculator-level cached-bounds mode, frozen
+  /// bonds make the table a function of the position *history* rather
+  /// than the current positions alone; the default 0 keeps the historical
+  /// one-build-per-step behavior exactly.
   void build(const TbModel& model, const System& system,
              const NeighborList& list, Mode mode = Mode::kBlocksAndDerivatives,
              double reuse_skin = 0.0);
@@ -211,5 +214,20 @@ class BondTable {
   Mode last_mode_ = Mode::kBlocksAndDerivatives;
   ReuseStats reuse_stats_;
 };
+
+/// Pass 2 of the deterministic two-pass bond-force scheme shared by the
+/// band and repulsive contractions.  Pass 1 writes one force slot per bond
+/// (`fbond`, the force on the bond's i endpoint) and one virial partial per
+/// atom (`watom`).  This gathers each atom's force over its
+/// neighbor-sorted adjacency -- owned entries (transposed == 0) add the
+/// slot, mirror entries subtract it -- and, when `virial` is non-null, adds
+/// the partials summed in atom order.  Bonds pass 1 skipped hold zero
+/// slots and drop out.  Every output has one writer and a
+/// thread-count-independent summation order, so forces and virial are
+/// bit-identical at any OMP_NUM_THREADS and across checkpoint
+/// kill-and-resume.
+void gather_bond_forces(const BondTable& table, const std::vector<Vec3>& fbond,
+                        const std::vector<Mat3>& watom,
+                        std::vector<Vec3>& forces, Mat3* virial);
 
 }  // namespace tbmd::tb

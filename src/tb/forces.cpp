@@ -70,26 +70,7 @@ std::vector<Vec3> band_forces(const BondTable& table, const linalg::Matrix& rho,
     if (virial != nullptr) watom[atom] = wacc;
   }
 
-#pragma omp parallel for schedule(static)
-  for (std::size_t atom = 0; atom < n; ++atom) {
-    Vec3 f{};
-    for (const BondTable::AtomBond* nb = table.atom_begin(atom);
-         nb != table.atom_end(atom); ++nb) {
-      const Vec3& g = dedd_bond[nb->bond];
-      if (nb->transposed != 0) {
-        f -= g;
-      } else {
-        f += g;
-      }
-    }
-    forces[atom] = f;
-  }
-
-  if (virial != nullptr) {
-    Mat3 w{};
-    for (std::size_t i = 0; i < n; ++i) w += watom[i];
-    *virial += w;
-  }
+  gather_bond_forces(table, dedd_bond, watom, forces, virial);
   return forces;
 }
 

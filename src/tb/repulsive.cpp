@@ -8,35 +8,6 @@
 
 namespace tbmd::tb {
 
-namespace {
-
-/// Pass 2 of the deterministic two-pass force scheme: gather each atom's
-/// force over its full neighbor-sorted adjacency from the per-bond slots
-/// written in pass 1.  Owned entries (transposed == 0) have atom == i(p)
-/// and add +f, mirror entries subtract it.  Every output slot has exactly
-/// one writer and a thread-count-independent summation order.
-void gather_bond_forces(const BondTable& table,
-                        const std::vector<Vec3>& fbond,
-                        std::vector<Vec3>& forces) {
-  const std::size_t n = table.atoms();
-#pragma omp parallel for schedule(static)
-  for (std::size_t atom = 0; atom < n; ++atom) {
-    Vec3 f{};
-    for (const BondTable::AtomBond* ab = table.atom_begin(atom);
-         ab != table.atom_end(atom); ++ab) {
-      const Vec3& g = fbond[ab->bond];
-      if (ab->transposed != 0) {
-        f -= g;
-      } else {
-        f += g;
-      }
-    }
-    forces[atom] = f;
-  }
-}
-
-}  // namespace
-
 RepulsiveResult repulsive_energy_forces(const TbModel& model,
                                         const BondTable& table) {
   TBMD_REQUIRE(table.has_repulsive(),
@@ -78,15 +49,10 @@ RepulsiveResult repulsive_energy_forces(const TbModel& model,
       eatom[atom] = e;
       watom[atom] = w;
     }
-    gather_bond_forces(table, fbond, out.forces);
+    gather_bond_forces(table, fbond, watom, out.forces, &out.virial);
     double energy = 0.0;
-    Mat3 virial{};
-    for (std::size_t i = 0; i < n; ++i) {
-      energy += eatom[i];
-      virial += watom[i];
-    }
+    for (std::size_t i = 0; i < n; ++i) energy += eatom[i];
     out.energy = energy;
-    out.virial += virial;
     return out;
   }
 
@@ -130,10 +96,7 @@ RepulsiveResult repulsive_energy_forces(const TbModel& model,
     }
     watom[atom] = w;
   }
-  gather_bond_forces(table, fbond, out.forces);
-  Mat3 virial{};
-  for (std::size_t i = 0; i < n; ++i) virial += watom[i];
-  out.virial += virial;
+  gather_bond_forces(table, fbond, watom, out.forces, &out.virial);
   out.energy = energy;
   return out;
 }

@@ -1,7 +1,8 @@
 // Tests for the numerics guardrails + recovery ladder: CRC32, the
 // deterministic fault-point registry, config/job-spec input hardening,
-// checkpoint CRC + .prev rotation, trajectory frame CRC, and every rung of
-// the OrderNCalculator recovery ladder under injected faults.
+// checkpoint CRC + .prev rotation, trajectory frame CRC, truncated and
+// bit-flipped checkpoint and trajectory files, and every rung of the
+// OrderNCalculator recovery ladder under injected faults.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include "src/core/health_spec.hpp"
 #include "src/io/binary_trajectory.hpp"
 #include "src/io/config.hpp"
+#include "src/io/logger.hpp"
 #include "src/onx/on_calculator.hpp"
 #include "src/structures/builders.hpp"
 #include "src/svc/checkpoint.hpp"
@@ -210,8 +212,8 @@ TEST(JobSpecHardening, HealthAndFaultKeys) {
 TEST(JobSpecHardening, MutatedSpecTextEndsInATypedResult) {
   // One valid O(N) spec that sets every numerics and health key; every
   // prefix truncation and every single-bit flip of every byte must either
-  // parse into a job with a calculator key or throw tbmd::Error -- never
-  // another exception type.
+  // parse into a job whose system and calculator build, or throw
+  // tbmd::Error -- never another exception type.
   const std::string valid =
       "name = mutant\nsteps = 5\nmode = on\nskin = 0.5\n"
       "drop_tolerance = 1e-6\nschedule_loosening = 4\nprecision = mixed\n"
@@ -238,7 +240,8 @@ TEST(JobSpecHardening, MutatedSpecTextEndsInATypedResult) {
   for (const std::string& text : inputs) {
     try {
       const JobSpec s = spec_from(text);
-      EXPECT_FALSE(s.calculator_key().empty());
+      const System system = s.build_system();
+      EXPECT_NE(s.make_calculator(system), nullptr);
       ++parsed;
     } catch (const Error&) {
       ++rejected;
@@ -250,18 +253,6 @@ TEST(JobSpecHardening, MutatedSpecTextEndsInATypedResult) {
   EXPECT_EQ(parsed + rejected, inputs.size());
   EXPECT_GT(parsed, 1u);    // the unmutated spec and harmless flips
   EXPECT_GT(rejected, 1u);  // truncated and corrupted keys/values
-}
-
-TEST(CalculatorSpecFingerprint, HealthRelevantOnlyWhenEnabled) {
-  CalculatorSpec base = CalculatorSpec::order_n();
-  CalculatorSpec tweaked = base;
-  tweaked.health.max_force = 123.0;  // disabled spec: not identity-relevant
-  EXPECT_EQ(base.fingerprint(), tweaked.fingerprint());
-  tweaked.health.enabled = true;
-  EXPECT_NE(base.fingerprint(), tweaked.fingerprint());
-  CalculatorSpec other = tweaked;
-  other.health.max_force = 456.0;
-  EXPECT_NE(tweaked.fingerprint(), other.fingerprint());
 }
 
 // --- checkpoint CRC + rotation ----------------------------------------------
@@ -520,6 +511,160 @@ TEST(TrajectoryCrc, CorruptAtomCountFailsBeforeAllocating) {
   expect_atom_count_error([&] { io::BinaryTrajectoryReader r(path); });
   expect_atom_count_error(
       [&] { (void)io::BinaryTrajectoryWriter::resume(path, sys, 10); });
+}
+
+// --- mutated checkpoint and trajectory files --------------------------------
+
+std::vector<char> read_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), {}};
+}
+
+void write_bytes(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// One corrupted copy of a valid file: a strict prefix (`flipped_byte` ==
+/// npos) or the file with one bit of `flipped_byte` inverted.
+struct Mutation {
+  std::vector<char> bytes;
+  std::size_t flipped_byte = std::string::npos;
+};
+
+/// Every strict prefix and every single-bit flip of `valid`.
+std::vector<Mutation> mutations_of(const std::vector<char>& valid) {
+  std::vector<Mutation> out;
+  for (std::size_t len = 0; len < valid.size(); ++len) {
+    out.push_back({std::vector<char>(valid.begin(),
+                                     valid.begin() +
+                                         static_cast<std::ptrdiff_t>(len)),
+                   std::string::npos});
+  }
+  for (std::size_t at = 0; at < valid.size(); ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      Mutation m{valid, at};
+      m.bytes[at] = static_cast<char>(
+          static_cast<unsigned char>(m.bytes[at]) ^ (1u << bit));
+      out.push_back(std::move(m));
+    }
+  }
+  return out;
+}
+
+/// Runs `use`: true when it returns, false when it throws tbmd::Error.  Any
+/// other exception fails the test (and counts as a rejection).
+template <class Use>
+bool typed_outcome(const Use& use, const std::string& what) {
+  try {
+    use();
+    return true;
+  } catch (const Error&) {
+    return false;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": untyped exception '" << e.what() << "'";
+    return false;
+  }
+}
+
+/// 8-atom Si cell with distinct nonzero velocities.
+System small_si_cell() {
+  System sys = structures::diamond(Element::Si, 5.431, 1, 1, 1);
+  for (std::size_t i = 0; i < sys.size(); ++i) {
+    const double k = static_cast<double>(i + 1);
+    sys.velocities()[i] = {1e-3 * k, -2e-3 * k, 5e-4};
+  }
+  return sys;
+}
+
+TEST(MutatedFiles, EveryCorruptCheckpointEndsInATypedError) {
+  ScratchDir dir("ck_mutate");
+  const std::string valid_path = dir.file("valid.ckpt");
+  svc::Checkpoint ck;
+  ck.step = 4;
+  ck.total_steps = 10;
+  ck.system = small_si_cell();
+  ck.thermostat_target = 300.0;
+  ck.thermostat_state = {0.25, -0.125, 0.5};
+  ck.rng = Rng(91).state();
+  svc::write_checkpoint(valid_path, ck);
+  expect_same_checkpoint(svc::read_checkpoint(valid_path), ck);
+
+  // The payload CRC covers every byte after the magic, so no prefix and no
+  // single-bit flip may read back as a checkpoint.
+  const std::string path = dir.file("mutant.ckpt");
+  const std::vector<Mutation> inputs = mutations_of(read_bytes(valid_path));
+  std::size_t accepted = 0;
+  for (std::size_t k = 0; k < inputs.size(); ++k) {
+    write_bytes(path, inputs[k].bytes);
+    if (typed_outcome([&] { (void)svc::read_checkpoint(path); },
+                      "ckpt input " + std::to_string(k))) {
+      ++accepted;
+    }
+  }
+  EXPECT_EQ(accepted, 0u);
+}
+
+TEST(MutatedFiles, EveryCorruptTrajectoryEndsInATypedResult) {
+  ScratchDir dir("tbt_mutate");
+  io::BinaryTrajectoryOptions opts;  // quantized
+  opts.velocities = true;
+  const System start = small_si_cell();
+  const std::string header_path = dir.file("header.tbt");
+  { io::BinaryTrajectoryWriter w(header_path, start, opts); }
+  const std::size_t header_bytes = fs::file_size(header_path);
+
+  const std::string valid_path = dir.file("valid.tbt");
+  {
+    System sys = start;
+    io::BinaryTrajectoryWriter w(valid_path, sys, opts);
+    for (long step = 0; step < 3; ++step) {
+      for (Vec3& r : sys.positions()) r += Vec3{0.01, -0.02, 0.005};
+      w.add_frame(sys, step);
+    }
+  }
+  const std::vector<char> valid = read_bytes(valid_path);
+  ASSERT_GT(valid.size(), header_bytes);
+
+  const std::string path = dir.file("mutant.tbt");
+  const std::string resume_path = dir.file("resumed.tbt");
+  const std::vector<Mutation> inputs = mutations_of(valid);
+  std::size_t strict_accepted = 0;
+  std::size_t resume_accepted = 0;
+  // resume() warns about every corrupt tail it drops.
+  const io::LogLevel level = io::log_level();
+  io::set_log_level(io::LogLevel::kError);
+  for (std::size_t k = 0; k < inputs.size(); ++k) {
+    const Mutation& m = inputs[k];
+    const std::string what = "tbt input " + std::to_string(k);
+    write_bytes(path, m.bytes);
+    const bool strict_ok = typed_outcome(
+        [&] {
+          io::BinaryTrajectoryReader r(path);
+          io::TrajectoryFrame frame;
+          while (r.next(frame)) (void)r.make_system(frame);
+        },
+        what + " (reader)");
+    if (strict_ok) ++strict_accepted;
+    // Every frame byte is covered by its frame's CRC.
+    if (m.flipped_byte != std::string::npos && m.flipped_byte >= header_bytes) {
+      EXPECT_FALSE(strict_ok) << what << ": frame byte " << m.flipped_byte
+                              << " flipped and the strict reader accepted it";
+    }
+    write_bytes(resume_path, m.bytes);
+    if (typed_outcome(
+            [&] {
+              (void)io::BinaryTrajectoryWriter::resume(resume_path, start, 1,
+                                                       opts);
+            },
+            what + " (resume)")) {
+      ++resume_accepted;
+    }
+  }
+  io::set_log_level(level);
+  // Prefixes that end on a frame boundary stay readable.
+  EXPECT_GT(strict_accepted, 0u);
+  EXPECT_GT(resume_accepted, 0u);
 }
 
 // --- recovery ladder --------------------------------------------------------

@@ -384,10 +384,11 @@ TEST(JobSpec, ParsesStrictConfigs) {
   const io::Config cfg = io::Config::parse_string(
       "name = demo\nstructure = fcc\nelement = Ar\nmodel = lj\n"
       "steps = 12\ndt = 2.0\ntemperature = 80\nthermostat = nose-hoover\n"
-      "thermostat_tau = 60\nramp_to = 160\nramp_steps = 8\n");
+      "thermostat_tau = 60\nramp_to = 160\nramp_steps = 8\nthreads = 3\n");
   const JobSpec s = JobSpec::from_config(cfg);
   EXPECT_EQ(s.name, "demo");
   EXPECT_EQ(s.steps, 12);
+  EXPECT_EQ(s.threads, 3);
   EXPECT_TRUE(s.classical());
   EXPECT_EQ(s.thermostat.kind, md::ThermostatKind::kNoseHoover);
   EXPECT_EQ(s.target_at(0), 90.0);   // 80 + (1/8) * 80
@@ -398,16 +399,6 @@ TEST(JobSpec, ParsesStrictConfigs) {
       (void)JobSpec::from_config(
           io::Config::parse_string("steps = 5\nstepz = 6\n")),
       Error);  // unknown key 'stepz'
-}
-
-TEST(JobSpec, CalculatorKeysSeparateEngines) {
-  JobSpec exact = tb_job("a", CalcMode::kExact, 5);
-  JobSpec on = tb_job("b", CalcMode::kOrderN, 5);
-  JobSpec lj = lj_job("c", 5);
-  EXPECT_NE(exact.calculator_key(), on.calculator_key());
-  EXPECT_NE(exact.calculator_key(), lj.calculator_key());
-  JobSpec exact2 = tb_job("d", CalcMode::kExact, 99);
-  EXPECT_EQ(exact.calculator_key(), exact2.calculator_key());
 }
 
 TEST(JobSpec, ParsesNumericsKeysIntoTheSharedSpec) {
@@ -441,20 +432,6 @@ TEST(JobSpec, ParsesNumericsKeysIntoTheSharedSpec) {
           << what;
     }
   }
-
-  // Every numerics knob is part of the calculator identity: jobs that
-  // differ there must not share a cached calculator...
-  const JobSpec base = tb_job("a", CalcMode::kOrderN, 5);
-  JobSpec mixed = base;
-  mixed.calc.numerics.precision = PrecisionMode::kMixed;
-  EXPECT_NE(base.calculator_key(), mixed.calculator_key());
-  JobSpec skin = base;
-  skin.calc.bond_reuse_skin = 0.05;
-  EXPECT_NE(base.calculator_key(), skin.calculator_key());
-  // ... while the execution-resource hint stays excluded.
-  JobSpec threads = base;
-  threads.calc.threads = 7;
-  EXPECT_EQ(base.calculator_key(), threads.calculator_key());
 }
 
 TEST(JobRunner, FailedJobDoesNotPoisonTheSweep) {
