@@ -157,10 +157,10 @@ int main(int argc, char** argv) {
     double ms_on = -1.0;
     std::size_t pm_iters = 0;
     double fill = 0.0;
-    const std::vector<int> team_sizes =
+    const std::vector<int> thread_counts =
         threads.empty() ? std::vector<int>{0} : threads;
     double base_ms = -1.0;
-    for (const int t : team_sizes) {
+    for (const int t : thread_counts) {
       if (t > 0) par::set_num_threads(t);
       onx::OrderNCalculator on(model, oopt);
       const double ms = time_force_call(on, s, reps);

@@ -58,10 +58,6 @@ void System::zero_momentum() {
   }
 }
 
-void System::wrap_positions() {
-  for (Vec3& r : positions_) r = cell_.wrap(r);
-}
-
 int System::total_valence_electrons() const {
   int n = 0;
   for (const Element e : species_) n += valence_electrons(e);

@@ -85,10 +85,6 @@ class System {
     return norm(displacement(i, j));
   }
 
-  /// Wrap all positions into the home cell (call only when neighbor lists
-  /// will be rebuilt afterwards).
-  void wrap_positions();
-
   /// Total valence electrons (sets the band filling in TB calculators).
   [[nodiscard]] int total_valence_electrons() const;
 

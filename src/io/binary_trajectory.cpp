@@ -15,7 +15,10 @@ namespace tbmd::io {
 namespace {
 
 constexpr char kMagic[4] = {'T', 'B', 'T', 'J'};
-constexpr std::uint32_t kVersion = 2;
+constexpr std::uint32_t kVersion = 3;
+/// Header bytes before the species: magic, version, flags, natoms, two
+/// quanta, nine cell components, three pbc flags and a pad byte.
+constexpr std::size_t kFixedHeaderBytes = 4 + 3 * 4 + 2 * 8 + 9 * 8 + 4;
 /// Sanity cap on the frame payload length field: a corrupt length must not
 /// drive a multi-GB allocation before the CRC check can reject the frame.
 constexpr std::uint32_t kMaxFramePayload = 1u << 30;
@@ -177,6 +180,7 @@ void write_header(std::ostream& os, const System& system,
   for (const Element e : system.species()) {
     put<std::uint8_t>(buf, static_cast<std::uint8_t>(static_cast<int>(e)));
   }
+  put<std::uint32_t>(buf, crc32(buf.data(), buf.size()));
   os.write(reinterpret_cast<const char*>(buf.data()),
            static_cast<std::streamsize>(buf.size()));
 }
@@ -192,38 +196,47 @@ std::uintmax_t bytes_left(std::istream& is) {
 
 Header read_header(std::istream& is) {
   ByteSource src(is);
-  char magic[4];
-  TBMD_REQUIRE(src.read_exact(magic, 4) && std::memcmp(magic, kMagic, 4) == 0,
+  std::uint8_t fixed[kFixedHeaderBytes];
+  TBMD_REQUIRE(src.read_exact(fixed, 4) && std::memcmp(fixed, kMagic, 4) == 0,
                "binary trajectory: bad magic (not a .tbt file)");
-  const auto version = src.get<std::uint32_t>();
+  TBMD_REQUIRE(src.read_exact(fixed + 4, kFixedHeaderBytes - 4),
+               "binary trajectory: truncated file");
+  ByteSource field(fixed + 4, kFixedHeaderBytes - 4);
+  const auto version = field.get<std::uint32_t>();
   TBMD_REQUIRE(version == kVersion,
                "binary trajectory: unsupported version " +
                    std::to_string(version));
   Header hd;
-  hd.flags = src.get<std::uint32_t>();
-  hd.natoms = src.get<std::uint32_t>();
-  hd.pos_quantum = src.get<double>();
-  hd.vel_quantum = src.get<double>();
+  hd.flags = field.get<std::uint32_t>();
+  hd.natoms = field.get<std::uint32_t>();
+  hd.pos_quantum = field.get<double>();
+  hd.vel_quantum = field.get<double>();
   double h[9];
-  for (double& v : h) v = src.get<double>();
+  for (double& v : h) v = field.get<double>();
   bool pbc[3];
-  for (bool& p : pbc) p = src.get<std::uint8_t>() != 0;
-  (void)src.get<std::uint8_t>();  // pad
-  // The header carries no CRC: a corrupt atom count must fail against the
-  // species bytes actually present (one per atom) before it sizes any
-  // allocation.
+  for (bool& p : pbc) p = field.get<std::uint8_t>() != 0;
+  // A corrupt atom count must fail against the species and CRC bytes
+  // actually present before it sizes any allocation.
   const std::uintmax_t left = bytes_left(is);
-  TBMD_REQUIRE(hd.natoms <= left,
+  TBMD_REQUIRE(hd.natoms + sizeof(std::uint32_t) <= left,
                "binary trajectory: header atom count " +
                    std::to_string(hd.natoms) + " exceeds the " +
                    std::to_string(left) + " bytes left in the file");
+  std::vector<std::uint8_t> species(hd.natoms);
+  TBMD_REQUIRE(hd.natoms == 0 || src.read_exact(species.data(), hd.natoms),
+               "binary trajectory: truncated file");
+  const auto stored_crc = src.get<std::uint32_t>();
+  std::uint32_t crc = crc32_update(0, fixed, kFixedHeaderBytes);
+  crc = crc32_update(crc, species.data(), species.size());
+  TBMD_REQUIRE(crc == stored_crc, "binary trajectory: header CRC mismatch");
+
   if (pbc[0] || pbc[1] || pbc[2]) {
     hd.cell = Cell({h[0], h[1], h[2]}, {h[3], h[4], h[5]}, {h[6], h[7], h[8]},
                    pbc[0], pbc[1], pbc[2]);
   }
   hd.species.reserve(hd.natoms);
-  for (std::size_t i = 0; i < hd.natoms; ++i) {
-    hd.species.push_back(static_cast<Element>(src.get<std::uint8_t>()));
+  for (const std::uint8_t z : species) {
+    hd.species.push_back(static_cast<Element>(z));
   }
   return hd;
 }

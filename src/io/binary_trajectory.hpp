@@ -21,6 +21,7 @@
 ///            | f64 pos_quantum | f64 vel_quantum
 ///            | 9 x f64 cell rows | 3 x u8 pbc | u8 pad
 ///            | natoms x u8 species (atomic numbers)
+///            | u32 crc32(magic..species)
 ///   frame:   u8 0xF5 | i64 step | u32 payload_len
 ///            | payload | u32 crc32(step..payload)
 ///   payload: positions  (3N zigzag-varint deltas, or 3N f64 lossless)
@@ -31,7 +32,10 @@
 /// step + length + payload: Reader::next() rejects torn or bit-flipped
 /// frames (throws), while Writer::resume() treats a corrupt tail as the
 /// debris of the crash being recovered from -- it truncates the file at
-/// the last intact frame and appends from there.
+/// the last intact frame and appends from there.  Since v3 the header
+/// ends in a CRC-32 over every header byte before it: the reader and
+/// resume() both reject a corrupt header (a flipped cell, quantum or
+/// species byte) with tbmd::Error, as they do any other version.
 
 #include <cstdint>
 #include <memory>

@@ -159,16 +159,6 @@ std::vector<long> Config::get_longs(const std::string& key,
   return out;
 }
 
-std::vector<long> Config::require_longs(const std::string& key,
-                                        std::size_t count) const {
-  const Entry& e = require(key);
-  const std::vector<long> out = get_longs(key, {});
-  TBMD_REQUIRE(out.size() == count,
-               context(key, e) + " needs " + std::to_string(count) +
-                   " integers, got " + std::to_string(out.size()));
-  return out;
-}
-
 std::vector<double> Config::get_doubles(const std::string& key,
                                         std::vector<double> fallback) const {
   const Entry* e = find(key);

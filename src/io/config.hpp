@@ -51,8 +51,6 @@ class Config {
   [[nodiscard]] bool require_bool(const std::string& key) const;
   [[nodiscard]] std::vector<long> get_longs(const std::string& key,
                                             std::vector<long> fallback) const;
-  [[nodiscard]] std::vector<long> require_longs(const std::string& key,
-                                                std::size_t count) const;
   [[nodiscard]] std::vector<double> get_doubles(
       const std::string& key, std::vector<double> fallback) const;
   [[nodiscard]] std::vector<double> require_doubles(const std::string& key,

@@ -42,11 +42,4 @@ void log_warn(const Args&... args) {
   log_message(LogLevel::kWarn, os.str());
 }
 
-template <typename... Args>
-void log_debug(const Args&... args) {
-  std::ostringstream os;
-  detail::append(os, args...);
-  log_message(LogLevel::kDebug, os.str());
-}
-
 }  // namespace tbmd::io

@@ -81,9 +81,6 @@ class NeighborList {
   /// Number of atoms the list was built for.
   [[nodiscard]] std::size_t size() const { return full_.size(); }
 
-  /// Cutoff + skin the list was built with.
-  [[nodiscard]] double list_radius() const { return list_radius_; }
-
   /// Number of from-scratch builds performed (ablation instrumentation).
   [[nodiscard]] std::size_t build_count() const { return build_count_; }
 

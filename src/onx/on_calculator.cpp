@@ -118,8 +118,7 @@ std::vector<Vec3> band_forces_sparse(const tb::BondTable& table,
   // per-bond slot plus a per-atom virial partial -- every slot has exactly
   // one writer -- and pass 2 gathers each atom's force over its full
   // adjacency in sorted neighbor order.  No summation order depends on the
-  // thread partition, unlike a ThreadPartials scatter whose tree reduction
-  // regroups terms with the team size.
+  // thread partition.
   std::vector<Vec3> dedd_bond(table.size(), Vec3{});
   std::vector<Mat3> watom(virial != nullptr ? n : 0, Mat3{});
 

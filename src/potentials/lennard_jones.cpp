@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "src/util/parallel.hpp"
-
 namespace tbmd::potentials {
 
 LennardJonesCalculator::LennardJonesCalculator(LennardJonesParams params)
@@ -30,49 +28,43 @@ ForceResult LennardJonesCalculator::compute(const System& system) {
   PhaseTimer t(report_, Phase::kForces);
   const auto& pos = system.positions();
   const double rc2 = params_.cutoff * params_.cutoff;
-  double energy = 0.0;
+  atom_energy_.resize(n);
+  atom_virial_.resize(n);
 
-  // Partition by ATOM with a static schedule, not by half-pair index: the
-  // pair count depends on when the Verlet list was last rebuilt, so a
-  // pair-indexed partition changes the per-thread summation order between
-  // a warm run and a checkpoint-resumed one.  Atom rows (sorted by
-  // neighbor index) make the accumulation order a pure function of the
-  // positions, which checkpoint bit-identity relies on.
-  par::ThreadPartials<Vec3> fpartial(n);
-  par::ThreadPartials<Mat3> wpartial(1);
-  par::ThreadPartials<double> epartial(1);
-#pragma omp parallel
-  {
-    Vec3* local = fpartial.local();
-    Mat3& wlocal = *wpartial.local();
-    double elocal = 0.0;
-#pragma omp for schedule(static) nowait
-    for (std::size_t i = 0; i < n; ++i) {
-      for (const NeighborEntry& e : list_.neighbors(i)) {
-        if (e.j <= i) continue;  // each unordered pair once, from its i end
-        const Vec3 bond = pos[e.j] + e.shift - pos[i];
-        const double r2 = norm2_sq(bond);
-        if (r2 >= rc2) continue;
-        const double inv_r2 = 1.0 / r2;
-        const double sr2 = params_.sigma * params_.sigma * inv_r2;
-        const double sr6 = sr2 * sr2 * sr2;
-        const double sr12 = sr6 * sr6;
-        elocal += 4.0 * params_.epsilon * (sr12 - sr6) - energy_shift_;
-        // dV/dr * (1/r) = -24 eps (2 sr12 - sr6) / r^2
-        const double w = -24.0 * params_.epsilon * (2.0 * sr12 - sr6) * inv_r2;
-        const Vec3 f = w * bond;  // dE/dd with d = r_j - r_i
-        local[i] += f;
-        local[e.j] -= f;
-        wlocal -= outer(bond, f);  // d (x) f_on_j
-      }
+  // Every atom walks its own full row (both ends of each pair are listed)
+  // and is the only writer of its force, energy and virial slots; rows are
+  // sorted by neighbor index, so each sum has one fixed order and the
+  // result is bit-identical at any thread count and across a checkpoint
+  // resume.  Each pair is evaluated from both ends, and each end keeps
+  // half of the pair's energy and virial term.
+#pragma omp parallel for schedule(static)
+  for (std::size_t i = 0; i < n; ++i) {
+    Vec3 f{};
+    double e = 0.0;
+    Mat3 w{};
+    for (const NeighborEntry& nb : list_.neighbors(i)) {
+      const Vec3 bond = pos[nb.j] + nb.shift - pos[i];
+      const double r2 = norm2_sq(bond);
+      if (r2 >= rc2) continue;
+      const double inv_r2 = 1.0 / r2;
+      const double sr2 = params_.sigma * params_.sigma * inv_r2;
+      const double sr6 = sr2 * sr2 * sr2;
+      const double sr12 = sr6 * sr6;
+      e += 4.0 * params_.epsilon * (sr12 - sr6) - energy_shift_;
+      // dV/dr * (1/r) = -24 eps (2 sr12 - sr6) / r^2
+      const double s = -24.0 * params_.epsilon * (2.0 * sr12 - sr6) * inv_r2;
+      const Vec3 dedd = s * bond;  // dE/dd with d = r_j - r_i
+      f += dedd;
+      w -= outer(bond, dedd);  // d (x) f_on_j
     }
-    *epartial.local() = elocal;
+    result.forces[i] = f;
+    atom_energy_[i] = 0.5 * e;
+    atom_virial_[i] = w * 0.5;
   }
-  const Vec3* f = fpartial.reduce();
-  for (std::size_t i = 0; i < n; ++i) result.forces[i] = f[i];
-  energy += *epartial.reduce();
-  result.virial += *wpartial.reduce();
-  result.energy = energy;
+  for (std::size_t i = 0; i < n; ++i) {
+    result.energy += atom_energy_[i];
+    result.virial += atom_virial_[i];
+  }
   return result;
 }
 

@@ -7,6 +7,8 @@
 /// canonical test bed for the MD integrators (its energy conservation
 /// properties are textbook material).
 
+#include <vector>
+
 #include "src/core/calculator.hpp"
 #include "src/neighbor/neighbor_list.hpp"
 
@@ -36,6 +38,9 @@ class LennardJonesCalculator final : public Calculator {
   LennardJonesParams params_;
   NeighborList list_;
   double energy_shift_ = 0.0;
+  /// Per-atom halves of the pair energy and virial, summed in atom order.
+  std::vector<double> atom_energy_;
+  std::vector<Mat3> atom_virial_;
 };
 
 }  // namespace tbmd::potentials

@@ -1,10 +1,10 @@
 #include "src/potentials/tersoff.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
 #include "src/util/error.hpp"
-#include "src/util/parallel.hpp"
 
 namespace tbmd::potentials {
 
@@ -102,35 +102,46 @@ ForceResult TersoffCalculator::compute(const System& system) {
   const TersoffParams& p = params_;
   const auto& pos = system.positions();
   const double rc = p.outer_cutoff();
-  double energy = 0.0;
 
-  par::ThreadPartials<Vec3> fpartial(natoms);
-  par::ThreadPartials<Mat3> wpartial(1);
-  par::ThreadPartials<double> epartial(1);
+  // One slot per full-row entry (i, a); row i's slots start at
+  // row_start_[i].
+  row_start_.resize(natoms + 1);
+  row_start_[0] = 0;
+  for (std::size_t i = 0; i < natoms; ++i) {
+    row_start_[i + 1] = row_start_[i] + list_.neighbors(i).size();
+  }
+  const std::size_t slots = row_start_[natoms];
+  bond_.resize(slots);
+  length_.resize(slots);
+  dedd_.resize(slots);
+  atom_energy_.resize(natoms);
+  atom_virial_.resize(natoms);
+
+  // Every term of the energy of center i depends on the positions only
+  // through i's bond vectors d_(i,a) = r_(j_a) + S_a - r_i.  Pass 1 (over
+  // centers) writes dE/dd_(i,a) into slot (i, a); pass 2 (over atoms)
+  // gathers F_m = sum_a dE/dd_(m,a) - sum_a dE/dd_(j_a,m).  Each slot has
+  // one writer and each sum a fixed order (rows are sorted by neighbor
+  // index), so the result is bit-identical at any thread count and across
+  // a checkpoint resume.
 #pragma omp parallel
   {
-    Vec3* local = fpartial.local();
-    Mat3& wlocal = *wpartial.local();
-    double elocal = 0.0;
-
-    // schedule(static), not dynamic: the thread-to-atom assignment must be
-    // a pure function of the atom count so per-thread partial sums (and
-    // hence the reduced forces) are reproducible across runs and restarts.
-#pragma omp for schedule(static) nowait
+#pragma omp for schedule(static)
     for (std::size_t i = 0; i < natoms; ++i) {
       const auto& nbrs = list_.neighbors(i);
-      // Cache bond vectors and distances for atom i's neighborhood.
-      std::vector<Vec3> dv(nbrs.size());
-      std::vector<double> dist(nbrs.size());
+      Vec3* dv = bond_.data() + row_start_[i];
+      double* dist = length_.data() + row_start_[i];
+      Vec3* g = dedd_.data() + row_start_[i];
       for (std::size_t a = 0; a < nbrs.size(); ++a) {
         dv[a] = pos[nbrs[a].j] + nbrs[a].shift - pos[i];
         dist[a] = norm(dv[a]);
+        g[a] = Vec3{};
       }
 
+      double energy = 0.0;
       for (std::size_t a = 0; a < nbrs.size(); ++a) {
         const double rij = dist[a];
         if (rij >= rc) continue;
-        const std::size_t j = nbrs[a].j;
         const Vec3& dij = dv[a];
         const Cut fcij = cutoff_fn(p, rij);
         const double fr = p.a * std::exp(-p.lambda1 * rij);
@@ -167,13 +178,10 @@ ForceResult TersoffCalculator::compute(const System& system) {
         }
 
         // Pair part: E_ij = 1/2 fC (fR + b fA).
-        elocal += 0.5 * fcij.f * (fr + bij * fa);
+        energy += 0.5 * fcij.f * (fr + bij * fa);
         const double dpair =
             0.5 * (fcij.df * (fr + bij * fa) + fcij.f * (dfr + bij * dfa));
-        const Vec3 upair = (dpair / rij) * dij;  // dE/dd_ij
-        local[i] += upair;
-        local[j] -= upair;
-        wlocal -= outer(dij, upair);
+        g[a] += (dpair / rij) * dij;
 
         // Bond-order part: dE/dzeta * dzeta/d{d_ij, d_ik}.
         const double dez = 0.5 * fcij.f * fa * dbij_dzeta;
@@ -185,7 +193,6 @@ ForceResult TersoffCalculator::compute(const System& system) {
           if (rik >= rc) continue;
           const Cut fcik = cutoff_fn(p, rik);
           if (fcik.f == 0.0 && fcik.df == 0.0) continue;
-          const std::size_t k = nbrs[bq].j;
           const Vec3& dik = dv[bq];
           const double cos_t = dot(dij, dik) / (rij * rik);
           const Ang ang = angular_fn(p, cos_t);
@@ -217,25 +224,43 @@ ForceResult TersoffCalculator::compute(const System& system) {
               fcik.f * ang.dg * xi * dcos_ddik +
               fcik.f * ang.g * dxi_drik * (1.0 / rik) * dik;
 
-          const Vec3 fij = dez * dz_ddij;  // dE/dd_ij
-          const Vec3 fik = dez * dz_ddik;  // dE/dd_ik
-          local[i] += fij + fik;
-          local[j] -= fij;
-          local[k] -= fik;
-          wlocal -= outer(dij, fij);
-          wlocal -= outer(dik, fik);
+          g[a] += dez * dz_ddij;
+          g[bq] += dez * dz_ddik;
         }
       }
+
+      Mat3 w{};
+      for (std::size_t a = 0; a < nbrs.size(); ++a) {
+        w -= outer(dv[a], g[a]);  // d (x) f_on_j with f_on_j = -dE/dd
+      }
+      atom_energy_[i] = energy;
+      atom_virial_[i] = w;
     }
 
-    *epartial.local() = elocal;
+#pragma omp for schedule(static)
+    for (std::size_t m = 0; m < natoms; ++m) {
+      const auto& nbrs = list_.neighbors(m);
+      const Vec3* g = dedd_.data() + row_start_[m];
+      Vec3 f{};
+      for (std::size_t a = 0; a < nbrs.size(); ++a) {
+        // Slot (j, m), the mirror of (m, a): rows are symmetric and list
+        // each neighbor once, so m has exactly one entry in j's sorted row.
+        const std::size_t j = nbrs[a].j;
+        const auto& row = list_.neighbors(j);
+        const auto mirror = std::lower_bound(
+            row.begin(), row.end(), m,
+            [](const NeighborEntry& e, std::size_t v) { return e.j < v; });
+        f += g[a] - dedd_[row_start_[j] + static_cast<std::size_t>(
+                                              mirror - row.begin())];
+      }
+      result.forces[m] = f;
+    }
   }
-  const Vec3* f = fpartial.reduce();
-  for (std::size_t q = 0; q < natoms; ++q) result.forces[q] = f[q];
-  energy += *epartial.reduce();
-  result.virial += *wpartial.reduce();
 
-  result.energy = energy;
+  for (std::size_t i = 0; i < natoms; ++i) {
+    result.energy += atom_energy_[i];
+    result.virial += atom_virial_[i];
+  }
   return result;
 }
 

@@ -16,6 +16,9 @@
 ///   zeta   = sum_k fC(r_ik) g(theta_ijk) exp[lambda3^m (r_ij - r_ik)^m]
 ///   g(t)   = gamma (1 + c^2/d^2 - c^2/(d^2 + (h - cos t)^2))
 
+#include <cstddef>
+#include <vector>
+
 #include "src/core/calculator.hpp"
 #include "src/neighbor/neighbor_list.hpp"
 
@@ -63,6 +66,16 @@ class TersoffCalculator final : public Calculator {
  private:
   TersoffParams params_;
   NeighborList list_;
+  /// Force-pass slots, reused across calls: row_start_[i] indexes center
+  /// i's first full-row entry in the per-entry bond vector, length and
+  /// dE/dd arrays.
+  std::vector<std::size_t> row_start_;
+  std::vector<Vec3> bond_;
+  std::vector<double> length_;
+  std::vector<Vec3> dedd_;
+  /// Per-center energy and virial, summed in atom order.
+  std::vector<double> atom_energy_;
+  std::vector<Mat3> atom_virial_;
 };
 
 }  // namespace tbmd::potentials

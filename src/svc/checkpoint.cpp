@@ -14,7 +14,7 @@ namespace tbmd::svc {
 namespace {
 
 constexpr char kMagic[4] = {'T', 'B', 'C', 'K'};
-constexpr std::uint32_t kVersion = 2;
+constexpr std::uint32_t kVersion = 3;
 
 template <typename T>
 void put(std::vector<std::uint8_t>& buf, T value) {
@@ -80,11 +80,6 @@ std::vector<std::uint8_t> serialize_payload(const Checkpoint& ck) {
   put<std::uint32_t>(buf,
                      static_cast<std::uint32_t>(ck.thermostat_state.size()));
   for (const double s : ck.thermostat_state) put<double>(buf, s);
-
-  // RNG.
-  for (int k = 0; k < 4; ++k) put<std::uint64_t>(buf, ck.rng.s[k]);
-  put<std::uint8_t>(buf, ck.rng.have_cached ? 1 : 0);
-  put<double>(buf, ck.rng.cached);
   return buf;
 }
 
@@ -130,10 +125,6 @@ Checkpoint parse_payload(Cursor& c) {
                    " bytes left in '" + c.path + "'");
   ck.thermostat_state.resize(nstate);
   for (double& s : ck.thermostat_state) s = c.get<double>();
-
-  for (int k = 0; k < 4; ++k) ck.rng.s[k] = c.get<std::uint64_t>();
-  ck.rng.have_cached = c.get<std::uint8_t>() != 0;
-  ck.rng.cached = c.get<double>();
   return ck;
 }
 

@@ -7,26 +7,28 @@
 /// trajectory bit-identically after a crash or preemption: the full System
 /// (cell, species, frozen flags, positions, velocities as raw IEEE
 /// doubles -- no decimal round trip), the thermostat's target and internal
-/// chain state, the integrator step count, and the job RNG state.  Forces
-/// are deliberately NOT stored: the calculators recompute them
-/// bit-identically from the restored positions (the cold-vs-warm identity
-/// guaranteed since the PR-5 pattern-cache work), which keeps checkpoints
-/// small and independent of the engine in use.
+/// chain state, and the integrator step count.  No RNG state is stored:
+/// the only draw of a job is its initial Maxwell-Boltzmann velocities,
+/// taken from the spec's seed before the first step, and no thermostat is
+/// stochastic.  Forces are deliberately NOT stored: every calculator
+/// recomputes them bit-identically from the restored positions at any
+/// thread count (cold == warm, single-writer force kernels), which keeps
+/// checkpoints small and independent of the engine in use.
 ///
 /// Writes are atomic (temp file + rename), so a kill during checkpointing
-/// leaves the previous checkpoint intact.  Since v2 the payload carries a
-/// trailing CRC-32, and each successful write first rotates the previous
-/// good checkpoint to `path`.prev (by copy, so `path` never disappears):
-/// a torn or bit-flipped checkpoint is detected on read and resume falls
-/// back one save interval instead of aborting the job (see
-/// read_checkpoint_with_fallback).
+/// leaves the previous checkpoint intact.  The payload carries a trailing
+/// CRC-32 (since v2; v3 dropped the unused RNG state), and each successful
+/// write first rotates the previous good checkpoint to `path`.prev (by
+/// copy, so `path` never disappears): a torn or bit-flipped checkpoint is
+/// detected on read and resume falls back one save interval instead of
+/// aborting the job (see read_checkpoint_with_fallback).  Files of any
+/// other version are rejected with tbmd::Error.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "src/core/system.hpp"
-#include "src/util/random.hpp"
 
 namespace tbmd::svc {
 
@@ -42,8 +44,6 @@ struct Checkpoint {
   double thermostat_target = 0.0;
   /// Thermostat internal state (md::Thermostat::state()).
   std::vector<double> thermostat_state;
-  /// Job RNG state (velocity seeding and any stochastic protocol steps).
-  RngState rng;
 
   [[nodiscard]] bool complete() const {
     return total_steps > 0 && step >= total_steps;

@@ -19,7 +19,6 @@
 #include "src/util/error.hpp"
 #include "src/util/fault_point.hpp"
 #include "src/util/parallel.hpp"
-#include "src/util/random.hpp"
 #include "src/util/timer.hpp"
 
 namespace tbmd::svc {
@@ -48,7 +47,6 @@ JobResult run_job(const JobSpec& spec, const SweepOptions& options,
       (fs::path(options.output_dir) / (spec.name + ".tbt")).string();
 
   System system;
-  Rng rng(spec.seed);
   long start_step = 0;
   double thermo_target = 0.0;
   std::vector<double> thermo_state;
@@ -66,7 +64,6 @@ JobResult run_job(const JobSpec& spec, const SweepOptions& options,
     start_step = ck.step;
     thermo_target = ck.thermostat_target;
     thermo_state = std::move(ck.thermostat_state);
-    rng.set_state(ck.rng);
     res.resumed = true;
   } else {
     system = spec.build_system();
@@ -106,7 +103,6 @@ JobResult run_job(const JobSpec& spec, const SweepOptions& options,
       ck.thermostat_target = t->target();
       ck.thermostat_state = t->state();
     }
-    ck.rng = rng.state();
     write_checkpoint(ckpt_path, ck);
   };
 

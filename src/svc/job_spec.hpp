@@ -59,8 +59,9 @@ struct JobSpec {
   double lj_sigma = 0.0;
   double lj_cutoff = 0.0;
   /// OpenMP threads the runner's worker pins while this job runs (any
-  /// engine); 0 inherits the worker's ambient team size.  Every kernel is
-  /// thread-count invariant, so this never changes results.
+  /// engine); 0 inherits the worker's ambient team size.  Every kernel,
+  /// the LJ and Tersoff force loops included, writes each sum from one
+  /// thread in a fixed order, so this never changes results.
   int threads = 0;
 
   // --- dynamics --------------------------------------------------------

@@ -20,11 +20,11 @@ RepulsiveResult repulsive_energy_forces(const TbModel& model,
   if (nb == 0) return out;
 
   // Two-pass scheme (per-bond force slots in pass 1, per-atom adjacency
-  // gather in pass 2) instead of ThreadPartials scatters: every slot has
-  // one writer and a fixed summation order, so energies, forces and the
-  // virial are bit-identical at any OMP_NUM_THREADS -- and across
-  // checkpoint kill-and-resume, where the Verlet rebuild history would
-  // already rule out a flat bond-list partition.
+  // gather in pass 2): every slot has one writer and a fixed summation
+  // order, so energies, forces and the virial are bit-identical at any
+  // OMP_NUM_THREADS -- and across checkpoint kill-and-resume, where the
+  // Verlet rebuild history would already rule out a flat bond-list
+  // partition.
   std::vector<Vec3> fbond(nb, Vec3{});
   std::vector<Mat3> watom(n, Mat3{});
 

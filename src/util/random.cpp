@@ -64,20 +64,6 @@ double Rng::gaussian(double mean, double sigma) {
   return mean + sigma * gaussian();
 }
 
-RngState Rng::state() const {
-  RngState st;
-  for (int k = 0; k < 4; ++k) st.s[k] = s_[k];
-  st.have_cached = have_cached_;
-  st.cached = cached_;
-  return st;
-}
-
-void Rng::set_state(const RngState& state) {
-  for (int k = 0; k < 4; ++k) s_[k] = state.s[k];
-  have_cached_ = state.have_cached;
-  cached_ = state.cached;
-}
-
 std::uint64_t Rng::below(std::uint64_t n) {
   TBMD_REQUIRE(n > 0, "Rng::below requires n > 0");
   // Rejection sampling to avoid modulo bias.

@@ -24,16 +24,6 @@ class SplitMix64 {
   std::uint64_t state_;
 };
 
-/// Complete serializable state of an Rng: the four xoshiro256** words plus
-/// the cached second deviate of the Marsaglia polar pair.  Restoring this
-/// state reproduces the generator's output stream bit-for-bit, which the
-/// checkpoint/restart layer relies on.
-struct RngState {
-  std::uint64_t s[4] = {0, 0, 0, 0};
-  bool have_cached = false;
-  double cached = 0.0;
-};
-
 /// xoshiro256** PRNG: fast, high-quality, 2^256-1 period.
 class Rng {
  public:
@@ -57,12 +47,6 @@ class Rng {
 
   /// Uniform integer in [0, n).  n must be > 0.
   std::uint64_t below(std::uint64_t n);
-
-  /// Snapshot of the full generator state (deterministic checkpointing).
-  [[nodiscard]] RngState state() const;
-
-  /// Restore a snapshot taken with state().
-  void set_state(const RngState& state);
 
  private:
   std::uint64_t s_[4];

@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "src/potentials/lennard_jones.hpp"
 #include "src/potentials/tersoff.hpp"
 #include "src/structures/builders.hpp"
 #include "src/structures/fullerene.hpp"
+#include "src/util/parallel.hpp"
 #include "src/util/random.hpp"
 
 namespace tbmd::potentials {
@@ -231,6 +236,60 @@ TEST(ClassicalStepReport, TimesNeighborsAndForcesOnly) {
   expect_classical_report(lj.step_report(), true);
   (void)lj.compute(ar);
   expect_classical_report(lj.step_report(), false);
+}
+
+// --- thread-count invariance ---------------------------------------------
+
+TEST(ClassicalThreadCount, BitIdenticalAtAnyTeamSize) {
+  // Each force, energy and virial slot has one writer and a fixed
+  // summation order, so the team size must not change a single bit.
+  struct RestoreThreads {
+    int saved = par::max_threads();
+    ~RestoreThreads() { par::set_num_threads(saved); }
+  } restore;
+
+  System argon = structures::fcc(Element::Ar, 5.26, 4, 4, 4);
+  structures::perturb(argon, 0.15, 5);
+  System silicon = structures::diamond(Element::Si, 5.431, 3, 3, 3);
+  structures::perturb(silicon, 0.1, 6);  // binned neighbor build
+  System c60 = structures::c60();
+  structures::perturb(c60, 0.05, 7);  // brute-force neighbor build
+
+  struct Case {
+    const char* name;
+    const System& system;
+    std::function<std::unique_ptr<Calculator>()> make;
+  };
+  const std::vector<Case> cases = {
+      {"lj-ar256", argon,
+       [] { return std::make_unique<LennardJonesCalculator>(); }},
+      {"tersoff-si216", silicon,
+       [] { return std::make_unique<TersoffCalculator>(tersoff_silicon()); }},
+      {"tersoff-c60", c60,
+       [] { return std::make_unique<TersoffCalculator>(tersoff_carbon()); }},
+  };
+  for (const Case& c : cases) {
+    par::set_num_threads(1);
+    const ForceResult ref = c.make()->compute(c.system);
+    for (const int threads : {2, 3, 4}) {
+      par::set_num_threads(threads);
+      const ForceResult got = c.make()->compute(c.system);
+      SCOPED_TRACE(std::string(c.name) + " at " + std::to_string(threads) +
+                   " threads");
+      EXPECT_EQ(got.energy, ref.energy);
+      ASSERT_EQ(got.forces.size(), ref.forces.size());
+      for (std::size_t i = 0; i < ref.forces.size(); ++i) {
+        EXPECT_EQ(got.forces[i].x, ref.forces[i].x) << "atom " << i;
+        EXPECT_EQ(got.forces[i].y, ref.forces[i].y) << "atom " << i;
+        EXPECT_EQ(got.forces[i].z, ref.forces[i].z) << "atom " << i;
+      }
+      for (int a = 0; a < 3; ++a) {
+        for (int b = 0; b < 3; ++b) {
+          EXPECT_EQ(got.virial(a, b), ref.virial(a, b));
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

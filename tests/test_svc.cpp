@@ -163,9 +163,6 @@ TEST(Checkpoint, RoundTripsEveryField) {
   ck.system.set_frozen(1, true);
   ck.thermostat_target = 123.5;
   ck.thermostat_state = {0.25, -1.75, 3e-17, 12.0};
-  Rng rng(99);
-  (void)rng.gaussian();  // populate the cached Marsaglia pair
-  ck.rng = rng.state();
 
   const std::string path = dir.file("a.ckpt");
   write_checkpoint(path, ck);
@@ -185,11 +182,6 @@ TEST(Checkpoint, RoundTripsEveryField) {
   EXPECT_TRUE(back.system.cell().periodic());
   EXPECT_EQ(back.thermostat_target, 123.5);
   EXPECT_EQ(back.thermostat_state, ck.thermostat_state);
-  Rng resumed(1);
-  resumed.set_state(back.rng);
-  Rng original(99);
-  (void)original.gaussian();
-  for (int k = 0; k < 8; ++k) EXPECT_EQ(resumed.gaussian(), original.gaussian());
 }
 
 TEST(Checkpoint, RejectsCorruptFiles) {
