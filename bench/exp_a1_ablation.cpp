@@ -14,10 +14,9 @@
 #include <utility>
 #include <vector>
 
+#include "bench/gear.hpp"
 #include "src/io/table.hpp"
 #include "src/linalg/eigen_sym.hpp"
-#include "src/linalg/jacobi.hpp"
-#include "src/md/gear.hpp"
 #include "src/md/md_driver.hpp"
 #include "src/md/velocities.hpp"
 #include "src/neighbor/neighbor_list.hpp"
@@ -29,6 +28,8 @@
 #include "src/tb/bond_table.hpp"
 #include "src/util/random.hpp"
 #include "src/util/timer.hpp"
+#include "tests/eigen_oracle.hpp"
+#include "tests/neighbor_oracle.hpp"
 
 int main() {
   using namespace tbmd;

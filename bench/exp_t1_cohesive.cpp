@@ -13,8 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "bench/least_squares.hpp"
 #include "src/io/table.hpp"
-#include "src/linalg/cholesky.hpp"
 #include "src/structures/builders.hpp"
 #include "src/tb/radial.hpp"
 #include "src/tb/tb_calculator.hpp"

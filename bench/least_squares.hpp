@@ -1,13 +1,25 @@
-#include "src/linalg/cholesky.hpp"
+#pragma once
+
+/// \file least_squares.hpp
+/// \brief Cholesky factorization, triangular solves and a normal-equations
+/// least-squares fit.
+///
+/// The E(V) quadratic fits of exp_t1_cohesive.cpp use least_squares; the
+/// Cholesky.*, LeastSquares.* and MatVec.* cases of tests/test_linalg.cpp
+/// check these helpers.  No production path solves a linear system.
 
 #include <cmath>
+#include <cstddef>
+#include <vector>
 
-#include "src/linalg/blas.hpp"
+#include "src/linalg/matrix.hpp"
 #include "src/util/error.hpp"
 
 namespace tbmd::linalg {
 
-Matrix cholesky_factor(const Matrix& a) {
+/// Lower-triangular L with A = L L^T.  Throws tbmd::Error if A is not
+/// (numerically) positive definite.
+[[nodiscard]] inline Matrix cholesky_factor(const Matrix& a) {
   TBMD_REQUIRE(a.rows() == a.cols(), "cholesky: matrix must be square");
   const std::size_t n = a.rows();
   Matrix l(n, n, 0.0);
@@ -26,10 +38,13 @@ Matrix cholesky_factor(const Matrix& a) {
   return l;
 }
 
-std::vector<double> cholesky_solve(const Matrix& l,
-                                   const std::vector<double>& b) {
+/// Solve A x = b given the Cholesky factor L of A (forward + back
+/// substitution).
+[[nodiscard]] inline std::vector<double> cholesky_solve(
+    const Matrix& l, const std::vector<double>& b) {
   const std::size_t n = l.rows();
-  TBMD_REQUIRE(l.cols() == n && b.size() == n, "cholesky_solve: shape mismatch");
+  TBMD_REQUIRE(l.cols() == n && b.size() == n,
+               "cholesky_solve: shape mismatch");
   // Forward: L y = b.
   std::vector<double> y(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
@@ -47,8 +62,24 @@ std::vector<double> cholesky_solve(const Matrix& l,
   return x;
 }
 
-std::vector<double> least_squares(const Matrix& m,
-                                  const std::vector<double>& y) {
+/// y = A^T * x.
+[[nodiscard]] inline std::vector<double> matvec_transposed(
+    const Matrix& a, const std::vector<double>& x) {
+  TBMD_REQUIRE(a.rows() == x.size(), "matvec_transposed: shape mismatch");
+  std::vector<double> y(a.cols(), 0.0);
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    const double* arow = a.row(i);
+    const double xi = x[i];
+    for (std::size_t j = 0; j < a.cols(); ++j) y[j] += xi * arow[j];
+  }
+  return y;
+}
+
+/// Solve the linear least-squares problem min ||M x - y||_2 via the normal
+/// equations M^T M x = M^T y.  Suitable for the small, well-conditioned
+/// polynomial fits of the experiment harness.
+[[nodiscard]] inline std::vector<double> least_squares(
+    const Matrix& m, const std::vector<double>& y) {
   TBMD_REQUIRE(m.rows() == y.size(), "least_squares: row count mismatch");
   TBMD_REQUIRE(m.rows() >= m.cols(), "least_squares: underdetermined system");
   const std::size_t p = m.cols();

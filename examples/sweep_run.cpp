@@ -29,7 +29,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "src/io/logger.hpp"
@@ -52,19 +51,12 @@ int main(int argc, char** argv) {
   }
   try {
     svc::Sweep sweep = svc::load_sweep(argv[1]);
-    svc::SweepOptions opt;
-    opt.workers = sweep.workers;
-    opt.output_dir = sweep.output_dir;
-    opt.resume = sweep.resume;
-    opt.max_job_retries = sweep.max_job_retries;
-    opt.retry_backoff_s = sweep.retry_backoff_s;
-    opt.step_watchdog_s = sweep.step_watchdog_s;
+    svc::SweepOptions opt = sweep.options;
 
     // Ambient team size for all jobs without a per-job `threads` key:
     // TBMD_THREADS env var, overridden by --threads below.
-    long ambient_threads = 0;
     if (const char* env = std::getenv("TBMD_THREADS")) {
-      ambient_threads = parse_long(env, "TBMD_THREADS");
+      opt.threads = parse_int(env, "TBMD_THREADS");
     }
     // Chaos plan from the environment (overridden/extended by --faults).
     if (const char* env = std::getenv("TBMD_FAULTS")) {
@@ -78,7 +70,7 @@ int main(int argc, char** argv) {
         return argv[++i];
       };
       if (flag == "--workers") {
-        opt.workers = static_cast<int>(parse_long(value(), flag));
+        opt.workers = parse_int(value(), flag);
       } else if (flag == "--output") {
         opt.output_dir = value();
       } else if (flag == "--no-resume") {
@@ -86,7 +78,7 @@ int main(int argc, char** argv) {
       } else if (flag == "--step-budget") {
         opt.step_budget = parse_long(value(), flag);
       } else if (flag == "--threads") {
-        ambient_threads = parse_long(value(), flag);
+        opt.threads = parse_int(value(), flag);
       } else if (flag == "--precision") {
         // Override the purification precision mode for every TB job in
         // the sweep (a results-changing knob, unlike --threads: it lands
@@ -97,7 +89,7 @@ int main(int argc, char** argv) {
           if (!job.classical()) job.calc.numerics.precision = mode;
         }
       } else if (flag == "--retries") {
-        opt.max_job_retries = static_cast<int>(parse_long(value(), flag));
+        opt.max_job_retries = parse_int(value(), flag);
       } else if (flag == "--watchdog") {
         opt.step_watchdog_s = parse_double(value(), flag);
       } else if (flag == "--faults") {
@@ -109,12 +101,11 @@ int main(int argc, char** argv) {
       }
     }
 
-    opt.threads = static_cast<int>(ambient_threads);
-    io::log_info("sweep: ", sweep.jobs.size(), " job(s), ", opt.workers,
-                 " worker(s), ",
+    const std::size_t jobs = sweep.jobs.size();
+    svc::JobRunner runner(std::move(sweep.jobs), opt);  // range-checks opt
+    io::log_info("sweep: ", jobs, " job(s), ", opt.workers, " worker(s), ",
                  opt.threads > 0 ? opt.threads : par::max_threads(),
                  " thread(s)/job, output '", opt.output_dir, "'");
-    svc::JobRunner runner(std::move(sweep.jobs), opt);
     const std::vector<svc::JobResult> results = runner.run();
 
     int completed = 0;

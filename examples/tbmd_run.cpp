@@ -59,7 +59,7 @@ System build_structure(const io::Config& cfg) {
   const std::string kind = to_lower(cfg.require_string("structure"));
   const Element elem =
       element_from_symbol(cfg.get_string("element", kind == "fcc" ? "Ar" : "Si"));
-  const auto cells = cfg.get_longs("cells", {2, 2, 2});
+  const auto cells = cfg.get_ints("cells", {2, 2, 2});
   TBMD_REQUIRE(cells.size() == 3, "config: 'cells' needs three integers");
 
   if (kind == "diamond") {
@@ -75,13 +75,11 @@ System build_structure(const io::Config& cfg) {
     return structures::graphene(elem, bond, cells[0], cells[1]);
   }
   if (kind == "nanotube") {
-    const auto nm = cfg.get_longs("indices", {10, 0});
+    const auto nm = cfg.get_ints("indices", {10, 0});
     TBMD_REQUIRE(nm.size() == 2, "config: 'indices' needs n and m");
     const double bond = cfg.get_double("bond", 1.42);
     const bool periodic = cfg.get_bool("periodic", true);
-    return structures::nanotube(elem, static_cast<int>(nm[0]),
-                                static_cast<int>(nm[1]), bond,
-                                static_cast<int>(cells[2]), periodic);
+    return structures::nanotube(elem, nm[0], nm[1], bond, cells[2], periodic);
   }
   if (kind == "c60") return structures::c60();
   if (kind == "xyz") return io::read_xyz_file(cfg.require_string("file"));

@@ -68,15 +68,4 @@ std::vector<double> RdfAccumulator::g_of_r() const {
   return g;
 }
 
-std::vector<std::pair<double, double>> radial_distribution(
-    const System& system, double r_max, std::size_t bins) {
-  RdfAccumulator acc(r_max, bins);
-  acc.add_frame(system);
-  const auto r = acc.r_values();
-  const auto g = acc.g_of_r();
-  std::vector<std::pair<double, double>> out(bins);
-  for (std::size_t b = 0; b < bins; ++b) out[b] = {r[b], g[b]};
-  return out;
-}
-
 }  // namespace tbmd::analysis

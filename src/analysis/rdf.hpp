@@ -40,8 +40,4 @@ class RdfAccumulator {
   double density_acc_ = 0.0;  ///< sum over frames of N/V
 };
 
-/// Convenience: one-shot g(r) of a single configuration.
-[[nodiscard]] std::vector<std::pair<double, double>> radial_distribution(
-    const System& system, double r_max, std::size_t bins);
-
 }  // namespace tbmd::analysis

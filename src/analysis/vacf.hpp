@@ -32,7 +32,6 @@ class VacfAccumulator {
       const std::vector<double>& frequencies, std::size_t max_lag) const;
 
   [[nodiscard]] std::size_t frames() const { return snapshots_.size(); }
-  [[nodiscard]] double sample_dt() const { return sample_dt_; }
 
  private:
   double sample_dt_;

@@ -55,9 +55,6 @@ class System {
   /// Mass of atom i in program units.
   [[nodiscard]] double mass(std::size_t i) const { return masses_[i]; }
 
-  /// All masses in program units.
-  [[nodiscard]] const std::vector<double>& masses() const { return masses_; }
-
   /// Freeze or unfreeze atom i (frozen atoms do not move during MD/relaxation).
   void set_frozen(std::size_t i, bool frozen) { frozen_[i] = frozen ? 1 : 0; }
   [[nodiscard]] bool frozen(std::size_t i) const { return frozen_[i] != 0; }

@@ -54,13 +54,4 @@ Vec3 Cell::image_shift(const Vec3& raw) const {
   return shift_vector(n1, n2, n3);
 }
 
-Vec3 Cell::wrap(const Vec3& r) const {
-  if (!periodic()) return r;
-  Vec3 s = to_fractional(r);
-  if (periodic_[0]) s.x -= std::floor(s.x);
-  if (periodic_[1]) s.y -= std::floor(s.y);
-  if (periodic_[2]) s.z -= std::floor(s.z);
-  return to_cartesian(s);
-}
-
 }  // namespace tbmd

@@ -84,9 +84,6 @@ class Cell {
   /// forces) do not depend on when the list was rebuilt.
   [[nodiscard]] Vec3 image_shift(const Vec3& raw) const;
 
-  /// Wrap a position into the home cell along periodic axes.
-  [[nodiscard]] Vec3 wrap(const Vec3& r) const;
-
   /// Lattice translation n1*a1 + n2*a2 + n3*a3.
   [[nodiscard]] Vec3 shift_vector(int n1, int n2, int n3) const {
     return static_cast<double>(n1) * h_.row(0) +

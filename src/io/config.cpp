@@ -109,12 +109,6 @@ double Config::get_double(const std::string& key, double fallback) const {
                         context(key, *e));
 }
 
-double Config::require_double(const std::string& key) const {
-  const Entry& e = require(key);
-  return require_finite(parse_double(e.value, context(key, e)), e.value,
-                        context(key, e));
-}
-
 long Config::get_long(const std::string& key, long fallback) const {
   const Entry* e = find(key);
   if (e == nullptr) return fallback;
@@ -124,6 +118,12 @@ long Config::get_long(const std::string& key, long fallback) const {
 long Config::require_long(const std::string& key) const {
   const Entry& e = require(key);
   return parse_long(e.value, context(key, e));
+}
+
+int Config::get_int(const std::string& key, int fallback) const {
+  const Entry* e = find(key);
+  if (e == nullptr) return fallback;
+  return parse_int(e->value, context(key, *e));
 }
 
 namespace {
@@ -143,41 +143,14 @@ bool Config::get_bool(const std::string& key, bool fallback) const {
   return parse_bool(e->value, context(key, *e));
 }
 
-bool Config::require_bool(const std::string& key) const {
-  const Entry& e = require(key);
-  return parse_bool(e.value, context(key, e));
-}
-
-std::vector<long> Config::get_longs(const std::string& key,
-                                    std::vector<long> fallback) const {
+std::vector<int> Config::get_ints(const std::string& key,
+                                  std::vector<int> fallback) const {
   const Entry* e = find(key);
   if (e == nullptr) return fallback;
-  std::vector<long> out;
+  std::vector<int> out;
   for (const std::string& tok : split_whitespace(e->value)) {
-    out.push_back(parse_long(tok, context(key, *e)));
+    out.push_back(parse_int(tok, context(key, *e)));
   }
-  return out;
-}
-
-std::vector<double> Config::get_doubles(const std::string& key,
-                                        std::vector<double> fallback) const {
-  const Entry* e = find(key);
-  if (e == nullptr) return fallback;
-  std::vector<double> out;
-  for (const std::string& tok : split_whitespace(e->value)) {
-    out.push_back(require_finite(parse_double(tok, context(key, *e)), tok,
-                                 context(key, *e)));
-  }
-  return out;
-}
-
-std::vector<double> Config::require_doubles(const std::string& key,
-                                            std::size_t count) const {
-  const Entry& e = require(key);
-  const std::vector<double> out = get_doubles(key, {});
-  TBMD_REQUIRE(out.size() == count,
-               context(key, e) + " needs " + std::to_string(count) +
-                   " numbers, got " + std::to_string(out.size()));
   return out;
 }
 

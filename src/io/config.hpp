@@ -37,24 +37,20 @@ class Config {
   [[nodiscard]] bool has(const std::string& key) const;
 
   /// Typed getters with defaults.  The *required* variants throw with the
-  /// key name and source location when absent (or, for the fixed-size list
-  /// forms, when the count does not match).
+  /// key name and source location when absent.
   [[nodiscard]] std::string get_string(const std::string& key,
                                        const std::string& fallback) const;
   [[nodiscard]] std::string require_string(const std::string& key) const;
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const;
-  [[nodiscard]] double require_double(const std::string& key) const;
   [[nodiscard]] long get_long(const std::string& key, long fallback) const;
   [[nodiscard]] long require_long(const std::string& key) const;
+  /// int-valued keys: a value outside the range of int throws instead of
+  /// wrapping.
+  [[nodiscard]] int get_int(const std::string& key, int fallback) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
-  [[nodiscard]] bool require_bool(const std::string& key) const;
-  [[nodiscard]] std::vector<long> get_longs(const std::string& key,
-                                            std::vector<long> fallback) const;
-  [[nodiscard]] std::vector<double> get_doubles(
-      const std::string& key, std::vector<double> fallback) const;
-  [[nodiscard]] std::vector<double> require_doubles(const std::string& key,
-                                                    std::size_t count) const;
+  [[nodiscard]] std::vector<int> get_ints(const std::string& key,
+                                          std::vector<int> fallback) const;
 
   /// All keys (normalized to lower case, insertion order).
   [[nodiscard]] const std::vector<std::string>& keys() const { return order_; }

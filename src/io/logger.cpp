@@ -9,8 +9,6 @@ std::atomic<LogLevel> g_level{LogLevel::kInfo};
 
 const char* level_name(LogLevel level) {
   switch (level) {
-    case LogLevel::kDebug:
-      return "debug";
     case LogLevel::kInfo:
       return "info";
     case LogLevel::kWarn:

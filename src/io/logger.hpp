@@ -9,7 +9,7 @@
 
 namespace tbmd::io {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
+enum class LogLevel { kInfo, kWarn, kError };
 
 /// Process-wide log threshold (messages below it are dropped).
 void set_log_level(LogLevel level);

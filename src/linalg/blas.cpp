@@ -10,7 +10,7 @@ namespace tbmd::linalg {
 
 namespace {
 
-// Every level-3 product here -- gemm, syrk, syr2k and, through them, the
+// Every level-3 product here -- gemm, syrk, syr2k_lower and, through them, the
 // blocked tridiagonalization's trailing update and WY back-transform -- runs
 // through one register-blocked micro-kernel in the GotoBLAS layout: A is
 // read as k-major panels of kMr rows and B as strips of kNr lanes, each in
@@ -51,7 +51,7 @@ constexpr std::size_t kNc = 32;
 static_assert(kMc % kMr == 0 && kNc % kNr == 0);
 
 /// One k-segment of a product: C += alpha * A * B, A m x k, B k x n.
-/// syr2k is two segments sharing one accumulation.
+/// syr2k_lower is two segments sharing one accumulation.
 struct Term {
   StridedView a;
   StridedView b;
@@ -495,53 +495,11 @@ void syrk(double alpha, StridedView a, std::size_t k, double beta, Matrix& c) {
   mirror_lower(c);
 }
 
-void syr2k(double alpha, const Matrix& a, const Matrix& b, double beta,
-           Matrix& c) {
-  const std::size_t n = a.rows();
-  TBMD_REQUIRE(b.rows() == n && b.cols() == a.cols(),
-               "syr2k: A and B must have the same shape");
-  TBMD_REQUIRE(c.rows() == n && c.cols() == n, "syr2k: C must be n x n");
-  scale_lower(beta, c);
-  syr2k_lower(n, a.cols(), alpha, {a.data(), a.cols(), 1},
-              {b.data(), b.cols(), 1}, c.data(), n);
-  mirror_lower(c);
-}
-
-std::vector<double> matvec(const Matrix& a, const std::vector<double>& x) {
-  TBMD_REQUIRE(a.cols() == x.size(), "matvec: shape mismatch");
-  std::vector<double> y(a.rows(), 0.0);
-#pragma omp parallel for schedule(static) if (a.rows() * a.cols() > 100000)
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const double* arow = a.row(i);
-    double s = 0.0;
-    for (std::size_t j = 0; j < a.cols(); ++j) s += arow[j] * x[j];
-    y[i] = s;
-  }
-  return y;
-}
-
-std::vector<double> matvec_transposed(const Matrix& a,
-                                      const std::vector<double>& x) {
-  TBMD_REQUIRE(a.rows() == x.size(), "matvec_transposed: shape mismatch");
-  std::vector<double> y(a.cols(), 0.0);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const double* arow = a.row(i);
-    const double xi = x[i];
-    for (std::size_t j = 0; j < a.cols(); ++j) y[j] += xi * arow[j];
-  }
-  return y;
-}
-
 double dot(const std::vector<double>& x, const std::vector<double>& y) {
   TBMD_REQUIRE(x.size() == y.size(), "dot: size mismatch");
   double s = 0.0;
   for (std::size_t i = 0; i < x.size(); ++i) s += x[i] * y[i];
   return s;
-}
-
-void axpy(double alpha, const std::vector<double>& x, std::vector<double>& y) {
-  TBMD_REQUIRE(x.size() == y.size(), "axpy: size mismatch");
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
 }
 
 double norm2(const std::vector<double>& x) { return std::sqrt(dot(x, x)); }

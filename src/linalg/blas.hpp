@@ -51,12 +51,7 @@ void syrk(double alpha, const Matrix& a, double beta, Matrix& c);
 /// density_matrix hands over B^T this way.
 void syrk(double alpha, StridedView a, std::size_t k, double beta, Matrix& c);
 
-/// Symmetric rank-2k update C = alpha * (A * B^T + B * A^T) + beta * C with
-/// A and B both n x k; C must be n x n.  Exactly symmetric on return.
-void syr2k(double alpha, const Matrix& a, const Matrix& b, double beta,
-           Matrix& c);
-
-/// Raw building block of syr2k: lower triangle only,
+/// Symmetric rank-2k update, lower triangle only,
 ///   C(i, j) += alpha * sum_c [A(i, c) * B(j, c) + B(i, c) * A(j, c)],
 /// both products summed in one accumulation, so C is read and written once.
 /// Lets blocked_tridiag update a trailing submatrix in place from its
@@ -323,20 +318,9 @@ inline void gemm_micro_add_rect_f32(std::size_t m, std::size_t k,
 #endif
 }
 
-/// y = A * x.
-[[nodiscard]] std::vector<double> matvec(const Matrix& a,
-                                         const std::vector<double>& x);
-
-/// y = A^T * x.
-[[nodiscard]] std::vector<double> matvec_transposed(
-    const Matrix& a, const std::vector<double>& x);
-
 /// Dot product.
 [[nodiscard]] double dot(const std::vector<double>& x,
                          const std::vector<double>& y);
-
-/// y += alpha * x.
-void axpy(double alpha, const std::vector<double>& x, std::vector<double>& y);
 
 /// Euclidean norm.
 [[nodiscard]] double norm2(const std::vector<double>& x);

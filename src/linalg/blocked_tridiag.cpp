@@ -366,10 +366,4 @@ void apply_q(const TridiagFactorization& f, Matrix& z) {
   }
 }
 
-Matrix form_q(const TridiagFactorization& f) {
-  Matrix q = Matrix::identity(f.size());
-  apply_q(f, q);
-  return q;
-}
-
 }  // namespace tbmd::linalg

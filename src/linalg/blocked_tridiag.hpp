@@ -54,7 +54,4 @@ struct TridiagFactorization {
 /// makes occupied-only diagonalization cheap.
 void apply_q(const TridiagFactorization& f, Matrix& z);
 
-/// Explicitly form the orthogonal factor Q (n x n); mainly for tests.
-[[nodiscard]] Matrix form_q(const TridiagFactorization& f);
-
 }  // namespace tbmd::linalg

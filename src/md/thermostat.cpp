@@ -41,20 +41,6 @@ ThermostatSpec ThermostatSpec::by_name(const std::string& name,
   throw Error("ThermostatSpec: unknown thermostat '" + name + "'");
 }
 
-std::string ThermostatSpec::kind_name() const {
-  switch (kind) {
-    case ThermostatKind::kNone:
-      return "none";
-    case ThermostatKind::kRescale:
-      return "rescale";
-    case ThermostatKind::kBerendsen:
-      return "berendsen";
-    case ThermostatKind::kNoseHoover:
-      return "nose-hoover";
-  }
-  throw Error("ThermostatSpec: invalid kind");
-}
-
 void VelocityRescaleThermostat::set_state(const std::vector<double>& state) {
   TBMD_REQUIRE(state.size() == 1, "rescale: state must be {step}");
   step_ = static_cast<long>(state[0]);

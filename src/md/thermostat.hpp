@@ -118,9 +118,6 @@ struct ThermostatSpec {
   /// "nose-hoover"); throws tbmd::Error on unknown names.
   [[nodiscard]] static ThermostatSpec by_name(const std::string& name,
                                               double target_kelvin);
-
-  /// Config spelling of kind (round-trips through by_name).
-  [[nodiscard]] std::string kind_name() const;
 };
 
 /// Hard velocity rescaling to the exact target temperature every

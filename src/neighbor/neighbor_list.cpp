@@ -28,23 +28,6 @@ void check_cell_heights(const Cell& cell, double radius) {
 
 }  // namespace
 
-std::vector<NeighborPair> brute_force_pairs(const std::vector<Vec3>& positions,
-                                            const Cell& cell, double cutoff) {
-  check_cell_heights(cell, cutoff);
-  std::vector<NeighborPair> pairs;
-  const double rc2 = cutoff * cutoff;
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    for (std::size_t j = i + 1; j < positions.size(); ++j) {
-      const Vec3 raw = positions[j] - positions[i];
-      const Vec3 shift = cell.image_shift(raw);
-      if (norm2_sq(raw + shift) < rc2) {
-        pairs.push_back({i, j, shift});
-      }
-    }
-  }
-  return pairs;
-}
-
 void NeighborList::build(const std::vector<Vec3>& positions, const Cell& cell,
                          const Options& options) {
   TBMD_REQUIRE(options.cutoff > 0.0, "NeighborList: cutoff must be positive");

@@ -40,12 +40,6 @@ struct NeighborPair {
   Vec3 shift;
 };
 
-/// Reference O(N^2) pair enumeration (minimum image).  Used by the test
-/// suite as the oracle for the linked-cell implementation and by tiny
-/// systems where binning does not pay off.
-[[nodiscard]] std::vector<NeighborPair> brute_force_pairs(
-    const std::vector<Vec3>& positions, const Cell& cell, double cutoff);
-
 /// Linked-cell Verlet neighbor list.
 class NeighborList {
  public:

@@ -226,12 +226,4 @@ Checkpoint read_checkpoint_with_fallback(const std::string& path,
   return ck;
 }
 
-bool is_checkpoint_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is.good()) return false;
-  char magic[4];
-  is.read(magic, 4);
-  return is.gcount() == 4 && std::memcmp(magic, kMagic, 4) == 0;
-}
-
 }  // namespace tbmd::svc

@@ -64,7 +64,4 @@ void write_checkpoint(const std::string& path, const Checkpoint& checkpoint);
 [[nodiscard]] Checkpoint read_checkpoint_with_fallback(
     const std::string& path, bool* used_prev = nullptr);
 
-/// True when `path` exists and starts with the checkpoint magic.
-[[nodiscard]] bool is_checkpoint_file(const std::string& path);
-
 }  // namespace tbmd::svc

@@ -8,10 +8,12 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <thread>
 
 #include "src/core/health_spec.hpp"
 #include "src/io/binary_trajectory.hpp"
+#include "src/io/config.hpp"
 #include "src/io/logger.hpp"
 #include "src/md/md_driver.hpp"
 #include "src/md/velocities.hpp"
@@ -19,6 +21,7 @@
 #include "src/util/error.hpp"
 #include "src/util/fault_point.hpp"
 #include "src/util/parallel.hpp"
+#include "src/util/string_util.hpp"
 #include "src/util/timer.hpp"
 
 namespace tbmd::svc {
@@ -175,9 +178,65 @@ std::string_view job_status_name(JobStatus status) {
   return "unknown";
 }
 
+void SweepOptions::validate() const {
+  TBMD_REQUIRE(workers >= 1, "sweep: 'workers' must be >= 1");
+  TBMD_REQUIRE(threads >= 0, "sweep: 'threads' must be >= 0");
+  TBMD_REQUIRE(max_job_retries >= 0, "sweep: 'max_job_retries' must be >= 0");
+  TBMD_REQUIRE(retry_backoff_s >= 0.0, "sweep: 'retry_backoff' must be >= 0");
+  TBMD_REQUIRE(step_watchdog_s >= 0.0, "sweep: 'step_watchdog' must be >= 0");
+}
+
+Sweep load_sweep(const std::string& path) {
+  const io::Config cfg = io::Config::parse_file(path);
+  Sweep sw;
+  SweepOptions& opt = sw.options;
+  opt.output_dir = cfg.get_string("output_dir", opt.output_dir);
+  opt.workers = cfg.get_int("workers", opt.workers);
+  opt.resume = cfg.get_bool("resume", opt.resume);
+  opt.max_job_retries = cfg.get_int("max_job_retries", opt.max_job_retries);
+  opt.retry_backoff_s = cfg.get_double("retry_backoff", opt.retry_backoff_s);
+  opt.step_watchdog_s = cfg.get_double("step_watchdog", opt.step_watchdog_s);
+  opt.validate();
+  const long replicas = cfg.get_long("replicas", 1);
+  TBMD_REQUIRE(replicas >= 1, "sweep: 'replicas' must be >= 1");
+  const std::vector<std::string> job_files =
+      split_whitespace(cfg.require_string("jobs"));
+  TBMD_REQUIRE(!job_files.empty(), "sweep: 'jobs' lists no spec files");
+  cfg.require_all_used("sweep file '" + path + "'");
+
+  const std::filesystem::path base = std::filesystem::path(path).parent_path();
+  std::vector<JobSpec> parsed;
+  for (const std::string& file : job_files) {
+    std::filesystem::path p(file);
+    if (p.is_relative()) p = base / p;
+    parsed.push_back(JobSpec::from_file(p.string()));
+  }
+
+  for (const JobSpec& spec : parsed) {
+    if (replicas == 1) {
+      sw.jobs.push_back(spec);
+      continue;
+    }
+    for (long k = 0; k < replicas; ++k) {
+      JobSpec copy = spec;
+      copy.name += "-r" + std::to_string(k);
+      copy.seed += static_cast<std::uint64_t>(k);
+      sw.jobs.push_back(std::move(copy));
+    }
+  }
+
+  std::set<std::string> names;
+  for (const JobSpec& spec : sw.jobs) {
+    TBMD_REQUIRE(names.insert(spec.name).second,
+                 "sweep: duplicate job name '" + spec.name + "'");
+  }
+  return sw;
+}
+
 JobRunner::JobRunner(std::vector<JobSpec> jobs, SweepOptions options)
     : jobs_(std::move(jobs)), options_(std::move(options)) {
   TBMD_REQUIRE(!jobs_.empty(), "JobRunner: no jobs");
+  options_.validate();
 }
 
 std::vector<JobResult> JobRunner::run() {

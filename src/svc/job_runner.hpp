@@ -13,10 +13,10 @@
 ///   * fresh jobs build the structure, seed Maxwell-Boltzmann velocities
 ///     from the spec seed, and integrate from step 0;
 ///   * when resume is enabled and `<name>.ckpt` exists, the System,
-///     thermostat state, RNG state, and step counter are restored and the
-///     binary trajectory is reopened with frames past the checkpoint
-///     truncated -- the continued run is bit-identical to an uninterrupted
-///     one (tested at %.17g on energies and every force component);
+///     thermostat state and step counter are restored and the binary
+///     trajectory is reopened with frames past the checkpoint truncated --
+///     the continued run is bit-identical to an uninterrupted one (tested
+///     at %.17g on energies and every force component);
 ///   * a throwing job is recorded as failed with its message and failure
 ///     class and the worker moves to the next job -- one bad trajectory
 ///     cannot take down a sweep.  With `max_job_retries` > 0 a failed job
@@ -41,7 +41,8 @@
 
 namespace tbmd::svc {
 
-/// Runner-level options (the sweep file populates workers/output/resume).
+/// Runner-level options.  load_sweep fills them from a sweep file; a
+/// command line may then override them.
 struct SweepOptions {
   int workers = 1;
   /// Directory for checkpoints, trajectories, and the summary CSV.
@@ -69,7 +70,27 @@ struct SweepOptions {
   /// Wall-clock budget for one MD step (s); a step exceeding it preempts
   /// the job to its (just-written) checkpoint.  0 = no watchdog.
   double step_watchdog_s = 0.0;
+
+  /// Throw tbmd::Error when an option is out of range (workers < 1,
+  /// negative threads, retries, backoff or watchdog).  load_sweep and the
+  /// JobRunner constructor both run it, so a sweep file and a command line
+  /// are held to the same limits.
+  void validate() const;
 };
+
+/// A sweep file: runner options plus one JobSpec per job.
+///
+/// Sweep config keys: `jobs` (whitespace-separated spec paths, resolved
+/// relative to the sweep file), `output_dir`, `workers`, `resume`,
+/// `replicas` (expands every job K-fold as `<name>-r<k>` with seed + k),
+/// plus the robustness knobs `max_job_retries`, `retry_backoff` (s) and
+/// `step_watchdog` (s).
+struct Sweep {
+  std::vector<JobSpec> jobs;
+  SweepOptions options;
+};
+
+[[nodiscard]] Sweep load_sweep(const std::string& path);
 
 enum class JobStatus {
   kCompleted,  ///< ran (or had already run) to its final step

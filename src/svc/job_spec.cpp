@@ -1,7 +1,6 @@
 #include "src/svc/job_spec.hpp"
 
 #include <filesystem>
-#include <set>
 
 #include "src/io/xyz.hpp"
 #include "src/potentials/lennard_jones.hpp"
@@ -28,12 +27,12 @@ JobSpec JobSpec::from_config(const io::Config& cfg) {
   TBMD_REQUIRE(s.lattice >= 0.0, "job spec: 'lattice' must be >= 0");
   s.bond = cfg.get_double("bond", 0.0);
   TBMD_REQUIRE(s.bond >= 0.0, "job spec: 'bond' must be >= 0");
-  s.cells = cfg.get_longs("cells", s.cells);
+  s.cells = cfg.get_ints("cells", s.cells);
   TBMD_REQUIRE(s.cells.size() == 3, "job spec: 'cells' needs three integers");
-  for (const long n : s.cells) {
+  for (const int n : s.cells) {
     TBMD_REQUIRE(n >= 1, "job spec: each 'cells' entry must be >= 1");
   }
-  s.indices = cfg.get_longs("indices", s.indices);
+  s.indices = cfg.get_ints("indices", s.indices);
   TBMD_REQUIRE(s.indices.size() == 2, "job spec: 'indices' needs n and m");
   s.periodic = cfg.get_bool("periodic", true);
   if (s.structure == "xyz") s.xyz_file = cfg.require_string("file");
@@ -41,7 +40,7 @@ JobSpec JobSpec::from_config(const io::Config& cfg) {
   s.model = to_lower(cfg.get_string("model", ""));
   s.calc.skin = cfg.get_double("skin", s.calc.skin);
   TBMD_REQUIRE(s.calc.skin >= 0.0, "job spec: 'skin' must be >= 0");
-  s.threads = static_cast<int>(cfg.get_long("threads", 0));
+  s.threads = cfg.get_int("threads", 0);
   TBMD_REQUIRE(s.threads >= 0, "job spec: 'threads' must be >= 0");
   if (s.classical()) {
     if (s.model == "lj") {
@@ -68,7 +67,7 @@ JobSpec JobSpec::from_config(const io::Config& cfg) {
     num.precision = NumericsSpec::precision_by_name(
         to_lower(cfg.get_string("precision", num.precision_name())));
     s.calc.reuse_patterns = cfg.get_bool("reuse_patterns", true);
-    s.calc.domains = static_cast<int>(cfg.get_long("domains", 0));
+    s.calc.domains = cfg.get_int("domains", 0);
     TBMD_REQUIRE(s.calc.domains >= 0, "job spec: 'domains' must be >= 0");
     s.calc.cache_spectral_bounds =
         cfg.get_bool("cache_spectral_bounds", false);
@@ -113,12 +112,10 @@ JobSpec JobSpec::from_config(const io::Config& cfg) {
     s.thermostat.tau_fs = cfg.get_double("thermostat_tau", s.thermostat.tau_fs);
     TBMD_REQUIRE(s.thermostat.tau_fs > 0.0,
                  "job spec: 'thermostat_tau' must be positive");
-    s.thermostat.interval =
-        static_cast<int>(cfg.get_long("thermostat_interval", 1));
+    s.thermostat.interval = cfg.get_int("thermostat_interval", 1);
     TBMD_REQUIRE(s.thermostat.interval >= 1,
                  "job spec: 'thermostat_interval' must be >= 1");
-    s.thermostat.chain_length =
-        static_cast<int>(cfg.get_long("chain_length", 2));
+    s.thermostat.chain_length = cfg.get_int("chain_length", 2);
     TBMD_REQUIRE(s.thermostat.chain_length >= 1,
                  "job spec: 'chain_length' must be >= 1");
   }
@@ -151,9 +148,9 @@ JobSpec JobSpec::from_file(const std::string& path) {
 }
 
 System JobSpec::build_system() const {
-  const auto nx = cells[0];
-  const auto ny = cells[1];
-  const auto nz = cells[2];
+  const int nx = cells[0];
+  const int ny = cells[1];
+  const int nz = cells[2];
   if (structure == "diamond") {
     const double a =
         lattice > 0.0 ? lattice : (element == Element::C ? 3.567 : 5.431);
@@ -167,10 +164,8 @@ System JobSpec::build_system() const {
     return structures::graphene(element, bond > 0.0 ? bond : 1.42, nx, ny);
   }
   if (structure == "nanotube") {
-    return structures::nanotube(element, static_cast<int>(indices[0]),
-                                static_cast<int>(indices[1]),
-                                bond > 0.0 ? bond : 1.42,
-                                static_cast<int>(nz), periodic);
+    return structures::nanotube(element, indices[0], indices[1],
+                                bond > 0.0 ? bond : 1.42, nz, periodic);
   }
   if (structure == "c60") return structures::c60();
   if (structure == "xyz") return io::read_xyz_file(xyz_file);
@@ -215,59 +210,6 @@ double JobSpec::target_at(long step) const {
   const double f =
       static_cast<double>(step + 1) / static_cast<double>(ramp_steps);
   return temperature + f * (ramp_to - temperature);
-}
-
-Sweep load_sweep(const std::string& path) {
-  const io::Config cfg = io::Config::parse_file(path);
-  Sweep sw;
-  sw.output_dir = cfg.get_string("output_dir", sw.output_dir);
-  sw.workers = static_cast<int>(cfg.get_long("workers", 1));
-  TBMD_REQUIRE(sw.workers >= 1, "sweep: 'workers' must be >= 1");
-  sw.resume = cfg.get_bool("resume", true);
-  sw.max_job_retries =
-      static_cast<int>(cfg.get_long("max_job_retries", sw.max_job_retries));
-  TBMD_REQUIRE(sw.max_job_retries >= 0,
-               "sweep: 'max_job_retries' must be >= 0");
-  sw.retry_backoff_s = cfg.get_double("retry_backoff", sw.retry_backoff_s);
-  TBMD_REQUIRE(sw.retry_backoff_s >= 0.0,
-               "sweep: 'retry_backoff' must be >= 0");
-  sw.step_watchdog_s = cfg.get_double("step_watchdog", sw.step_watchdog_s);
-  TBMD_REQUIRE(sw.step_watchdog_s >= 0.0,
-               "sweep: 'step_watchdog' must be >= 0");
-  const long replicas = cfg.get_long("replicas", 1);
-  TBMD_REQUIRE(replicas >= 1, "sweep: 'replicas' must be >= 1");
-  const std::vector<std::string> job_files =
-      split_whitespace(cfg.require_string("jobs"));
-  TBMD_REQUIRE(!job_files.empty(), "sweep: 'jobs' lists no spec files");
-  cfg.require_all_used("sweep file '" + path + "'");
-
-  const std::filesystem::path base = std::filesystem::path(path).parent_path();
-  std::vector<JobSpec> parsed;
-  for (const std::string& file : job_files) {
-    std::filesystem::path p(file);
-    if (p.is_relative()) p = base / p;
-    parsed.push_back(JobSpec::from_file(p.string()));
-  }
-
-  for (const JobSpec& spec : parsed) {
-    if (replicas == 1) {
-      sw.jobs.push_back(spec);
-      continue;
-    }
-    for (long k = 0; k < replicas; ++k) {
-      JobSpec copy = spec;
-      copy.name += "-r" + std::to_string(k);
-      copy.seed += static_cast<std::uint64_t>(k);
-      sw.jobs.push_back(std::move(copy));
-    }
-  }
-
-  std::set<std::string> names;
-  for (const JobSpec& spec : sw.jobs) {
-    TBMD_REQUIRE(names.insert(spec.name).second,
-                 "sweep: duplicate job name '" + spec.name + "'");
-  }
-  return sw;
 }
 
 }  // namespace tbmd::svc

@@ -41,9 +41,9 @@ struct JobSpec {
   double lattice = 0.0;
   /// Bond length (A) for graphene / nanotube; 0 picks the default.
   double bond = 0.0;
-  std::vector<long> cells = {2, 2, 2};
+  std::vector<int> cells = {2, 2, 2};
   /// Chiral indices (n, m) for nanotube.
-  std::vector<long> indices = {10, 0};
+  std::vector<int> indices = {10, 0};
   bool periodic = true;
   /// Source file for structure = xyz.
   std::string xyz_file;
@@ -115,29 +115,5 @@ struct JobSpec {
   /// Thermostat target (K) applied while advancing step -> step + 1.
   [[nodiscard]] double target_at(long step) const;
 };
-
-/// A sweep file: runner options plus one JobSpec per job.
-///
-/// Sweep config keys: `jobs` (whitespace-separated spec paths, resolved
-/// relative to the sweep file), `output_dir`, `workers`, `resume`,
-/// `replicas` (expands every job K-fold as `<name>-r<k>` with seed + k),
-/// plus the robustness knobs `max_job_retries`, `retry_backoff` (s) and
-/// `step_watchdog` (s).
-struct Sweep {
-  std::vector<JobSpec> jobs;
-  std::string output_dir = "sweep_out";
-  int workers = 1;
-  bool resume = true;
-  /// Failed jobs are retried up to this many extra attempts (see
-  /// SweepOptions::max_job_retries).
-  int max_job_retries = 0;
-  /// Base/backoff cap (s) between retry attempts.
-  double retry_backoff_s = 0.05;
-  /// Wall-clock budget (s) for one MD step before the watchdog preempts
-  /// the job back to its last checkpoint (0 = no watchdog).
-  double step_watchdog_s = 0.0;
-};
-
-[[nodiscard]] Sweep load_sweep(const std::string& path);
 
 }  // namespace tbmd::svc

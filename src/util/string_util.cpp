@@ -35,18 +35,6 @@ std::vector<std::string> split_whitespace(std::string_view s) {
   return out;
 }
 
-std::vector<std::string> split(std::string_view s, char delim) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == delim) {
-      out.emplace_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
-}
-
 bool iequals(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -77,16 +65,31 @@ double parse_double(std::string_view token, std::string_view context) {
   return value;
 }
 
-long parse_long(std::string_view token, std::string_view context) {
-  long value = 0;
+namespace {
+template <typename Int>
+Int parse_integer(std::string_view token, std::string_view context) {
+  Int value = 0;
   const char* begin = token.data();
   const char* end = token.data() + token.size();
   auto [ptr, ec] = std::from_chars(begin, end, value);
+  if (ec == std::errc::result_out_of_range) {
+    throw Error("integer '" + std::string(token) + "' is out of range (" +
+                std::string(context) + ")");
+  }
   if (ec != std::errc{} || ptr != end) {
     throw Error("failed to parse '" + std::string(token) + "' as an integer (" +
                 std::string(context) + ")");
   }
   return value;
+}
+}  // namespace
+
+long parse_long(std::string_view token, std::string_view context) {
+  return parse_integer<long>(token, context);
+}
+
+int parse_int(std::string_view token, std::string_view context) {
+  return parse_integer<int>(token, context);
 }
 
 }  // namespace tbmd

@@ -15,9 +15,6 @@ namespace tbmd {
 /// Split on any run of whitespace; empty tokens are never produced.
 [[nodiscard]] std::vector<std::string> split_whitespace(std::string_view s);
 
-/// Split on a single delimiter character; empty fields are preserved.
-[[nodiscard]] std::vector<std::string> split(std::string_view s, char delim);
-
 /// Case-insensitive ASCII string equality.
 [[nodiscard]] bool iequals(std::string_view a, std::string_view b);
 
@@ -31,5 +28,10 @@ namespace tbmd {
 /// Parse a long integer, throwing tbmd::Error with context on failure.
 [[nodiscard]] long parse_long(std::string_view token,
                               std::string_view context);
+
+/// Parse an integer that must fit in `int`, throwing tbmd::Error with
+/// context on failure.  Every int-valued key and flag reads through this,
+/// so an out-of-range value is rejected instead of wrapping modulo 2^32.
+[[nodiscard]] int parse_int(std::string_view token, std::string_view context);
 
 }  // namespace tbmd

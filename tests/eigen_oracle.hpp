@@ -1,14 +1,19 @@
 #pragma once
 
 /// \file eigen_oracle.hpp
-/// \brief Reference eigensolver the tests compare the production solver
-/// against: the classic TRED2/TQL2 path (EISPACK lineage).
+/// \brief Reference eigensolvers the tests compare the production solver
+/// against: the classic TRED2/TQL2 path (EISPACK lineage) and cyclic
+/// Jacobi.
 ///
 /// householder_tridiagonalize is the unblocked Householder reduction with
 /// an optional accumulated Q; eigh_ql runs it and then the implicit-shift
 /// QL (linalg::tql_implicit_shift) applying every Givens rotation to the
-/// eigenvector matrix.  Slower than linalg::eigh but independently derived,
-/// which is what an oracle needs.  Production code never calls these.
+/// eigenvector matrix.  jacobi_eigh shares no code with either path: it
+/// rotates the full matrix to diagonal form, which makes it the slowest
+/// solver here and the simplest to check by eye.  Both are slower than
+/// linalg::eigh but independently derived, which is what an oracle needs.
+/// Production code never calls these; bench/exp_a1_ablation.cpp times
+/// jacobi_eigh against linalg::eigh.
 
 #include <algorithm>
 #include <cmath>
@@ -153,6 +158,87 @@ inline SymmetricEigenSolution eigh_ql(const Matrix& a) {
     for (std::size_t j = 0; j < n; ++j) out.vectors(i, j) = z(i, perm[j]);
   }
   return out;
+}
+
+/// Full eigendecomposition by cyclic Jacobi rotations, eigenpairs sorted
+/// ascending.  Sweeps until the off-diagonal Frobenius norm falls below
+/// `tol` times the matrix norm, or throws after `max_sweeps`.
+inline SymmetricEigenSolution jacobi_eigh(const Matrix& a_in,
+                                          double tol = 1e-12,
+                                          int max_sweeps = 100) {
+  TBMD_REQUIRE(a_in.rows() == a_in.cols(), "jacobi: matrix must be square");
+  const std::size_t n = a_in.rows();
+  Matrix a = a_in;
+  Matrix v = Matrix::identity(n);
+  const auto offdiagonal_norm = [&] {
+    double s = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) s += a(i, j) * a(i, j);
+    }
+    return std::sqrt(2.0 * s);
+  };
+
+  const double anorm = std::max(frobenius_norm(a), 1e-300);
+  for (int sweep = 0; sweep < max_sweeps; ++sweep) {
+    if (offdiagonal_norm() <= tol * anorm) {
+      SymmetricEigenSolution out;
+      out.values.resize(n);
+      for (std::size_t i = 0; i < n; ++i) out.values[i] = a(i, i);
+      out.vectors = std::move(v);
+      // Sort ascending, permuting eigenvector columns to match.
+      std::vector<std::size_t> perm(n);
+      std::iota(perm.begin(), perm.end(), std::size_t{0});
+      std::sort(perm.begin(), perm.end(), [&](std::size_t x, std::size_t y) {
+        return out.values[x] < out.values[y];
+      });
+      SymmetricEigenSolution sorted;
+      sorted.values.resize(n);
+      sorted.vectors.resize(n, n);
+      for (std::size_t j = 0; j < n; ++j) {
+        sorted.values[j] = out.values[perm[j]];
+        for (std::size_t i = 0; i < n; ++i) {
+          sorted.vectors(i, j) = out.vectors(i, perm[j]);
+        }
+      }
+      return sorted;
+    }
+
+    for (std::size_t p = 0; p < n; ++p) {
+      for (std::size_t q = p + 1; q < n; ++q) {
+        const double apq = a(p, q);
+        if (std::fabs(apq) < 1e-300) continue;
+        const double app = a(p, p);
+        const double aqq = a(q, q);
+        const double theta = 0.5 * (aqq - app) / apq;
+        // Smaller-root tangent for numerical stability.
+        const double t = std::copysign(
+            1.0 / (std::fabs(theta) + std::sqrt(theta * theta + 1.0)), theta);
+        const double c = 1.0 / std::sqrt(t * t + 1.0);
+        const double s = t * c;
+        const double tau = s / (1.0 + c);
+
+        a(p, p) = app - t * apq;
+        a(q, q) = aqq + t * apq;
+        a(p, q) = 0.0;
+        a(q, p) = 0.0;
+        for (std::size_t k = 0; k < n; ++k) {
+          if (k != p && k != q) {
+            const double akp = a(k, p);
+            const double akq = a(k, q);
+            a(k, p) = akp - s * (akq + tau * akp);
+            a(p, k) = a(k, p);
+            a(k, q) = akq + s * (akp - tau * akq);
+            a(q, k) = a(k, q);
+          }
+          const double vkp = v(k, p);
+          const double vkq = v(k, q);
+          v(k, p) = vkp - s * (vkq + tau * vkp);
+          v(k, q) = vkq + s * (vkp - tau * vkq);
+        }
+      }
+    }
+  }
+  throw Error("jacobi_eigh: failed to converge within max_sweeps");
 }
 
 }  // namespace tbmd::linalg

@@ -21,17 +21,20 @@ namespace {
 TEST(Rdf, PerfectCrystalPeaksAtShells) {
   const double a = 5.431;
   const System s = structures::diamond(Element::Si, a, 3, 3, 3);
-  const auto gr = radial_distribution(s, 6.0, 300);
+  RdfAccumulator acc(6.0, 300);
+  acc.add_frame(s);
+  const std::vector<double> r = acc.r_values();
+  const std::vector<double> g = acc.g_of_r();
 
   const double shell1 = std::sqrt(3.0) / 4.0 * a;  // 2.3517
   const double shell2 = a / std::sqrt(2.0);        // 3.8403
 
-  auto g_at = [&](double r) {
+  auto g_at = [&](double at) {
     std::size_t best = 0;
-    for (std::size_t b = 0; b < gr.size(); ++b) {
-      if (std::fabs(gr[b].first - r) < std::fabs(gr[best].first - r)) best = b;
+    for (std::size_t b = 0; b < r.size(); ++b) {
+      if (std::fabs(r[b] - at) < std::fabs(r[best] - at)) best = b;
     }
-    return gr[best].second;
+    return g[best];
   };
   EXPECT_GT(g_at(shell1), 10.0);          // delta-like first shell
   EXPECT_GT(g_at(shell2), 5.0);           // second shell

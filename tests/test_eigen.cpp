@@ -8,7 +8,6 @@
 
 #include "src/linalg/blas.hpp"
 #include "src/linalg/eigen_sym.hpp"
-#include "src/linalg/jacobi.hpp"
 #include "src/linalg/tridiagonal.hpp"
 #include "src/util/random.hpp"
 #include "tests/eigen_oracle.hpp"

@@ -12,7 +12,6 @@
 #include "src/linalg/blocked_tridiag.hpp"
 #include "src/linalg/eigen_partial.hpp"
 #include "src/linalg/eigen_sym.hpp"
-#include "src/linalg/jacobi.hpp"
 #include "src/linalg/spectral_bounds.hpp"
 #include "src/linalg/tridiagonal.hpp"
 #include "src/structures/builders.hpp"
@@ -49,6 +48,14 @@ Matrix with_spectrum(const std::vector<double>& values, std::uint64_t seed) {
     for (std::size_t j = 0; j < n; ++j) scaled(i, j) *= values[j];
   }
   return matmul(scaled, transpose(q));
+}
+
+/// The orthogonal factor Q (n x n) of a blocked tridiagonalization, formed
+/// explicitly by applying the reflectors to the identity.
+Matrix form_q(const TridiagFactorization& f) {
+  Matrix q = Matrix::identity(f.size());
+  apply_q(f, q);
+  return q;
 }
 
 double subset_residual(const Matrix& a, const SymmetricEigenSolution& sol) {

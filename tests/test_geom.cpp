@@ -86,7 +86,6 @@ TEST(Cell, DefaultIsNonPeriodicCluster) {
   EXPECT_DOUBLE_EQ(c.volume(), 0.0);
   const Vec3 dr{100, -50, 3};
   EXPECT_EQ(c.minimum_image(dr), dr);  // no wrapping
-  EXPECT_EQ(c.wrap(dr), dr);
 }
 
 TEST(Cell, OrthorhombicVolumeAndHeights) {
@@ -132,20 +131,6 @@ TEST(Cell, MinimumImageDifferenceIsLatticeVector) {
     EXPECT_NEAR(s.x, std::round(s.x), 1e-9);
     EXPECT_NEAR(s.y, std::round(s.y), 1e-9);
     EXPECT_NEAR(s.z, std::round(s.z), 1e-9);
-  }
-}
-
-TEST(Cell, WrapPutsFractionalInUnitBox) {
-  const Cell c = Cell::orthorhombic(4, 5, 6);
-  Rng rng(23);
-  for (int trial = 0; trial < 100; ++trial) {
-    const Vec3 r{rng.uniform(-50, 50), rng.uniform(-50, 50),
-                 rng.uniform(-50, 50)};
-    const Vec3 s = c.to_fractional(c.wrap(r));
-    EXPECT_GE(s.x, -1e-12);
-    EXPECT_LT(s.x, 1.0 + 1e-12);
-    EXPECT_GE(s.y, -1e-12);
-    EXPECT_LT(s.y, 1.0 + 1e-12);
   }
 }
 

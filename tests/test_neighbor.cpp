@@ -13,6 +13,7 @@
 #include "src/structures/builders.hpp"
 #include "src/util/error.hpp"
 #include "src/util/random.hpp"
+#include "tests/neighbor_oracle.hpp"
 
 namespace tbmd {
 namespace {

@@ -166,7 +166,6 @@ TEST(Checkpoint, RoundTripsEveryField) {
 
   const std::string path = dir.file("a.ckpt");
   write_checkpoint(path, ck);
-  EXPECT_TRUE(is_checkpoint_file(path));
   const Checkpoint back = read_checkpoint(path);
 
   EXPECT_EQ(back.step, 17);
@@ -186,10 +185,8 @@ TEST(Checkpoint, RoundTripsEveryField) {
 
 TEST(Checkpoint, RejectsCorruptFiles) {
   ScratchDir dir("ckpt_bad");
-  EXPECT_FALSE(is_checkpoint_file(dir.file("missing.ckpt")));
   const std::string path = dir.file("bad.ckpt");
   std::ofstream(path) << "not a checkpoint";
-  EXPECT_FALSE(is_checkpoint_file(path));
   EXPECT_THROW((void)read_checkpoint(path), Error);
 }
 
@@ -482,8 +479,8 @@ TEST(Sweep, LoadsJobsAndExpandsReplicas) {
   std::ofstream(dir.file("sweep.cfg"))
       << "jobs = j1.cfg\nreplicas = 3\nworkers = 2\noutput_dir = out\n";
   const Sweep sw = load_sweep(dir.file("sweep.cfg"));
-  EXPECT_EQ(sw.workers, 2);
-  EXPECT_EQ(sw.output_dir, "out");
+  EXPECT_EQ(sw.options.workers, 2);
+  EXPECT_EQ(sw.options.output_dir, "out");
   ASSERT_EQ(sw.jobs.size(), 3u);
   EXPECT_EQ(sw.jobs[0].name, "j1-r0");  // name defaults to the file stem
   EXPECT_EQ(sw.jobs[2].name, "j1-r2");
@@ -491,6 +488,37 @@ TEST(Sweep, LoadsJobsAndExpandsReplicas) {
 
   std::ofstream(dir.file("bad.cfg")) << "jobs = j1.cfg\ntypo_key = 1\n";
   EXPECT_THROW((void)load_sweep(dir.file("bad.cfg")), Error);
+}
+
+TEST(Sweep, CommandLineOptionsMeetTheSweepFileLimits) {
+  // sweep_run copies --workers/--retries/--watchdog into SweepOptions after
+  // load_sweep has checked the file; the runner must apply the same limits.
+  // Each rejection happens in the constructor, before any worker starts.
+  const std::vector<JobSpec> jobs = {lj_job("a", 2)};
+  SweepOptions opt;
+  opt.workers = 0;
+  EXPECT_THROW(JobRunner(jobs, opt), Error);
+  opt = {};
+  opt.max_job_retries = -1;
+  EXPECT_THROW(JobRunner(jobs, opt), Error);
+  opt = {};
+  opt.step_watchdog_s = -1.0;
+  EXPECT_THROW(JobRunner(jobs, opt), Error);
+  opt = {};
+  opt.threads = -1;
+  EXPECT_THROW(JobRunner(jobs, opt), Error);
+
+  // The sweep file rejects the same values, and int keys past INT_MAX
+  // fail instead of wrapping (4294967297 would otherwise run 1 worker).
+  ScratchDir dir("sweeplimits");
+  std::ofstream(dir.file("j.cfg"))
+      << "structure = fcc\nmodel = lj\nsteps = 2\n";
+  for (const char* bad : {"workers = 0", "workers = 4294967297",
+                          "max_job_retries = -1",
+                          "max_job_retries = 4294967296"}) {
+    std::ofstream(dir.file("s.cfg")) << "jobs = j.cfg\n" << bad << "\n";
+    EXPECT_THROW((void)load_sweep(dir.file("s.cfg")), Error) << bad;
+  }
 }
 
 }  // namespace
