@@ -1,6 +1,7 @@
 /// \file bench_kernels.cpp
 /// \brief EXP-B1 -- google-benchmark microbenchmarks of the hot kernels:
-/// eigensolver, Householder reduction, GEMM, Hamiltonian assembly,
+/// eigensolver (on random matrices and on the nanotube H of the paper's
+/// workload), Householder reduction, GEMM, Hamiltonian assembly,
 /// neighbor-list build, bond-table build, Hellmann-Feynman forces,
 /// density matrix, Tersoff step, blocked-sparse multiply, Slater-Koster block
 /// evaluation.
@@ -17,6 +18,7 @@
 #include "src/onx/on_calculator.hpp"
 #include "src/potentials/tersoff.hpp"
 #include "src/structures/builders.hpp"
+#include "src/structures/nanotube.hpp"
 #include "src/tb/bond_table.hpp"
 #include "src/tb/density_matrix.hpp"
 #include "src/tb/forces.hpp"
@@ -85,6 +87,23 @@ void BM_EighPartialWindow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EighPartialWindow)->Arg(256)->Unit(benchmark::kMillisecond);
+
+void BM_EighPartialTube(benchmark::State& state) {
+  // The operand the paper's workload diagonalizes: the first H of the
+  // cnt_exact_md trajectory ((8,0) C tube, 6 cells, open; 768 orbitals)
+  // and the window TightBindingCalculator requests, states 0 .. 384
+  // (occupied + LUMO).
+  const System tube = structures::nanotube(Element::C, 8, 0, 1.42, 6,
+                                           /*periodic=*/false);
+  const tb::TbModel m = tb::xwch_carbon();
+  NeighborList list;
+  list.build(tube.positions(), tube.cell(), {m.cutoff(), 0.5});
+  const linalg::Matrix h = tb::build_hamiltonian(m, tube, list);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(linalg::eigh_range(h, 0, 384));
+  }
+}
+BENCHMARK(BM_EighPartialTube)->Unit(benchmark::kMillisecond);
 
 void BM_BlockedTridiag(benchmark::State& state) {
   const auto a = random_symmetric(state.range(0), 5);

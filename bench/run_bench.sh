@@ -20,7 +20,7 @@ BUILD_DIR="${1:-${REPO_ROOT}/build}"
 mkdir -p "${BUILD_DIR}"
 BUILD_DIR="$(cd "${BUILD_DIR}" && pwd)"
 THREADS="${THREADS:-$(nproc)}"
-FILTER="${FILTER:-BM_Eigh/128|BM_Eigh/256|BM_EighPartial/128|BM_EighPartial/256|BM_BlockedTridiag/256|BM_Gemm/256|BM_BuildHamiltonian/3|BM_NeighborBuild/2000|BM_BondTable/216|BM_BandForces/216|BM_DensityMatrix/256|BM_BsrSpMMSym/216|BM_BsrSpMMSym_f32/216|BM_BsrSpMMSym_spd/4|BM_TbOnStep/216|BM_TersoffForceCall/2|BM_TbStepPartialSpectrum/3}"
+FILTER="${FILTER:-BM_Eigh/128|BM_Eigh/256|BM_EighPartial/128|BM_EighPartial/256|BM_EighPartialTube|BM_BlockedTridiag/256|BM_Gemm/256|BM_BuildHamiltonian/3|BM_NeighborBuild/2000|BM_BondTable/216|BM_BandForces/216|BM_DensityMatrix/256|BM_BsrSpMMSym/216|BM_BsrSpMMSym_f32/216|BM_BsrSpMMSym_spd/4|BM_TbOnStep/216|BM_TersoffForceCall/2|BM_TbStepPartialSpectrum/3}"
 OUT="${REPO_ROOT}/BENCH_baseline.json"
 
 if [[ ! -x "${BUILD_DIR}/bench_kernels" || ! -x "${BUILD_DIR}/exp_f1_step_scaling" ]]; then

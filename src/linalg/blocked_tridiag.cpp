@@ -23,15 +23,87 @@ constexpr std::size_t kParallelCutoff = 256;
 /// on the same thread (and in its cache) across the reduction's calls.
 constexpr std::size_t kSymvChunk = 32;
 
-/// y = A_sym * v for the trailing submatrix rows/cols [lo, n), reading only
-/// the lower triangle of `a`.  Streams each row once (every stored element
-/// is used for both its (i,j) and (j,i) role), two rows per sweep so the
+/// x . y over [lo, hi) in eight lanes (two four-lane accumulators, which
+/// also hides the FMA latency a serial chain would expose) reduced in a
+/// fixed order.
+double lane_dot(const double* x, const double* y, std::size_t lo,
+                std::size_t hi) {
+  v4df s0 = {0.0, 0.0, 0.0, 0.0};
+  v4df s1 = s0;
+  std::size_t i = lo;
+  for (; i + 8 <= hi; i += 8) {
+    v4df x0, x1, y0, y1;
+    __builtin_memcpy(&x0, x + i, sizeof x0);
+    __builtin_memcpy(&x1, x + i + 4, sizeof x1);
+    __builtin_memcpy(&y0, y + i, sizeof y0);
+    __builtin_memcpy(&y1, y + i + 4, sizeof y1);
+    s0 += x0 * y0;
+    s1 += x1 * y1;
+  }
+  const v4df s = s0 + s1;
+  double t = (s[0] + s[1]) + (s[2] + s[3]);
+  for (; i < hi; ++i) t += x[i] * y[i];
+  return t;
+}
+
+/// y[i] -= sum_c (v_c[i] * a[c] + w_c[i] * b[c]) over i in [lo, hi) for
+/// the nc panel rows v_c = v + c * ld and w_c = w + c * ld: the pending
+/// rank-2 panel updates of one vector, eight entries at a time with the
+/// c-sum held in registers (one pass over y instead of one per column).
+void sub_panel_updates(const double* v, const double* w, std::size_t ld,
+                       std::size_t nc, const double* a, const double* b,
+                       double* y, std::size_t lo, std::size_t hi) {
+  std::size_t i = lo;
+  for (; i + 8 <= hi; i += 8) {
+    v4df y0, y1;
+    __builtin_memcpy(&y0, y + i, sizeof y0);
+    __builtin_memcpy(&y1, y + i + 4, sizeof y1);
+    for (std::size_t c = 0; c < nc; ++c) {
+      v4df v0, v1, w0, w1;
+      __builtin_memcpy(&v0, v + c * ld + i, sizeof v0);
+      __builtin_memcpy(&v1, v + c * ld + i + 4, sizeof v1);
+      __builtin_memcpy(&w0, w + c * ld + i, sizeof w0);
+      __builtin_memcpy(&w1, w + c * ld + i + 4, sizeof w1);
+      y0 -= v0 * a[c] + w0 * b[c];
+      y1 -= v1 * a[c] + w1 * b[c];
+    }
+    __builtin_memcpy(y + i, &y0, sizeof y0);
+    __builtin_memcpy(y + i + 4, &y1, sizeof y1);
+  }
+  for (; i < hi; ++i) {
+    double yi = y[i];
+    for (std::size_t c = 0; c < nc; ++c) {
+      yi -= v[c * ld + i] * a[c] + w[c * ld + i] * b[c];
+    }
+    y[i] = yi;
+  }
+}
+
+/// The current panel's nc reflector rows v_c = v + c * ld and W rows
+/// w_c = w + c * ld, whose rank-2 updates are still pending.
+struct PanelRows {
+  const double* v;
+  const double* w;
+  std::size_t ld;
+  std::size_t nc;
+};
+
+/// y = tau * (A_j v) for the trailing submatrix rows/cols [lo, n), where
+/// A_j = A - V W^T - W V^T folds the panel's pending updates into the
+/// stored matrix A, of which only the lower triangle is read.
+///
+/// One parallel region does all of it.  The 2 nc panel dots (w_c . v into
+/// dots[c], v_c . v into dots[nc + c]) are an `omp for`, each dot whole on
+/// one thread.  The symv streams each row once (every stored element is
+/// used for both its (i,j) and (j,i) role), two rows per sweep so the
 /// partial y and v are loaded once per row pair.  Each row chunk sums into
-/// its own partial vector, four lanes at a time in a fixed lane order, and
-/// the partials are added in chunk order.  `v` and `y` are full-length
-/// buffers; entries outside [lo, n) are ignored / left untouched.
-/// `partials` is workspace.
-void symv_lower(const Matrix& a, std::size_t lo, const double* v, double* y,
+/// its own partial vector, four lanes at a time in a fixed lane order.  The
+/// reduction then adds the partials in chunk order and applies the panel
+/// corrections and the tau scaling to the chunk's own rows.  `v` and `y`
+/// are full-length buffers; entries outside [lo, n) are ignored / left
+/// untouched.  `dots` (2 nc entries) and `partials` are workspace.
+void panel_symv(const Matrix& a, std::size_t lo, const double* v, double tau,
+                const PanelRows& panel, double* dots, double* y,
                 AlignedVector& partials) {
   const std::size_t n = a.rows();
   const std::size_t len = n - lo;
@@ -44,6 +116,12 @@ void symv_lower(const Matrix& a, std::size_t lo, const double* v, double* y,
       len >= kParallelCutoff && par::max_threads() > 1;
 #pragma omp parallel if (par)
   {
+#pragma omp for schedule(static) nowait
+    for (std::size_t q = 0; q < 2 * panel.nc; ++q) {
+      const double* row = q < panel.nc ? panel.w + q * panel.ld
+                                       : panel.v + (q - panel.nc) * panel.ld;
+      dots[q] = lane_dot(row, v, lo, n);
+    }
 #pragma omp for schedule(static, 1)
     for (std::size_t c = 0; c < chunks; ++c) {
       if (c < first) continue;
@@ -122,63 +200,10 @@ void symv_lower(const Matrix& a, std::size_t lo, const double* v, double* y,
         const double* pl = partials.data() + (later - first) * len;
         for (std::size_t k = r0; k < r1; ++k) y[k] += pl[k - lo];
       }
+      sub_panel_updates(panel.v, panel.w, panel.ld, panel.nc, dots,
+                        dots + panel.nc, y, r0, r1);
+      for (std::size_t k = r0; k < r1; ++k) y[k] *= tau;
     }
-  }
-}
-
-/// x . y over [lo, hi) in eight lanes (two four-lane accumulators, which
-/// also hides the FMA latency a serial chain would expose) reduced in a
-/// fixed order.
-double lane_dot(const double* x, const double* y, std::size_t lo,
-                std::size_t hi) {
-  v4df s0 = {0.0, 0.0, 0.0, 0.0};
-  v4df s1 = s0;
-  std::size_t i = lo;
-  for (; i + 8 <= hi; i += 8) {
-    v4df x0, x1, y0, y1;
-    __builtin_memcpy(&x0, x + i, sizeof x0);
-    __builtin_memcpy(&x1, x + i + 4, sizeof x1);
-    __builtin_memcpy(&y0, y + i, sizeof y0);
-    __builtin_memcpy(&y1, y + i + 4, sizeof y1);
-    s0 += x0 * y0;
-    s1 += x1 * y1;
-  }
-  const v4df s = s0 + s1;
-  double t = (s[0] + s[1]) + (s[2] + s[3]);
-  for (; i < hi; ++i) t += x[i] * y[i];
-  return t;
-}
-
-/// y[i] -= sum_c (v_c[i] * a[c] + w_c[i] * b[c]) over i in [lo, hi) for
-/// the nc panel rows v_c = v + c * ld and w_c = w + c * ld: the pending
-/// rank-2 panel updates of one vector, eight entries at a time with the
-/// c-sum held in registers (one pass over y instead of one per column).
-void sub_panel_updates(const double* v, const double* w, std::size_t ld,
-                       std::size_t nc, const double* a, const double* b,
-                       double* y, std::size_t lo, std::size_t hi) {
-  std::size_t i = lo;
-  for (; i + 8 <= hi; i += 8) {
-    v4df y0, y1;
-    __builtin_memcpy(&y0, y + i, sizeof y0);
-    __builtin_memcpy(&y1, y + i + 4, sizeof y1);
-    for (std::size_t c = 0; c < nc; ++c) {
-      v4df v0, v1, w0, w1;
-      __builtin_memcpy(&v0, v + c * ld + i, sizeof v0);
-      __builtin_memcpy(&v1, v + c * ld + i + 4, sizeof v1);
-      __builtin_memcpy(&w0, w + c * ld + i, sizeof w0);
-      __builtin_memcpy(&w1, w + c * ld + i + 4, sizeof w1);
-      y0 -= v0 * a[c] + w0 * b[c];
-      y1 -= v1 * a[c] + w1 * b[c];
-    }
-    __builtin_memcpy(y + i, &y0, sizeof y0);
-    __builtin_memcpy(y + i + 4, &y1, sizeof y1);
-  }
-  for (; i < hi; ++i) {
-    double yi = y[i];
-    for (std::size_t c = 0; c < nc; ++c) {
-      yi -= v[c * ld + i] * a[c] + w[c * ld + i] * b[c];
-    }
-    y[i] = yi;
   }
 }
 
@@ -215,7 +240,7 @@ TridiagFactorization blocked_tridiagonalize(const Matrix& a,
   std::vector<double> col(n, 0.0);  // column j of the trailing matrix
   std::vector<double> y(n, 0.0);    // symv result / scratch
   AlignedVector partials;           // symv workspace
-  std::vector<double> tmp1(nb), tmp2(nb);
+  std::vector<double> coef(2 * nb);  // panel coefficients of one column
 
   for (std::size_t p = 0; p < nrefl; p += nb) {
     const std::size_t pw = std::min(nb, nrefl - p);
@@ -227,11 +252,11 @@ TridiagFactorization blocked_tridiagonalize(const Matrix& a,
       // applied: a(:, j) -= V W(j, :)^T + W V(j, :)^T.
       for (std::size_t i = j; i < n; ++i) col[i] = r(i, j);
       for (std::size_t c = 0; c < jj; ++c) {
-        tmp1[c] = wp(c, j);
-        tmp2[c] = r(p + c, j);
+        coef[c] = wp(c, j);
+        coef[jj + c] = r(p + c, j);
       }
-      sub_panel_updates(r.row(p), wp.data(), n, jj, tmp1.data(), tmp2.data(),
-                        col.data(), j, n);
+      sub_panel_updates(r.row(p), wp.data(), n, jj, coef.data(),
+                        coef.data() + jj, col.data(), j, n);
       f.d[j] = col[j];
 
       // Generate the Householder reflector annihilating a(j+2:n, j).
@@ -256,15 +281,9 @@ TridiagFactorization blocked_tridiagonalize(const Matrix& a,
       // W(:, jj) = tau * (A_j v - 0.5 tau (v^T A_j v) v), where A_j is the
       // trailing matrix with the panel's pending updates folded in through
       // the V/W correction terms (stored entries are pre-update).
-      symv_lower(r, j + 1, v, y.data(), partials);
-      for (std::size_t c = 0; c < jj; ++c) {
-        tmp1[c] = lane_dot(wp.row(c), v, j + 1, n);
-        tmp2[c] = lane_dot(r.row(p + c), v, j + 1, n);
-      }
-      sub_panel_updates(r.row(p), wp.data(), n, jj, tmp1.data(), tmp2.data(),
-                        y.data(), j + 1, n);
       const double tau = f.tau[j];
-      for (std::size_t i = j + 1; i < n; ++i) y[i] *= tau;
+      panel_symv(r, j + 1, v, tau, {r.row(p), wp.data(), n, jj}, coef.data(),
+                 y.data(), partials);
       const double corr = -0.5 * tau * lane_dot(y.data(), v, j + 1, n);
       double* w = wp.row(jj);
       for (std::size_t i = j + 1; i < n; ++i) w[i] = y[i] + corr * v[i];

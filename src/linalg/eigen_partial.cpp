@@ -127,14 +127,16 @@ void fill_random_unit(std::vector<double>& x, std::uint64_t seed) {
   for (double& v : x) v /= nrm;
 }
 
-/// Bisection is preferred when the requested slice is at most a quarter of
+/// Bisection is preferred when the requested slice is at most an eighth of
 /// the spectrum (its cost is ~m sweeps of n divisions, against one O(n^2)
-/// values-only QL pass; the bisections also run in parallel).  The choice
+/// root-free QL pass; the bisections also run in parallel).  The choice
 /// depends on (n, m) only -- QL and bisection round the eigenvalues
 /// differently, so a thread-count-dependent switch would break the
-/// thread-count invariance of the results.  The quarter is the measured
-/// 4-thread crossover.
-bool prefer_bisection(std::size_t n, std::size_t m) { return m * 4 <= n; }
+/// thread-count invariance of the results.  The eighth is the measured
+/// 4-thread crossover: at n = 768 (a random matrix and the nanotube H)
+/// bisecting n/8 values takes 8.9-9.0 ms against 9.0-11.1 ms for QL, and
+/// n/4 values 17.8-18.1 ms; at n = 256, n/8 takes 1.0 ms against 1.3.
+bool prefer_bisection(std::size_t n, std::size_t m) { return m * 8 <= n; }
 
 struct InvitParams {
   double pivot_floor = 0.0;
@@ -456,12 +458,9 @@ std::vector<double> tridiag_values_subset(const std::vector<double>& d,
   if (prefer_bisection(n, m)) {
     return tridiagonal_eigenvalues_range(d, e, il, iu);
   }
-  std::vector<double> dd = d;
-  std::vector<double> ee = e;
-  tql_implicit_shift(dd, ee, nullptr);
-  std::sort(dd.begin(), dd.end());
-  return {dd.begin() + static_cast<std::ptrdiff_t>(il),
-          dd.begin() + static_cast<std::ptrdiff_t>(iu) + 1};
+  const std::vector<double> all = ql_eigenvalues(d, e);
+  return {all.begin() + static_cast<std::ptrdiff_t>(il),
+          all.begin() + static_cast<std::ptrdiff_t>(iu) + 1};
 }
 
 }  // namespace

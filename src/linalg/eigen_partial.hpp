@@ -2,16 +2,16 @@
 
 /// \file eigen_partial.hpp
 /// \brief Partial-spectrum symmetric eigensolver: blocked Householder
-/// tridiagonalization, Sturm-bisection eigenvalues, inverse-iteration
-/// eigenvectors, blocked back-transform.
+/// tridiagonalization, root-free QL or Sturm-bisection eigenvalues,
+/// inverse-iteration eigenvectors, blocked back-transform.
 ///
 /// A TBMD step only needs the occupied ~Ne/2 of N eigenpairs to form the
 /// density matrix and the Hellmann-Feynman forces, so computing the full
 /// spectrum at every timestep wastes more than half of the O(N^3) budget.
 /// eigh_range() answers index-range queries [il, iu]: the reduction to
 /// tridiagonal form is shared with the full solver, eigenvalues in the range
-/// come from parallel Sturm bisection (or a values-only QL sweep when the
-/// range covers more than a quarter of the spectrum), eigenvectors from
+/// come from parallel Sturm bisection (or the root-free QL when the range
+/// covers more than an eighth of the spectrum), eigenvectors from
 /// shifted inverse iteration with cluster reorthogonalization, and the
 /// back-transform applies the blocked WY reflectors only to the requested
 /// columns.  Results do not depend on the thread count.

@@ -2,7 +2,7 @@
 
 /// \file eigen_sym.hpp
 /// \brief Dense symmetric eigensolver entry points: full spectrum, values
-/// only, and the implicit-shift QL iteration on a tridiagonal matrix.
+/// only, and the root-free QL iteration on a tridiagonal matrix.
 ///
 /// The algorithm family (Householder tridiagonalization + QL, EISPACK /
 /// LAPACK lineage) is the one the 1994-era TBMD codes used; the blocked,
@@ -25,25 +25,28 @@ struct SymmetricEigenSolution {
 
 /// Full eigendecomposition of a symmetric matrix.
 ///
-/// The input is validated to be square and (approximately) symmetric; the
-/// strictly lower triangle is the authoritative data.  Routes through
-/// eigh_range(a, 0, n-1) (blocked Householder + values-only QL/bisection +
-/// inverse iteration + blocked back-transform, see eigen_partial.hpp).
+/// The input must be square.  Only its lower triangle (diagonal included)
+/// is read, and symmetry is not checked: that would cost an O(n^2) scan
+/// per MD step.  Routes through eigh_range(a, 0, n-1) (blocked Householder
+/// + root-free QL/bisection + inverse iteration + blocked back-transform,
+/// see eigen_partial.hpp).
 [[nodiscard]] SymmetricEigenSolution eigh(const Matrix& a);
 
 /// Eigenvalues only (ascending): eigvalsh_range(a, 0, n-1), with no
 /// eigenvector or back-transform cost.
 [[nodiscard]] std::vector<double> eigvalsh(const Matrix& a);
 
-/// Implicit-shift QL iteration on a symmetric tridiagonal matrix.
+/// Eigenvalues (ascending) of the symmetric tridiagonal matrix with
+/// diagonal `d` and subdiagonal `e` (e[i] = T(i, i-1), e[0] unused).
 ///
-/// `d` (diagonal) and `e` (subdiagonal, e[0] = 0 convention, e[i] =
-/// T(i, i-1)) are overwritten; on exit `d` holds the
-/// (unsorted) eigenvalues.  If `z` is non-null it must be n x n, and the
-/// accumulated rotations are applied to its columns (pass Q from the
-/// Householder step to obtain eigenvectors of the original matrix, or the
-/// identity to obtain eigenvectors of T itself).
-void tql_implicit_shift(std::vector<double>& d, std::vector<double>& e,
-                        Matrix* z);
+/// Root-free Pal-Walker-Kahan QL, the scheme of LAPACK dsterf: each sweep
+/// runs on the squared subdiagonals, so a rotation takes no square root,
+/// and a 2x2 block is solved in closed form.  Before squaring, an
+/// unreduced block whose largest entry lies outside dsterf's safe range
+/// is scaled by a power of two, so the squares neither overflow nor
+/// underflow; blocks inside the range are left as they are.  Throws
+/// tbmd::Error when 30 n sweeps in total do not converge.
+[[nodiscard]] std::vector<double> ql_eigenvalues(std::vector<double> d,
+                                                 std::vector<double> e);
 
 }  // namespace tbmd::linalg

@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "src/io/logger.hpp"
-#include "src/linalg/eigen_sym.hpp"
+#include "src/linalg/eigen_partial.hpp"
 #include "src/tb/bond_table.hpp"
 #include "src/tb/density_matrix.hpp"
 #include "src/tb/hamiltonian.hpp"
@@ -451,21 +451,22 @@ ForceResult OrderNCalculator::compute(const System& system) {
 
 PurificationResult OrderNCalculator::exact_step_density(const System& system,
                                                         int n_occupied) const {
-  // O(N^3) for one step: densify the already-assembled blocked H,
-  // diagonalize, and occupy the lowest n_occupied states (T = 0 aufbau,
-  // the same filling the canonical purification targets).  The density
-  // goes back onto the blocked substrate (upper block triangle) with no
-  // truncation so the existing sparse force contraction serves this rung
-  // unchanged.
+  // O(N^3) for one step: densify the already-assembled blocked H and
+  // solve for the lowest n_occupied states only (T = 0 aufbau, the same
+  // filling the canonical purification targets).  The density goes back
+  // onto the blocked substrate (upper block triangle) with no truncation
+  // so the existing sparse force contraction serves this rung unchanged.
   const linalg::Matrix hd = hamiltonian_.to_dense();
-  const linalg::SymmetricEigenSolution eig = linalg::eigh(hd);
-  std::vector<double> weights(eig.values.size(), 0.0);
+  linalg::Matrix p(hd.rows(), hd.cols(), 0.0);
   double band = 0.0;
-  for (int k = 0; k < n_occupied; ++k) {
-    weights[static_cast<std::size_t>(k)] = 1.0;  // spinless P; spin in 2 tr(PH)
-    band += eig.values[static_cast<std::size_t>(k)];
+  if (n_occupied > 0) {
+    const linalg::SymmetricEigenSolution eig = linalg::eigh_range(
+        hd, 0, static_cast<std::size_t>(n_occupied) - 1);
+    for (const double e : eig.values) band += e;
+    // Spinless P; the spin factor sits in 2 tr(PH).
+    p = tb::density_matrix(eig.vectors,
+                           std::vector<double>(eig.values.size(), 1.0));
   }
-  const linalg::Matrix p = tb::density_matrix(eig.vectors, weights);
 
   PurificationResult out;
   out.density = BlockSparseMatrix::from_dense(

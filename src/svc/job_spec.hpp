@@ -52,8 +52,14 @@ struct JobSpec {
   /// Tight-binding model name ("" = default for `element`), or a
   /// classical engine: "tersoff" | "lj".
   std::string model;
-  /// Engine options when `model` names a tight-binding model.
-  CalculatorSpec calc;
+  /// Engine options when `model` names a tight-binding model.  Nothing a
+  /// job runs reads the eigenvalue spectrum, so it is not reported, and
+  /// the exact engine then solves only the occupied window.
+  CalculatorSpec calc = [] {
+    CalculatorSpec c;
+    c.report_eigenvalues = false;
+    return c;
+  }();
   /// Lennard-Jones overrides (0 = parameter default) when model = lj.
   double lj_epsilon = 0.0;
   double lj_sigma = 0.0;

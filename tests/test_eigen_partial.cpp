@@ -1,12 +1,15 @@
 // Tests for the blocked partial-spectrum eigensolver stack: blocked
-// Householder tridiagonalization, Sturm-bisection eigenvalue ranges,
-// inverse-iteration eigenvectors, and eigh_range() against the Jacobi and
-// QL oracles -- including degenerate clusters and partial [il, iu] queries.
+// Householder tridiagonalization, the root-free QL and Sturm-bisection
+// eigenvalues, inverse-iteration eigenvectors, and eigh_range() against the
+// Jacobi and TQL2 oracles -- including degenerate clusters and partial
+// [il, iu] queries.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "src/linalg/blas.hpp"
 #include "src/linalg/blocked_tridiag.hpp"
@@ -14,8 +17,11 @@
 #include "src/linalg/eigen_sym.hpp"
 #include "src/linalg/spectral_bounds.hpp"
 #include "src/linalg/tridiagonal.hpp"
+#include "src/neighbor/neighbor_list.hpp"
 #include "src/structures/builders.hpp"
+#include "src/structures/nanotube.hpp"
 #include "src/tb/density_matrix.hpp"
+#include "src/tb/hamiltonian.hpp"
 #include "src/tb/tb_calculator.hpp"
 #include "src/tb/tb_model.hpp"
 #include "src/util/parallel.hpp"
@@ -173,6 +179,174 @@ TEST(Bisection, ConsistentWithSturmCounts) {
     EXPECT_LE(sturm_count(fact.d, fact.e, vals[k] - 1e-8 * span), k);
     EXPECT_GE(sturm_count(fact.d, fact.e, vals[k] + 1e-8 * span), k + 1);
   }
+}
+
+// --- root-free QL (ql_eigenvalues) -----------------------------------------
+
+/// Symmetric tridiagonal: diagonal d, subdiagonal e (e[0] = 0,
+/// e[i] = T(i, i-1)).
+struct Tridiagonal {
+  std::vector<double> d, e;
+};
+
+Tridiagonal random_tridiagonal(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  Tridiagonal t{std::vector<double>(n), std::vector<double>(n, 0.0)};
+  for (double& v : t.d) v = rng.uniform(-1, 1);
+  for (std::size_t i = 1; i < n; ++i) t.e[i] = rng.uniform(-1, 1);
+  return t;
+}
+
+double max_entry(const Tridiagonal& t) {
+  double m = 0.0;
+  for (std::size_t i = 0; i < t.d.size(); ++i) {
+    m = std::max({m, std::fabs(t.d[i]), std::fabs(t.e[i])});
+  }
+  return m;
+}
+
+/// The TQL2 oracle's eigenvalues, ascending.
+std::vector<double> oracle_values(Tridiagonal t) {
+  tql_implicit_shift(t.d, t.e, nullptr);
+  std::sort(t.d.begin(), t.d.end());
+  return t.d;
+}
+
+double max_abs_diff(const std::vector<double>& a,
+                    const std::vector<double>& b) {
+  EXPECT_EQ(a.size(), b.size());
+  double m = 0.0;
+  for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+    m = std::max(m, std::fabs(a[i] - b[i]));
+  }
+  return m;
+}
+
+TEST(QlEigenvalues, ToeplitzMatchesClosedForm) {
+  // T = tridiag(1, 0, 1) has eigenvalues 2 cos(k pi / (n + 1)).  Measured
+  // worst errors: 1.3e-15 (n = 50) and 1.9e-15 (n = 400).
+  for (const std::size_t n : {50u, 400u}) {
+    const std::vector<double> d(n, 0.0);
+    std::vector<double> e(n, 1.0);
+    e[0] = 0.0;
+    const std::vector<double> got = ql_eigenvalues(d, e);
+    std::vector<double> exact(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      exact[k] = 2.0 * std::cos(std::acos(-1.0) * static_cast<double>(n - k) /
+                                static_cast<double>(n + 1));
+    }
+    EXPECT_LT(max_abs_diff(got, exact), 8e-15) << "n = " << n;
+  }
+}
+
+TEST(QlEigenvalues, WilkinsonPairsAreResolved) {
+  // W21+: d = |10 - i|, unit couplings.  Its eigenvalues come in pairs that
+  // agree to 7e-14 at the top, so a Sturm count just below and above each
+  // computed value must bracket its index, and TQL2 must agree.
+  const std::size_t n = 21;
+  Tridiagonal t{std::vector<double>(n), std::vector<double>(n, 1.0)};
+  for (std::size_t i = 0; i < n; ++i) {
+    t.d[i] = std::fabs(10.0 - static_cast<double>(i));
+  }
+  t.e[0] = 0.0;
+  const std::vector<double> got = ql_eigenvalues(t.d, t.e);
+  const double delta = 8.0 * std::numeric_limits<double>::epsilon() * 10.75;
+  for (std::size_t k = 0; k < n; ++k) {
+    EXPECT_LE(sturm_count(t.d, t.e, got[k] - delta), k) << k;
+    EXPECT_GE(sturm_count(t.d, t.e, got[k] + delta), k + 1) << k;
+  }
+  EXPECT_LT(got[n - 1] - got[n - 2], 1e-12);  // the top pair
+  EXPECT_LT(max_abs_diff(got, oracle_values(t)), 2e-14);  // measured 5.3e-15
+}
+
+TEST(QlEigenvalues, ExactZeroCouplingsSplitIntoIndependentBlocks) {
+  // Blocks of 5, 1, 2 and 10 rows joined by exact zeros: the spectrum is
+  // the union of the blocks' spectra, to the bit.
+  const Tridiagonal whole = random_tridiagonal(18, 404);
+  Tridiagonal t = whole;
+  std::vector<double> union_values;
+  std::size_t lo = 0;
+  for (const std::size_t hi : {5u, 6u, 8u, 18u}) {
+    if (hi < 18) t.e[hi] = 0.0;
+    Tridiagonal block{{t.d.begin() + lo, t.d.begin() + hi},
+                      {t.e.begin() + lo, t.e.begin() + hi}};
+    block.e[0] = 0.0;
+    const std::vector<double> v = ql_eigenvalues(block.d, block.e);
+    union_values.insert(union_values.end(), v.begin(), v.end());
+    lo = hi;
+  }
+  std::sort(union_values.begin(), union_values.end());
+  EXPECT_EQ(ql_eigenvalues(t.d, t.e), union_values);
+  EXPECT_LT(max_abs_diff(union_values, oracle_values(t)), 1e-14);  // 8.9e-16
+}
+
+TEST(QlEigenvalues, DiagonalMatrixComesBackBitExact) {
+  const Tridiagonal t = random_tridiagonal(37, 5);
+  const std::vector<double> zero(37, 0.0);
+  std::vector<double> sorted = t.d;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(ql_eigenvalues(t.d, zero), sorted);
+}
+
+TEST(QlEigenvalues, GradedMatrixMatchesOracle) {
+  // Diagonal and couplings falling by 16 orders of magnitude down the
+  // matrix.  Measured: 2.1e-16 against TQL2.
+  const std::size_t n = 40;
+  Tridiagonal t{std::vector<double>(n), std::vector<double>(n, 0.0)};
+  for (std::size_t i = 0; i < n; ++i) {
+    t.d[i] = std::pow(10.0, -0.4 * static_cast<double>(i));
+    if (i > 0) t.e[i] = std::pow(10.0, -0.4 * static_cast<double>(i) + 0.1);
+  }
+  EXPECT_LT(max_abs_diff(ql_eigenvalues(t.d, t.e), oracle_values(t)), 2e-15);
+}
+
+TEST(QlEigenvalues, ExtremeScalesStayAccurate) {
+  // Squaring the couplings of a matrix scaled by 1e-160 underflows and by
+  // 1e200 overflows, so each block is scaled into the safe range first.
+  // Reference: TQL2 on the unscaled matrix, times the scale.  Measured
+  // |dl| / (scale ||T||): 7.6e-15 unscaled, 8.0e-15 at 1e-160 and 5.6e-15
+  // at 1e200.  The same loop without the scaling is off by 0.099 and
+  // 0.94 (x scale).
+  const Tridiagonal t = random_tridiagonal(100, 77);
+  const std::vector<double> ref = oracle_values(t);
+  const double norm = max_entry(t);
+  for (const double scale : {1.0, 1e-160, 1e200}) {
+    Tridiagonal ts = t;
+    for (double& v : ts.d) v *= scale;
+    for (double& v : ts.e) v *= scale;
+    const std::vector<double> got = ql_eigenvalues(ts.d, ts.e);
+    double worst = 0.0;
+    for (std::size_t k = 0; k < ref.size(); ++k) {
+      worst = std::max(worst, std::fabs(got[k] / scale - ref[k]));
+    }
+    EXPECT_LT(worst, 2e-14 * norm) << "scale " << scale;
+  }
+}
+
+TEST(QlEigenvalues, NonConvergenceThrows) {
+  Tridiagonal t = random_tridiagonal(10, 3);
+  t.d[4] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)ql_eigenvalues(t.d, t.e), Error);
+}
+
+TEST(QlEigenvalues, NanotubeWindowMatchesTql2Oracle) {
+  // The cnt_exact_md tube ((8,0), 6 cells, open; 768 orbitals) and its
+  // occupied window [0, 384].  Oracle: the unblocked reduction and TQL2;
+  // without eigenvectors TQL2's eigenvalues are the ones eigh_ql returns.
+  // Measured worst |dl|: 1.1e-13 eV on a ~23 eV spectrum.
+  const System tube = structures::nanotube(Element::C, 8, 0, 1.42, 6,
+                                           /*periodic=*/false);
+  const tb::TbModel model = tb::xwch_carbon();
+  NeighborList list;
+  list.build(tube.positions(), tube.cell(), {model.cutoff(), 0.5});
+  Matrix h = tb::build_hamiltonian(model, tube, list);
+  const auto got = eigh_range(h, 0, 384);
+
+  Tridiagonal t;
+  householder_tridiagonalize(h, t.d, t.e, /*accumulate=*/false);
+  std::vector<double> ref = oracle_values(t);
+  ref.resize(385);
+  EXPECT_LT(max_abs_diff(got.values, ref), 3e-13);
 }
 
 class EighRangeFull : public ::testing::TestWithParam<int> {};

