@@ -78,7 +78,8 @@ BENCHMARK(BM_EighPartial)->Arg(64)->Arg(128)->Arg(256)
 
 void BM_EighPartialWindow(benchmark::State& state) {
   // Narrow interior window (band-edge style query): 16 states around the
-  // middle of the spectrum; exercises the Sturm-bisection value path.
+  // middle of the spectrum.  The values stage still takes the whole
+  // spectrum from the QL; only the vectors stage shrinks to 16 columns.
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto a = random_symmetric(n, 1);
   const std::size_t il = n / 2 - 8;

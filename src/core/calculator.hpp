@@ -71,15 +71,15 @@ inline constexpr std::size_t kPhaseCount = 8;
 /// ForceResult).
 struct StepReport {
   /// Wall seconds per phase, indexed by Phase.  A phase entered twice in
-  /// one call (the exact engine's Fermi-tail re-diagonalization, a
+  /// one call (the exact engine's values and vectors stages, a
   /// recovery-ladder retry) adds up.
   std::array<double, kPhaseCount> seconds{};
   /// NeighborList::ensure rebuilt the list.
   bool neighbor_rebuilt = false;
 
   // --- exact engine ---
-  /// Eigenpairs computed, summed over the call's solves (the orbital count
-  /// on the full-spectrum path, HOMO + LUMO + tail on the partial one).
+  /// Eigenvectors computed: the weighted states plus the next one, or the
+  /// orbital count under SpectrumPolicy::kFull.
   std::size_t eigenpairs = 0;
 
   // --- O(N) engine ---

@@ -30,17 +30,16 @@ enum class CalcMode {
   kOrderN,  ///< onx::OrderNCalculator (density-matrix purification)
 };
 
-/// Which part of the spectrum the exact engine's diagonalization step
-/// computes.
+/// Which eigenvectors the exact engine's diagonalization step computes.
+/// Every policy takes the whole spectrum's eigenvalues.
 enum class SpectrumPolicy {
-  /// Partial when nothing demands the full spectrum (the default):
-  /// report_eigenvalues == false and the occupied-window coverage check
-  /// passes; otherwise transparently falls back to the full solver.
+  /// The weighted states: eigenvectors for every state with nonzero
+  /// occupation plus the next one (the default).
   kAuto,
-  /// Always diagonalize the full spectrum.
+  /// Eigenvectors for every state: the reference the window is tested
+  /// against.
   kFull,
-  /// Always use the partial-spectrum path; with report_eigenvalues the
-  /// ForceResult then carries only the computed low-lying eigenvalues.
+  /// Same as kAuto.  The name stays because bench/e2e/adapters.cpp reads it.
   kPartial,
 };
 
@@ -59,16 +58,17 @@ struct CalculatorSpec {
   double electronic_temperature = 0.0;
 
   // --- exact engine ---
-  /// Spectrum policy for the diagonalization step.  Occupations, density
-  /// matrix and Hellmann-Feynman forces only involve the ~Ne/2 occupied
-  /// states, so the partial path requests just those (plus the LUMO for
-  /// the Fermi level, plus a Fermi-tail buffer when
-  /// electronic_temperature > 0) from linalg::eigh_range and skips more
-  /// than half the O(N^3) work.
+  /// Eigenvector policy for the diagonalization step.  Occupations, density
+  /// matrix and Hellmann-Feynman forces only involve the states with
+  /// nonzero weight (the ~Ne/2 occupied ones at T = 0, plus the Fermi tail
+  /// when electronic_temperature > 0), so by default only those, plus the
+  /// next state for the Fermi level, get eigenvectors, which skips close to
+  /// half the O(N^3) work.
   SpectrumPolicy spectrum = SpectrumPolicy::kAuto;
-  /// Copy the eigenvalue spectrum into each ForceResult (adds an O(N)
-  /// copy).  Analyses that consume the whole spectrum (EDOS, HOMO-LUMO
-  /// gaps) need this; with kAuto it forces the full solver.
+  /// Copy the whole eigenvalue spectrum into each ForceResult (an O(N)
+  /// copy; the solve is the same either way).  Analyses that consume the
+  /// spectrum (EDOS, HOMO-LUMO gaps) need this.  bench/e2e/adapters.cpp
+  /// reads it too.
   bool report_eigenvalues = true;
 
   // --- O(N) engine ---

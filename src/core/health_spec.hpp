@@ -18,9 +18,10 @@
 ///   (d) throw a typed NumericsError carrying the FailureClass
 ///       (structured job failure; the job runner records the class).
 ///
-/// Like NumericsSpec, every field changes results *when a retry
-/// triggers*.  Disabled (the default), the calculator performs no scans and
-/// no retries and stays bit-identical to the pre-guardrail engine; an
+/// The ladder is fixed: every applicable rung runs, in that order.  Like
+/// NumericsSpec, every field changes results *when a retry triggers*.
+/// Disabled (the default), the calculator performs no scans and no
+/// retries and stays bit-identical to the pre-guardrail engine; an
 /// unconverged purification is then only counted and logged (never used
 /// silently without trace).
 
@@ -61,7 +62,7 @@ enum class FailureClass : std::uint8_t {
 
 /// Guardrail + recovery policy consumed by OrderNCalculator (see file
 /// docs).  Carried by value on CalculatorSpec and parsed from JobSpec
-/// files (`health`, `max_force`, `health_*` keys).
+/// files (`health`, `max_force`, `max_energy_per_atom` keys).
 struct HealthSpec {
   /// Master switch.  On: every step's density tiles, band energy and
   /// forces are scanned for NaN/Inf, and an unconverged purification is a
@@ -75,20 +76,11 @@ struct HealthSpec {
 
   /// |total energy| per atom sanity bound (eV); 0 disables the check.
   double max_energy_per_atom = 0.0;
-
-  // --- recovery ladder (rungs are skipped when inapplicable) ------------
-  /// Rung (a): retry fp64-only when the failing run used mixed precision.
-  bool fp64_retry = true;
-
-  /// Rung (b): retry with drop_tolerance * tighten_factor after a cold
-  /// cache rebuild (pattern cache + spectral bounds invalidated; the
-  /// loose-early schedule is also disabled for the retry).
-  bool tighten_retry = true;
-  double tighten_factor = 0.1;
-
-  /// Rung (c): exact-diagonalization fallback for the failing step.
-  bool exact_fallback = true;
 };
+
+/// Rung (b) retries with drop_tolerance * kTightenFactor (and the
+/// loose-early schedule off) after a cold cache rebuild.
+inline constexpr double kTightenFactor = 0.1;
 
 /// Typed error raised by the guardrails when the recovery ladder is
 /// exhausted (or skipped): carries the failure class so the job runner can

@@ -127,17 +127,6 @@ void fill_random_unit(std::vector<double>& x, std::uint64_t seed) {
   for (double& v : x) v /= nrm;
 }
 
-/// Bisection is preferred when the requested slice is at most an eighth of
-/// the spectrum (its cost is ~m sweeps of n divisions, against one O(n^2)
-/// root-free QL pass; the bisections also run in parallel).  The choice
-/// depends on (n, m) only -- QL and bisection round the eigenvalues
-/// differently, so a thread-count-dependent switch would break the
-/// thread-count invariance of the results.  The eighth is the measured
-/// 4-thread crossover: at n = 768 (a random matrix and the nanotube H)
-/// bisecting n/8 values takes 8.9-9.0 ms against 9.0-11.1 ms for QL, and
-/// n/4 values 17.8-18.1 ms; at n = 256, n/8 takes 1.0 ms against 1.3.
-bool prefer_bisection(std::size_t n, std::size_t m) { return m * 8 <= n; }
-
 struct InvitParams {
   double pivot_floor = 0.0;
   double res_tol = 0.0;
@@ -202,39 +191,6 @@ void invit_column(const std::vector<double>& db, const std::vector<double>& eb,
 }
 
 }  // namespace
-
-std::vector<double> tridiagonal_eigenvalues_range(
-    const std::vector<double>& d, const std::vector<double>& e,
-    std::size_t il, std::size_t iu) {
-  const std::size_t n = d.size();
-  TBMD_REQUIRE(e.size() == n, "eigenvalues_range: d/e size mismatch");
-  TBMD_REQUIRE(il <= iu && iu < n, "eigenvalues_range: bad index range");
-
-  const SpectralBounds bounds = gershgorin_bounds(d, e);
-  const double scale = std::max(bounds.scale(), 1.0e-30);
-  const double tol = 2.0 * kEps * scale;
-  const std::size_t m = iu - il + 1;
-  std::vector<double> out(m);
-
-  [[maybe_unused]] const bool par =
-      par::max_threads() > 1 && par::worth_parallelizing(m, 64 * n);
-#pragma omp parallel for schedule(dynamic, 1) if (par)
-  for (std::size_t k = il; k <= iu; ++k) {
-    double lo = bounds.lo;
-    double hi = bounds.hi;
-    while (hi - lo > tol) {
-      const double mid = 0.5 * (lo + hi);
-      if (mid <= lo || mid >= hi) break;  // interval at ulp resolution
-      if (sturm_count(d, e, mid) > k) {
-        hi = mid;
-      } else {
-        lo = mid;
-      }
-    }
-    out[k - il] = 0.5 * (lo + hi);
-  }
-  return out;
-}
 
 Matrix tridiagonal_eigenvectors(const std::vector<double>& d,
                                 const std::vector<double>& e,
@@ -450,48 +406,32 @@ SymmetricEigenSolution sorted_solution(std::vector<double> values, Matrix z) {
   return out;
 }
 
-std::vector<double> tridiag_values_subset(const std::vector<double>& d,
-                                          const std::vector<double>& e,
-                                          std::size_t il, std::size_t iu) {
-  const std::size_t n = d.size();
-  const std::size_t m = iu - il + 1;
-  if (prefer_bisection(n, m)) {
-    return tridiagonal_eigenvalues_range(d, e, il, iu);
-  }
-  const std::vector<double> all = ql_eigenvalues(d, e);
-  return {all.begin() + static_cast<std::ptrdiff_t>(il),
-          all.begin() + static_cast<std::ptrdiff_t>(iu) + 1};
-}
-
 }  // namespace
 
-SymmetricEigenSolution eigh_range(const Matrix& a, std::size_t il,
-                                  std::size_t iu) {
-  const std::size_t n = a.rows();
-  TBMD_REQUIRE(n == a.cols(), "eigh_range: matrix must be square");
-  TBMD_REQUIRE(il <= iu && iu < n, "eigh_range: bad index range");
-  if (n == 1) {
-    SymmetricEigenSolution out;
-    out.values = {a(0, 0)};
-    out.vectors = Matrix::identity(1);
-    return out;
-  }
+ReducedSpectrum reduce_spectrum(const Matrix& a) {
+  ReducedSpectrum s;
+  s.reduction = blocked_tridiagonalize(a);
+  s.values = ql_eigenvalues(s.reduction.d, s.reduction.e);
+  return s;
+}
 
-  const TridiagFactorization fact = blocked_tridiagonalize(a);
-  std::vector<double> values = tridiag_values_subset(fact.d, fact.e, il, iu);
-  Matrix z = tridiagonal_eigenvectors(fact.d, fact.e, values, il);
-  apply_q(fact, z);
+SymmetricEigenSolution window_eigenpairs(const ReducedSpectrum& s,
+                                         std::size_t il, std::size_t iu) {
+  TBMD_REQUIRE(il <= iu && iu < s.values.size(),
+               "window_eigenpairs: bad index range");
+  std::vector<double> values(
+      s.values.begin() + static_cast<std::ptrdiff_t>(il),
+      s.values.begin() + static_cast<std::ptrdiff_t>(iu) + 1);
+  Matrix z = tridiagonal_eigenvectors(s.reduction.d, s.reduction.e, values, il);
+  apply_q(s.reduction, z);
   return sorted_solution(std::move(values), std::move(z));
 }
 
-std::vector<double> eigvalsh_range(const Matrix& a, std::size_t il,
-                                   std::size_t iu) {
-  const std::size_t n = a.rows();
-  TBMD_REQUIRE(n == a.cols(), "eigvalsh_range: matrix must be square");
-  TBMD_REQUIRE(il <= iu && iu < n, "eigvalsh_range: bad index range");
-  if (n == 1) return {a(0, 0)};
-  const TridiagFactorization fact = blocked_tridiagonalize(a);
-  return tridiag_values_subset(fact.d, fact.e, il, iu);
+SymmetricEigenSolution eigh_range(const Matrix& a, std::size_t il,
+                                  std::size_t iu) {
+  TBMD_REQUIRE(a.rows() == a.cols(), "eigh_range: matrix must be square");
+  TBMD_REQUIRE(il <= iu && iu < a.rows(), "eigh_range: bad index range");
+  return window_eigenpairs(reduce_spectrum(a), il, iu);
 }
 
 }  // namespace tbmd::linalg

@@ -146,7 +146,7 @@ SymmetricEigenSolution eigh(const Matrix& a) {
 std::vector<double> eigvalsh(const Matrix& a) {
   TBMD_REQUIRE(a.rows() == a.cols(), "eigvalsh: matrix must be square");
   if (a.rows() == 0) return {};
-  return eigvalsh_range(a, 0, a.rows() - 1);
+  return reduce_spectrum(a).values;
 }
 
 }  // namespace tbmd::linalg

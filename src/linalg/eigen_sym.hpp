@@ -28,12 +28,12 @@ struct SymmetricEigenSolution {
 /// The input must be square.  Only its lower triangle (diagonal included)
 /// is read, and symmetry is not checked: that would cost an O(n^2) scan
 /// per MD step.  Routes through eigh_range(a, 0, n-1) (blocked Householder
-/// + root-free QL/bisection + inverse iteration + blocked back-transform,
-/// see eigen_partial.hpp).
+/// + root-free QL + inverse iteration + blocked back-transform, see
+/// eigen_partial.hpp).
 [[nodiscard]] SymmetricEigenSolution eigh(const Matrix& a);
 
-/// Eigenvalues only (ascending): eigvalsh_range(a, 0, n-1), with no
-/// eigenvector or back-transform cost.
+/// Eigenvalues only (ascending): the values stage of eigh_range
+/// (reduce_spectrum), with no eigenvector or back-transform cost.
 [[nodiscard]] std::vector<double> eigvalsh(const Matrix& a);
 
 /// Eigenvalues (ascending) of the symmetric tridiagonal matrix with

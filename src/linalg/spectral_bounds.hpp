@@ -4,11 +4,12 @@
 /// \brief Shared Gershgorin spectral-bounds estimates.
 ///
 /// One interval type used everywhere an algorithm needs a cheap enclosure of
-/// a symmetric spectrum: the bisection eigensolver seeds its search interval
-/// from it, the O(N) purification engines (Palser-Manolopoulos, SP2) use it
-/// to build their [0, 1] linear maps of H, and the tridiagonal utilities use
-/// it to bracket Sturm bisection.  Keeping the estimate in one place makes
-/// the dense, tridiagonal and sparse paths agree on what "the spectrum" is.
+/// a symmetric spectrum: inverse iteration scales its cluster and residual
+/// tolerances by it, the O(N) purification engines (Palser-Manolopoulos,
+/// SP2) use it to build their [0, 1] linear maps of H, and the tridiagonal
+/// utilities use it to bracket Sturm bisection.  Keeping the estimate in one
+/// place makes the dense, tridiagonal and sparse paths agree on what "the
+/// spectrum" is.
 
 #include <cstddef>
 #include <vector>

@@ -386,33 +386,27 @@ ForceResult OrderNCalculator::compute(const System& system) {
 
     // --- escalate to the next applicable rung ---------------------------
     recovery_stats_.last_failure = fail;
-    bool advanced = false;
-    while (!advanced && rung < 3) {
-      ++rung;
-      if (rung == 1 && health.fp64_retry &&
-          popts.precision == PrecisionMode::kMixed) {
-        popts.precision = PrecisionMode::kF64;
-        ++recovery_stats_.fp64_retries;
-        advanced = true;
-      } else if (rung == 2 && health.tighten_retry) {
-        popts.drop_tolerance *= health.tighten_factor;
-        popts.schedule_loosening = 1.0;
-        // Cold cache rebuild: a corrupted or stalled run may have been fed
-        // by a stale symbolic pattern or a drift-widened spectral seed.
-        workspace_.patterns.invalidate();
-        bounds_valid_ = false;
-        if (spec_.cache_spectral_bounds) {
-          popts.bounds = step_spectral_bounds();
-          report_.spectral_bounds = popts.bounds;
-        }
-        ++recovery_stats_.tighten_retries;
-        advanced = true;
-      } else if (rung == 3 && health.exact_fallback) {
-        ++recovery_stats_.exact_fallbacks;
-        advanced = true;
+    ++rung;
+    // Rung (a) only applies to a mixed-precision run.
+    if (rung == 1 && popts.precision != PrecisionMode::kMixed) ++rung;
+    if (rung == 1) {
+      popts.precision = PrecisionMode::kF64;
+      ++recovery_stats_.fp64_retries;
+    } else if (rung == 2) {
+      popts.drop_tolerance *= kTightenFactor;
+      popts.schedule_loosening = 1.0;
+      // Cold cache rebuild: a corrupted or stalled run may have been fed
+      // by a stale symbolic pattern or a drift-widened spectral seed.
+      workspace_.patterns.invalidate();
+      bounds_valid_ = false;
+      if (spec_.cache_spectral_bounds) {
+        popts.bounds = step_spectral_bounds();
+        report_.spectral_bounds = popts.bounds;
       }
-    }
-    if (!advanced) {
+      ++recovery_stats_.tighten_retries;
+    } else if (rung == 3) {
+      ++recovery_stats_.exact_fallbacks;
+    } else {
       ++recovery_stats_.failures;
       std::ostringstream os;
       os.precision(17);

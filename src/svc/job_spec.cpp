@@ -85,15 +85,6 @@ JobSpec JobSpec::from_config(const io::Config& cfg) {
         cfg.get_double("max_energy_per_atom", health.max_energy_per_atom);
     TBMD_REQUIRE(health.max_energy_per_atom >= 0.0,
                  "job spec: 'max_energy_per_atom' must be >= 0");
-    health.fp64_retry = cfg.get_bool("health_fp64_retry", health.fp64_retry);
-    health.tighten_retry =
-        cfg.get_bool("health_tighten_retry", health.tighten_retry);
-    health.tighten_factor =
-        cfg.get_double("health_tighten_factor", health.tighten_factor);
-    TBMD_REQUIRE(health.tighten_factor > 0.0 && health.tighten_factor < 1.0,
-                 "job spec: 'health_tighten_factor' must be in (0, 1)");
-    health.exact_fallback =
-        cfg.get_bool("health_exact_fallback", health.exact_fallback);
   }
 
   s.dt = cfg.get_double("dt", s.dt);

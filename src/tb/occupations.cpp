@@ -33,12 +33,25 @@ Occupations occupy(const std::vector<double>& eigenvalues, int n_electrons,
   if (n == 0 || n_electrons == 0) return out;
 
   if (temperature <= 0.0) {
-    const int full = n_electrons / 2;
-    for (int k = 0; k < full; ++k) out.weights[k] = 2.0;
-    if (n_electrons % 2 == 1) out.weights[full] = 1.0;
-    const std::size_t homo = (n_electrons % 2 == 1)
-                                 ? static_cast<std::size_t>(full)
-                                 : static_cast<std::size_t>(full - 1);
+    // Aufbau below the HOMO's level [lo, hi), whose states share what is
+    // left equally: 2 each for a level below the Fermi level, 1 for a lone
+    // half-filled HOMO, a fraction for a level straddling the Fermi level.
+    const auto homo = static_cast<std::size_t>((n_electrons - 1) / 2);
+    std::size_t lo = homo;
+    std::size_t hi = homo + 1;
+    while (lo > 0 &&
+           eigenvalues[homo] - eigenvalues[lo - 1] <= kDegenerateLevelWidth) {
+      --lo;
+    }
+    while (hi < n &&
+           eigenvalues[hi] - eigenvalues[homo] <= kDegenerateLevelWidth) {
+      ++hi;
+    }
+    for (std::size_t k = 0; k < lo; ++k) out.weights[k] = 2.0;
+    const auto left = static_cast<std::size_t>(n_electrons) - 2 * lo;
+    const double shared =
+        static_cast<double>(left) / static_cast<double>(hi - lo);
+    for (std::size_t k = lo; k < hi; ++k) out.weights[k] = shared;
     const std::size_t lumo = homo + 1;
     out.fermi_level = (lumo < n)
                           ? 0.5 * (eigenvalues[homo] + eigenvalues[lumo])

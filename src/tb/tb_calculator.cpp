@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "src/linalg/eigen_partial.hpp"
-#include "src/linalg/eigen_sym.hpp"
 #include "src/tb/bond_table.hpp"
 #include "src/tb/density_matrix.hpp"
 #include "src/tb/forces.hpp"
@@ -12,7 +11,6 @@
 #include "src/tb/occupations.hpp"
 #include "src/tb/repulsive.hpp"
 #include "src/util/error.hpp"
-#include "src/util/units.hpp"
 
 namespace tbmd::tb {
 
@@ -54,70 +52,53 @@ ForceResult TightBindingCalculator::compute(const System& system) {
   const int ne = system.total_valence_electrons();
   const double etemp = spec_.electronic_temperature;
 
-  // Partial-spectrum policy: occupations / density matrix / forces only
-  // involve the occupied states, so ask eigh_range for indices [0, iu] with
-  // iu = LUMO (T = 0) or LUMO + a Fermi-tail buffer (T > 0), and keep the
-  // full solver for spectrum-reporting or forced-full configurations.
-  const bool want_partial =
-      spec_.spectrum == SpectrumPolicy::kPartial ||
-      (spec_.spectrum == SpectrumPolicy::kAuto && !spec_.report_eigenvalues);
-
-  bool partial = false;
+  // One eigensolve.  The values stage returns the whole spectrum; the
+  // occupations on it pick the eigenvector window: the states with nonzero
+  // weight plus the next one (the LUMO at T = 0, for the Fermi-level
+  // midpoint), or every state under kFull.  Only the window pays for
+  // inverse iteration and the back-transform.
+  linalg::ReducedSpectrum spectrum;
+  {
+    PhaseTimer t(report_, Phase::kDiagonalize);
+    spectrum = linalg::reduce_spectrum(h);
+  }
+  std::size_t iu = norb - 1;
+  if (spec_.spectrum != SpectrumPolicy::kFull) {
+    PhaseTimer t(report_, Phase::kDensity);
+    const std::vector<double> w = occupy(spectrum.values, ne, etemp).weights;
+    std::size_t next = norb;  // the state after the last weighted one
+    while (next > 0 && w[next - 1] == 0.0) --next;
+    iu = std::min(next, norb - 1);
+  }
   linalg::SymmetricEigenSolution eig;
   {
     PhaseTimer t(report_, Phase::kDiagonalize);
-    if (want_partial && ne > 0 && norb > 0) {
-      const auto homo = static_cast<std::size_t>((ne - 1) / 2);
-      std::size_t needed = homo + 1;  // + LUMO for the Fermi-level midpoint
-      if (etemp > 0.0) {
-        // Fermi tail buffer, widened by what earlier fallbacks learned.
-        needed += std::max({std::size_t{16}, norb / 8, tail_hint_});
-      }
-      const std::size_t iu = std::min(norb - 1, needed);
-      partial = iu + 1 < norb;
-      if (partial) eig = linalg::eigh_range(h, 0, iu);
-    }
-    if (!partial) eig = linalg::eigh(h);
+    eig = linalg::window_eigenpairs(spectrum, 0, iu);
   }
   report_.eigenpairs = eig.values.size();
+  // Only the values are left to read: free the reflectors (n x n) before
+  // rho is allocated, so the step's peak memory stays that of one solve.
+  spectrum.reduction = {};
 
+  // The final occupations see the window's polished values, which may
+  // differ from the QL's in the last bits, followed by the QL values of
+  // the rest.  Where the polish lifted the window's top past a near-tie
+  // above it, the tail is raised to it, so the list stays ascending.
+  std::vector<double> values = std::move(eig.values);
+  for (std::size_t k = iu + 1; k < norb; ++k) {
+    values.push_back(std::max(spectrum.values[k], values.back()));
+  }
   Occupations occ;
-  {
-    PhaseTimer t(report_, Phase::kDensity);
-    occ = occupy(eig.values, ne, etemp);
-  }
-  if (partial && etemp > 0.0 &&
-      eig.values.back() <
-          occ.fermi_level + kFermiTailCutoff * units::kBoltzmann * etemp) {
-    // The Fermi tail was not fully inside the computed window, so omitted
-    // states could carry weight: redo with the full spectrum.  (With the
-    // window check passed, every omitted state has exactly zero occupation
-    // and the partial result is identical to the full one.)
-    partial = false;
-    {
-      PhaseTimer t(report_, Phase::kDiagonalize);
-      eig = linalg::eigh(h);
-    }
-    report_.eigenpairs += eig.values.size();
-    {
-      PhaseTimer t(report_, Phase::kDensity);
-      occ = occupy(eig.values, ne, etemp);
-    }
-    // Learn the window this system actually needs so later steps go back
-    // to a single (partial or full) solve instead of paying for both.
-    const double top =
-        occ.fermi_level + kFermiTailCutoff * units::kBoltzmann * etemp;
-    std::size_t covered = 0;
-    while (covered < eig.values.size() && eig.values[covered] < top) ++covered;
-    const auto homo = static_cast<std::size_t>((ne - 1) / 2);
-    const std::size_t beyond_lumo =
-        (covered > homo + 1) ? covered - (homo + 1) : 0;
-    tail_hint_ = std::max(tail_hint_, beyond_lumo + norb / 16 + 8);
-  }
-
   linalg::Matrix rho;
   {
     PhaseTimer t(report_, Phase::kDensity);
+    occ = occupy(values, ne, etemp);
+    const auto tail = occ.weights.begin() + static_cast<std::ptrdiff_t>(iu) + 1;
+    TBMD_REQUIRE(std::all_of(tail, occ.weights.end(),
+                             [](double w) { return w == 0.0; }),
+                 "TightBindingCalculator: a state outside the eigenvector "
+                 "window carries weight");
+    occ.weights.erase(tail, occ.weights.end());
     rho = density_matrix(eig.vectors, occ.weights);
   }
 
@@ -139,7 +120,7 @@ ForceResult TightBindingCalculator::compute(const System& system) {
   result.repulsive_energy = rep.energy;
   result.energy = occ.band_energy + occ.entropy_term + rep.energy;
   result.fermi_level = occ.fermi_level;
-  if (spec_.report_eigenvalues) result.eigenvalues = std::move(eig.values);
+  if (spec_.report_eigenvalues) result.eigenvalues = std::move(values);
   return result;
 }
 

@@ -6,7 +6,8 @@
 ///
 /// One compute() call performs the canonical TBMD step pipeline:
 ///   neighbors -> bond table (batched SK blocks + derivatives) ->
-///   Hamiltonian -> diagonalize (O(N^3)) -> occupations -> density matrix ->
+///   Hamiltonian -> eigenvalues (O(N^3) reduction + QL) -> occupations ->
+///   eigenvectors of the weighted states -> density matrix ->
 ///   Hellmann-Feynman forces -> repulsive term,
 /// where the Hamiltonian, force and repulsive phases all contract from the
 /// shared per-step BondTable.  step_report() holds the call's per-phase
@@ -48,11 +49,6 @@ class TightBindingCalculator final : public Calculator {
   /// rebuilt each compute() (storage reused) and shared by the Hamiltonian,
   /// force and repulsive phases.
   BondTable table_;
-  /// Adaptive Fermi-tail width (states beyond the LUMO) learned from
-  /// coverage-check fallbacks, so small-gap / high-temperature systems
-  /// widen the partial window instead of paying a partial + full solve on
-  /// every subsequent compute() call.
-  std::size_t tail_hint_ = 0;
 };
 
 }  // namespace tbmd::tb

@@ -1,8 +1,8 @@
 // Tests for the blocked partial-spectrum eigensolver stack: blocked
-// Householder tridiagonalization, the root-free QL and Sturm-bisection
-// eigenvalues, inverse-iteration eigenvectors, and eigh_range() against the
-// Jacobi and TQL2 oracles -- including degenerate clusters and partial
-// [il, iu] queries.
+// Householder tridiagonalization, the root-free QL eigenvalues,
+// inverse-iteration eigenvectors, and eigh_range() against the Jacobi and
+// TQL2 oracles -- including degenerate clusters and partial [il, iu]
+// queries.
 
 #include <gtest/gtest.h>
 
@@ -145,40 +145,6 @@ TEST(BlockedTridiag, ApplyQAgreesWithExplicitProduct) {
   Matrix applied = z;
   apply_q(fact, applied);
   EXPECT_LT(max_abs(applied - matmul(q, z)), 1e-12);
-}
-
-TEST(Bisection, MatchesQlValuesOnRandomTridiagonal) {
-  const std::size_t n = 73;
-  Rng rng(29);
-  std::vector<double> d(n), e(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) d[i] = rng.uniform(-2, 2);
-  for (std::size_t i = 1; i < n; ++i) e[i] = rng.uniform(-1, 1);
-
-  std::vector<double> dq = d, eq = e;
-  tql_implicit_shift(dq, eq, nullptr);
-  std::sort(dq.begin(), dq.end());
-
-  const auto all = tridiagonal_eigenvalues_range(d, e, 0, n - 1);
-  for (std::size_t k = 0; k < n; ++k) EXPECT_NEAR(all[k], dq[k], 1e-10);
-
-  // A strict sub-range must be the matching slice of the full spectrum.
-  const auto mid = tridiagonal_eigenvalues_range(d, e, 20, 40);
-  for (std::size_t k = 20; k <= 40; ++k) {
-    EXPECT_NEAR(mid[k - 20], dq[k], 1e-10);
-  }
-}
-
-TEST(Bisection, ConsistentWithSturmCounts) {
-  const std::size_t n = 50;
-  const Matrix a = random_symmetric(n, 404);
-  const auto fact = blocked_tridiagonalize(a);
-  const auto vals = tridiagonal_eigenvalues_range(fact.d, fact.e, 0, n - 1);
-  const double span = vals.back() - vals.front();
-  for (std::size_t k = 0; k < n; ++k) {
-    // Just below/above eigenvalue k the Sturm count must bracket k.
-    EXPECT_LE(sturm_count(fact.d, fact.e, vals[k] - 1e-8 * span), k);
-    EXPECT_GE(sturm_count(fact.d, fact.e, vals[k] + 1e-8 * span), k + 1);
-  }
 }
 
 // --- root-free QL (ql_eigenvalues) -----------------------------------------
@@ -387,11 +353,16 @@ TEST_P(EighRangePartial, SliceMatchesFullSpectrumSolve) {
   EXPECT_LT(subset_residual(a, sol), 1e-10);
   EXPECT_LT(subset_orthogonality_defect(sol.vectors), 1e-10);
 
-  const auto vals_only = eigvalsh_range(a, il, iu);
-  ASSERT_EQ(vals_only.size(), sol.values.size());
-  for (std::size_t k = 0; k < vals_only.size(); ++k) {
-    EXPECT_NEAR(vals_only[k], sol.values[k], 1e-10);
+  // The values stage holds the whole spectrum, and the vectors stage run
+  // on it returns eigh_range's bits.
+  const ReducedSpectrum spectrum = reduce_spectrum(a);
+  ASSERT_EQ(spectrum.values.size(), static_cast<std::size_t>(n));
+  for (int k = 0; k < n; ++k) {
+    EXPECT_NEAR(spectrum.values[k], jac.values[k], 1e-10);
   }
+  const auto staged = window_eigenpairs(spectrum, il, iu);
+  EXPECT_EQ(staged.values, sol.values);
+  EXPECT_EQ(max_abs(staged.vectors - sol.vectors), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -501,7 +472,7 @@ void expect_same(const Matrix& a, const Matrix& b) {
 TEST(EighRange, BitIdenticalAcrossThreadCounts) {
   // Results must not depend on the thread count (src/util/parallel.hpp):
   // the chunked symv, the GEMM micro-kernel under the trailing update, the
-  // back-transform and rho, and the (n, m)-only QL/bisection choice.
+  // parallel inverse iteration, the back-transform and rho.
   const std::size_t n = 320;
   const Matrix a = random_symmetric(n, 2024);
   struct RestoreThreads {
@@ -517,8 +488,8 @@ TEST(EighRange, BitIdenticalAcrossThreadCounts) {
   const auto run = [&](int threads) {
     par::set_num_threads(threads);
     Run out;
-    out.half = eigh_range(a, 0, n / 2 - 1);     // values-only QL path
-    out.window = eigh_range(a, 150, 165);       // Sturm bisection path
+    out.half = eigh_range(a, 0, n / 2 - 1);  // the occupied half
+    out.window = eigh_range(a, 150, 165);    // a narrow interior window
     std::vector<double> weights(n / 2);
     for (std::size_t k = 0; k < weights.size(); ++k) {
       weights[k] = 2.0 - static_cast<double>(k % 3) * 0.5;

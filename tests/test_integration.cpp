@@ -223,8 +223,8 @@ TEST(Workflow, PartialSpectrumReproducesFullSolverEnergiesAndForces) {
     }
   }
 
-  // kAuto with report_eigenvalues = false engages the partial path too and
-  // must agree with the default full-spectrum configuration.
+  // kAuto with report_eigenvalues = false must agree with the default
+  // spec, which solves the same window and reports the whole spectrum.
   CalculatorSpec auto_opt;
   auto_opt.report_eigenvalues = false;
   tb::TightBindingCalculator autoc(tb::xwch_carbon(), auto_opt);

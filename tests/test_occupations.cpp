@@ -50,6 +50,32 @@ TEST(ZeroTemperature, FullBandUsesTopLevelAsFermi) {
   EXPECT_DOUBLE_EQ(occ.fermi_level, 1.0);
 }
 
+TEST(ZeroTemperature, DegenerateFermiLevelSharesItsElectrons) {
+  // A two-fold level split by rounding holds the HOMO and the LUMO: its
+  // two electrons go one to each state, the T -> 0 limit of Fermi-Dirac.
+  const std::vector<double> pair{-2.0, -1.0, 0.5, 0.5 + 4.5e-14, 2.0};
+  Occupations occ = occupy(pair, 6, 0.0);
+  EXPECT_EQ(occ.weights, (std::vector<double>{2.0, 2.0, 1.0, 1.0, 0.0}));
+  EXPECT_DOUBLE_EQ(occ.band_energy, -6.0 + 1.0 + 4.5e-14);
+  EXPECT_DOUBLE_EQ(occ.fermi_level, 0.5 + 2.25e-14);
+
+  // Three-fold, four electrons left; and three electrons in a pair.
+  const std::vector<double> triple{-1.0, 0.0, 1e-15, 2e-15, 3.0};
+  occ = occupy(triple, 6, 0.0);
+  for (std::size_t k = 1; k < 4; ++k) {
+    EXPECT_DOUBLE_EQ(occ.weights[k], 4.0 / 3.0) << k;
+  }
+  occ = occupy({-1.0, 0.0, 1e-15, 3.0}, 5, 0.0);
+  EXPECT_EQ(occ.weights, (std::vector<double>{2.0, 1.5, 1.5, 0.0}));
+
+  // A level below the Fermi level stays full, and a split well above
+  // rounding keeps aufbau.
+  occ = occupy({-1.0, 0.0, 1e-15, 3.0}, 6, 0.0);
+  EXPECT_EQ(occ.weights, (std::vector<double>{2.0, 2.0, 2.0, 0.0}));
+  occ = occupy({-1.0, 0.0, 1e-6, 3.0}, 4, 0.0);
+  EXPECT_EQ(occ.weights, (std::vector<double>{2.0, 2.0, 0.0, 0.0}));
+}
+
 TEST(ZeroTemperature, ZeroElectrons) {
   const std::vector<double> eps{-1.0, 1.0};
   const Occupations occ = occupy(eps, 0, 0.0);

@@ -237,18 +237,29 @@ TEST(JobSpecHardening, IntegerKeysOutsideIntRangeAreRejected) {
 TEST(JobSpecHardening, HealthAndFaultKeys) {
   const JobSpec s = spec_from(
       "steps = 5\nmode = on\nhealth = true\nmax_force = 50\n"
-      "max_energy_per_atom = 100\nhealth_fp64_retry = false\n"
-      "health_tighten_factor = 0.25\nfaults = svc.stall@3\n");
+      "max_energy_per_atom = 100\nfaults = svc.stall@3\n");
   EXPECT_TRUE(s.calc.health.enabled);
   EXPECT_DOUBLE_EQ(s.calc.health.max_force, 50.0);
   EXPECT_DOUBLE_EQ(s.calc.health.max_energy_per_atom, 100.0);
-  EXPECT_FALSE(s.calc.health.fp64_retry);
-  EXPECT_DOUBLE_EQ(s.calc.health.tighten_factor, 0.25);
   EXPECT_EQ(s.faults, "svc.stall@3");
 
   EXPECT_THROW(spec_from("steps = 5\nmode = on\nmax_force = -1\n"), Error);
-  EXPECT_THROW(
-      spec_from("steps = 5\nmode = on\nhealth_tighten_factor = 1.5\n"), Error);
+  // The recovery ladder is fixed: the keys that switched its rungs are
+  // unknown keys.
+  for (const char* retired :
+       {"health_fp64_retry", "health_tighten_retry", "health_tighten_factor",
+        "health_exact_fallback"}) {
+    try {
+      (void)spec_from(std::string("steps = 5\nmode = on\n") + retired +
+                      " = 1\n");
+      ADD_FAILURE() << retired << " was accepted";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("unknown key '" + std::string(retired) + "'"),
+                std::string::npos)
+          << what;
+    }
+  }
 }
 
 TEST(JobSpecHardening, MutatedSpecTextEndsInATypedResult) {
@@ -261,9 +272,7 @@ TEST(JobSpecHardening, MutatedSpecTextEndsInATypedResult) {
       "drop_tolerance = 1e-6\nschedule_loosening = 4\nprecision = mixed\n"
       "reuse_patterns = true\ndomains = 2\ncache_spectral_bounds = true\n"
       "bond_reuse_skin = 0.05\nhealth = true\nmax_force = 50\n"
-      "max_energy_per_atom = 100\nhealth_fp64_retry = false\n"
-      "health_tighten_retry = true\nhealth_tighten_factor = 0.25\n"
-      "health_exact_fallback = true\n";
+      "max_energy_per_atom = 100\n";
   std::vector<std::string> inputs;
   for (std::size_t len = 0; len <= valid.size(); ++len) {
     inputs.push_back(valid.substr(0, len));
@@ -797,20 +806,23 @@ TEST(RecoveryLadder, ExactFallbackWhenPurificationKeepsFailing) {
 }
 
 TEST(RecoveryLadder, ThrowsTypedErrorWhenLadderExhausted) {
-  const FaultGuard guard;
+  // A force bound that no density meets fails every rung: the tightened
+  // retry (b), the exact fallback (c), then the typed error (d).
   CalculatorSpec opt = guarded_options();
-  opt.health.exact_fallback = false;
+  opt.health.max_force = 1e-3;
   onx::OrderNCalculator calc(tb::xwch_carbon(), opt);
-  const System sys = diamond64();
-  fault::arm(fault::kOnxNoConverge, 0);
+  System sys = diamond64();
+  structures::perturb(sys, 0.05, 9);
   try {
     (void)calc.compute(sys);
     FAIL() << "expected NumericsError";
   } catch (const NumericsError& e) {
-    EXPECT_EQ(e.failure_class(), FailureClass::kNonConvergence);
-    EXPECT_NE(std::string(e.what()).find("non-convergence"),
-              std::string::npos);
+    EXPECT_EQ(e.failure_class(), FailureClass::kForceBound);
+    EXPECT_NE(std::string(e.what()).find("force-bound"), std::string::npos);
   }
+  EXPECT_EQ(calc.recovery_stats().fp64_retries, 0u);
+  EXPECT_EQ(calc.recovery_stats().tighten_retries, 1u);
+  EXPECT_EQ(calc.recovery_stats().exact_fallbacks, 1u);
   EXPECT_EQ(calc.recovery_stats().failures, 1u);
 }
 

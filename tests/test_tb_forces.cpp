@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -12,6 +13,7 @@
 #include "src/linalg/eigen_sym.hpp"
 #include "src/structures/builders.hpp"
 #include "src/structures/fullerene.hpp"
+#include "src/structures/nanotube.hpp"
 #include "src/tb/density_matrix.hpp"
 #include "src/tb/forces.hpp"
 #include "src/tb/hamiltonian.hpp"
@@ -304,8 +306,8 @@ TEST(TbCalculator, StepReportTimesThePhasesOfOneCall) {
 }
 
 TEST(TbCalculator, StepReportCountsTheEigenpairsOfOneCall) {
-  // Si64: 256 orbitals, 256 electrons -> HOMO index 127, so the partial
-  // window is states 0..128 (occupied + LUMO).
+  // Si64: 256 orbitals, 256 electrons -> HOMO index 127, so the
+  // eigenvector window is states 0..128 (occupied + LUMO).
   System s = structures::diamond(Element::Si, 5.431, 2, 2, 2);
   CalculatorSpec partial;
   partial.report_eigenvalues = false;
@@ -316,10 +318,79 @@ TEST(TbCalculator, StepReportCountsTheEigenpairsOfOneCall) {
   (void)calc.compute(s);
   EXPECT_EQ(calc.step_report().eigenpairs, 129u);
 
-  // Reporting the spectrum takes the full solve.
-  TightBindingCalculator full(gsp_silicon());
+  // Reporting the spectrum copies all 256 values out of the same solve.
+  TightBindingCalculator reporting(gsp_silicon());
+  const ForceResult r = reporting.compute(s);
+  EXPECT_EQ(reporting.step_report().eigenpairs, 129u);
+  ASSERT_EQ(r.eigenvalues.size(), 256u);
+  EXPECT_TRUE(std::is_sorted(r.eigenvalues.begin(), r.eigenvalues.end()));
+
+  // kFull solves every state.
+  CalculatorSpec full_spec;
+  full_spec.spectrum = SpectrumPolicy::kFull;
+  TightBindingCalculator full(gsp_silicon(), full_spec);
   (void)full.compute(s);
   EXPECT_EQ(full.step_report().eigenpairs, 256u);
+
+  // At 1000 K the Fermi tail widens the window, still in one solve: a
+  // fresh calculator's first call on perturbed Si64 solves 179 states.
+  System hot = s;
+  structures::perturb(hot, 0.05, 21);
+  CalculatorSpec hot_spec = partial;
+  hot_spec.electronic_temperature = 1000.0;
+  TightBindingCalculator fresh(gsp_silicon(), hot_spec);
+  (void)fresh.compute(hot);
+  EXPECT_GT(fresh.step_report().eigenpairs, 129u);
+  EXPECT_LE(fresh.step_report().eigenpairs, 256u);
+}
+
+TEST(TbCalculator, WarmCalculatorMatchesFreshOneBitForBit) {
+  // The eigenvector window comes from this call's spectrum alone, so a
+  // calculator that solved another geometry first returns the same bits as
+  // a fresh one.  At 2500 K the Fermi tail sets the window.
+  System s = structures::diamond(Element::Si, 5.431, 2, 2, 2);
+  System other = s;
+  structures::perturb(s, 0.05, 21);
+  structures::perturb(other, 0.2, 22);
+  CalculatorSpec spec;
+  spec.electronic_temperature = 2500.0;
+  spec.report_eigenvalues = false;
+  TightBindingCalculator fresh(gsp_silicon(), spec);
+  TightBindingCalculator warm(gsp_silicon(), spec);
+  (void)warm.compute(other);
+  const ForceResult a = fresh.compute(s);
+  const ForceResult b = warm.compute(s);
+  EXPECT_EQ(a.energy, b.energy);
+  EXPECT_EQ(a.fermi_level, b.fermi_level);
+  ASSERT_EQ(a.forces.size(), b.forces.size());
+  for (std::size_t i = 0; i < a.forces.size(); ++i) {
+    EXPECT_EQ(a.forces[i], b.forces[i]) << "atom " << i;
+  }
+  for (int r = 0; r < 3; ++r) {
+    for (int c = 0; c < 3; ++c) EXPECT_EQ(a.virial(r, c), b.virial(r, c));
+  }
+}
+
+TEST(TbCalculator, DegenerateFermiLevelKeepsForcesContinuous) {
+  // The ideal open (8,0) tube (cnt_exact_md's start) has a two-fold level
+  // at the Fermi level, split only by rounding.  Filling whichever of its
+  // vectors rounding puts first would make the forces jump (1.7e-2 eV/A
+  // for a 1e-12 A move of one atom); with the level's electrons shared
+  // the change is rounding-sized (2.9e-10 eV/A).
+  System s = structures::nanotube(Element::C, 8, 0, 1.42, 6,
+                                  /*periodic=*/false);
+  CalculatorSpec spec;
+  spec.report_eigenvalues = false;
+  TightBindingCalculator calc(xwch_carbon(), spec);
+  const ForceResult a = calc.compute(s);
+  s.positions()[0].x += 1e-12;
+  const ForceResult b = calc.compute(s);
+  double worst = 0.0;
+  for (std::size_t i = 0; i < a.forces.size(); ++i) {
+    const Vec3 d = b.forces[i] - a.forces[i];
+    worst = std::max({worst, std::fabs(d.x), std::fabs(d.y), std::fabs(d.z)});
+  }
+  EXPECT_LE(worst, 1e-8);
 }
 
 TEST(TbCalculator, EmptySystem) {
